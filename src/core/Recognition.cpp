@@ -322,30 +322,6 @@ ContextualGrammar RecognitionModel::predict(const Task &T) const {
   return CG;
 }
 
-std::vector<ContextualGrammar>
-RecognitionModel::predictBatch(std::span<const Task *const> Tasks) const {
-  std::vector<ContextualGrammar> Out;
-  Out.reserve(Tasks.size());
-  if (Tasks.empty())
-    return Out;
-  std::vector<std::vector<float>> Features;
-  Features.reserve(Tasks.size());
-  for (const Task *T : Tasks)
-    Features.push_back(Featurizer.featurize(*T));
-  nn::Workspace WS; // call-local, like predict(): no sharing, no locks
-  const nn::Matrix &Logits = Net.forwardBatch(Features, WS);
-  std::vector<float> Row(Logits.cols());
-  for (size_t K = 0; K < Tasks.size(); ++K) {
-    const float *Src =
-        Logits.data() + K * static_cast<size_t>(Logits.cols());
-    Row.assign(Src, Src + Logits.cols());
-    ContextualGrammar CG(Base);
-    fillGrammarWeights(Row, CG);
-    Out.push_back(std::move(CG));
-  }
-  return Out;
-}
-
 Grammar RecognitionModel::predictUnigram(const Task &T) const {
   nn::Workspace WS;
   const std::vector<float> &Logits =

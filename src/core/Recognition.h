@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <span>
 
 namespace dc {
 
@@ -94,16 +93,6 @@ public:
   /// number of threads may predict concurrently (forward runs against a
   /// local workspace, the net is read-only here).
   ContextualGrammar predict(const Task &T) const;
-
-  /// Batched predict: one forward GEMM for all of \p Tasks, one grammar
-  /// per task in input order. Determinism contract: element k is
-  /// bit-identical to predict(*Tasks[k]) for every batch size and
-  /// composition — in particular predictBatch({&T})[0] == predict(T) —
-  /// because the batched forward keeps the per-row matvec accumulation
-  /// order (DESIGN.md §5). Thread-safe like predict(): all state is
-  /// call-local.
-  std::vector<ContextualGrammar>
-  predictBatch(std::span<const Task *const> Tasks) const;
 
   /// Unigram variant (only meaningful with Bigram = false, but always
   /// available: it reads the start slot). Thread-safe like predict().

@@ -23,7 +23,6 @@
 #ifndef DC_SERVE_REQUESTQUEUE_H
 #define DC_SERVE_REQUESTQUEUE_H
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -68,42 +67,7 @@ public:
       return std::nullopt;
     T Item = std::move(Items.front());
     Items.pop_front();
-    Lock.unlock();
-    NotFull.notify_one();
     return Item;
-  }
-
-  /// pop() with a deadline: nullopt on timeout as well as on
-  /// closed-and-drained. The micro-batching collector uses this to
-  /// gather requests inside a linger window without ever waiting past
-  /// it; a close() during the wait still drains remaining items first.
-  std::optional<T> popUntil(std::chrono::steady_clock::time_point Deadline) {
-    std::unique_lock<std::mutex> Lock(M);
-    if (!NotEmpty.wait_until(Lock, Deadline,
-                             [&] { return !Items.empty() || Closed; }))
-      return std::nullopt; // linger window expired empty-handed
-    if (Items.empty())
-      return std::nullopt; // closed and fully drained
-    T Item = std::move(Items.front());
-    Items.pop_front();
-    Lock.unlock();
-    NotFull.notify_one();
-    return Item;
-  }
-
-  /// Blocking push for trusted internal producers (the collector feeding
-  /// the dispatch queue): waits for space instead of failing, so an
-  /// admitted request is never dropped between queues. Returns false
-  /// only if the queue was closed first.
-  bool pushWait(T Item) {
-    std::unique_lock<std::mutex> Lock(M);
-    NotFull.wait(Lock, [&] { return Items.size() < Capacity || Closed; });
-    if (Closed)
-      return false;
-    Items.push_back(std::move(Item));
-    Lock.unlock();
-    NotEmpty.notify_one();
-    return true;
   }
 
   /// Stops admission; consumers drain the remainder and then see nullopt.
@@ -113,7 +77,6 @@ public:
       Closed = true;
     }
     NotEmpty.notify_all();
-    NotFull.notify_all();
   }
 
   bool closed() const {
@@ -133,7 +96,6 @@ private:
   const size_t Capacity;
   mutable std::mutex M;
   std::condition_variable NotEmpty;
-  std::condition_variable NotFull; ///< pushWait's wakeup (pops signal it)
   std::deque<T> Items;
   bool Closed = false;
 };

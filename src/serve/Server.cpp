@@ -2,19 +2,18 @@
 
 #include "serve/Server.h"
 
-#include "serve/AdaptiveLinger.h"
-
 #include "obs/Metrics.h"
-#include "obs/Trace.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 
@@ -24,6 +23,10 @@ using namespace dc::serve;
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+/// Reject lines longer than this before parsing (a malformed or
+/// malicious client cannot balloon reader memory).
+constexpr size_t MaxLineBytes = 1 << 20;
 
 double millisBetween(Clock::time_point From, Clock::time_point To) {
   return std::chrono::duration<double, std::milli>(To - From).count();
@@ -94,11 +97,6 @@ struct Server::Pending {
   long NodeBudget = 0;
   int FrontierSize = 0;
   std::shared_ptr<Connection> Conn;
-  /// Recognition guide precomputed by the batching collector (null when
-  /// batching is off, the domain opted out, or the epoch has no model);
-  /// always produced by Svc's own model, so it is bit-identical to the
-  /// predict() the worker would otherwise run.
-  std::shared_ptr<const ContextualGrammar> Guide;
 };
 
 //===----------------------------------------------------------------------===//
@@ -117,38 +115,36 @@ std::unique_ptr<Server> Server::start(ServiceRegistry &Registry,
                                       std::string *ErrorOut) {
   // Unconditional write: a caller reusing the error buffer must not see
   // a stale message from a previous failed start.
-  auto Fail = [&](const std::string &Msg) -> std::unique_ptr<Server> {
+  auto Reject = [&](const std::string &Msg) -> std::unique_ptr<Server> {
     if (ErrorOut)
-      *ErrorOut = Msg + " (" + std::strerror(errno) + ")";
+      *ErrorOut = Msg;
     return nullptr;
   };
+  // A failed system call also reports errno's text.
+  auto Fail = [&](const std::string &Msg) {
+    return Reject(Msg + " (" + std::strerror(errno) + ")");
+  };
 
-  if (!Registry.defaultService()) {
-    if (ErrorOut)
-      *ErrorOut = "service registry is empty (install a domain first)";
-    return nullptr;
-  }
+  if (Config.Port < 0 || Config.Port > 65535)
+    return Reject("port " + std::to_string(Config.Port) +
+                  " is outside 0-65535");
+  if (Config.Workers < 1)
+    return Reject("workers must be at least 1 (got " +
+                  std::to_string(Config.Workers) + ")");
+  if (Config.QueueCapacity < 1)
+    return Reject("queue capacity must be at least 1 (got " +
+                  std::to_string(Config.QueueCapacity) + ")");
+  if (Config.DefaultTimeoutMs < 0)
+    return Reject("default timeout must be non-negative (got " +
+                  std::to_string(Config.DefaultTimeoutMs) + " ms)");
+  if (!Registry.defaultService())
+    return Reject("service registry is empty (install a domain first)");
 
   std::unique_ptr<Server> S(new Server());
   S->Registry = &Registry;
   S->Config = Config;
-  if (S->Config.Workers < 1)
-    S->Config.Workers = 1;
   S->Queue = std::make_unique<BoundedQueue<Pending>>(
-      static_cast<size_t>(S->Config.QueueCapacity));
-
-  // Micro-batching stage: only materialized when some domain can batch
-  // (server-wide MaxBatch > 1 or a per-domain override) — otherwise the
-  // pipeline is exactly the pre-batching one, workers popping the
-  // admission queue directly.
-  bool BatchingOn = S->Config.MaxBatch > 1;
-  for (const std::string &Name : Registry.domainNames())
-    if (ServiceRegistry::Snapshot Svc = Registry.lookup(Name))
-      if (Svc->config().MaxBatch > 1)
-        BatchingOn = true;
-  if (BatchingOn)
-    S->Dispatch = std::make_unique<BoundedQueue<Pending>>(
-        static_cast<size_t>(S->Config.QueueCapacity));
+      static_cast<size_t>(Config.QueueCapacity));
 
   S->ListenFd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (S->ListenFd < 0)
@@ -179,8 +175,6 @@ std::unique_ptr<Server> Server::start(ServiceRegistry &Registry,
 
   for (int I = 0; I < S->Config.Workers; ++I)
     S->Workers.emplace_back([Srv = S.get()] { Srv->workerLoop(); });
-  if (S->Dispatch)
-    S->Collector = std::thread([Srv = S.get()] { Srv->collectorLoop(); });
   S->Acceptor = std::thread([Srv = S.get()] { Srv->acceptLoop(); });
   return S;
 }
@@ -226,13 +220,9 @@ void Server::teardown() {
     ListenFd = -1;
   }
 
-  // 2. Drain: the queue is already closed (requestShutdown); the
-  //    collector (when batching) forwards every admitted request and
-  //    closes the dispatch queue on exit; workers finish every admitted
-  //    request, answer it, then exit on nullopt.
+  // 2. Drain: the queue is already closed (requestShutdown); workers
+  //    finish every admitted request, answer it, then exit on nullopt.
   Queue->close(); // direct teardown() callers skipped requestShutdown
-  if (Collector.joinable())
-    Collector.join();
   for (std::thread &W : Workers)
     if (W.joinable())
       W.join();
@@ -278,6 +268,11 @@ void Server::acceptLoop() {
     int ClientFd = ::accept(ListenFd, nullptr, nullptr);
     if (ClientFd < 0)
       continue;
+    // Each response is one send() of a whole line, so Nagle's algorithm
+    // could only hold a reply back behind the client's delayed ACK of
+    // the previous one.
+    int One = 1;
+    ::setsockopt(ClientFd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
     auto Conn = std::make_shared<Connection>(ClientFd);
     {
       std::lock_guard<std::mutex> Lock(ConnectionsMutex);
@@ -316,12 +311,11 @@ void Server::readerLoop(std::shared_ptr<Connection> Conn) {
         handleLine(Conn, Line);
     }
     Buffer.erase(0, Start);
-    if (Buffer.size() > Config.MaxLineBytes) {
+    if (Buffer.size() > MaxLineBytes) {
       BadRequests.fetch_add(1, std::memory_order_relaxed);
       Conn->sendLine(makeErrorResponse(Json::null(), errc::BadRequest,
                                        "request line exceeds " +
-                                           std::to_string(
-                                               Config.MaxLineBytes) +
+                                           std::to_string(MaxLineBytes) +
                                            " bytes")
                          .dump());
       break;
@@ -529,137 +523,11 @@ void Server::bumpEpochCounter(const Service &Svc,
 }
 
 //===----------------------------------------------------------------------===//
-// Micro-batching collector
-//===----------------------------------------------------------------------===//
-
-int Server::effectiveMaxBatch(const Service &Svc) const {
-  int V = Svc.config().MaxBatch;
-  return V >= 0 ? V : Config.MaxBatch;
-}
-
-long Server::effectiveLingerMicros(const Service &Svc) const {
-  long V = Svc.config().BatchLingerMicros;
-  return V >= 0 ? V : Config.BatchLingerMicros;
-}
-
-void Server::collectorLoop() {
-  // Arrival-rate estimator for adaptive linger: fed with the *admission*
-  // timestamp of every request this thread sees, so collector
-  // scheduling jitter does not contaminate the inter-arrival signal.
-  // Collector-private — no locking.
-  AdaptiveLingerController Arrivals;
-  auto AdmittedMicros = [](const Pending &P) {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               P.Admitted.time_since_epoch())
-        .count();
-  };
-  while (std::optional<Pending> Head = Queue->pop()) {
-    Clock::time_point CollectStart = Clock::now();
-    std::vector<Pending> Batch;
-    // The head request's domain governs this window: its batch cap and
-    // linger budget. A lone request therefore never waits longer than
-    // its own domain's linger, and a MaxBatch-1 domain's requests pass
-    // through with no linger at all.
-    const int HeadMax = effectiveMaxBatch(*Head->Svc);
-    long LingerUs = effectiveLingerMicros(*Head->Svc);
-    if (Config.AdaptiveLinger) {
-      Arrivals.noteArrival(AdmittedMicros(*Head));
-      LingerUs = Arrivals.lingerMicros(HeadMax, LingerUs);
-      EwmaArrivalGapUs.store(
-          static_cast<long>(Arrivals.ewmaGapMicros()),
-          std::memory_order_relaxed);
-      LastLingerUs.store(LingerUs, std::memory_order_relaxed);
-      obs::observe("serve.adaptive_linger_us",
-                   static_cast<double>(LingerUs));
-    }
-    Batch.push_back(std::move(*Head));
-    if (HeadMax > 1 && LingerUs > 0) {
-      obs::ScopedSpan CollectSpan("serve.batch.collect");
-      Clock::time_point Until =
-          CollectStart + std::chrono::microseconds(LingerUs);
-      while (static_cast<int>(Batch.size()) < HeadMax) {
-        std::optional<Pending> Next = Queue->popUntil(Until);
-        if (!Next)
-          break; // linger expired, or closed and drained
-        Batch.push_back(std::move(*Next));
-      }
-      if (Config.AdaptiveLinger)
-        for (size_t I = 1; I < Batch.size(); ++I)
-          Arrivals.noteArrival(AdmittedMicros(Batch[I]));
-    }
-    obs::observe("recog.batch.size",
-                 static_cast<double>(Batch.size()));
-    obs::observe("recog.batch.linger_us",
-                 std::chrono::duration<double, std::micro>(Clock::now() -
-                                                           CollectStart)
-                     .count());
-
-    // Group by the (domain, epoch) snapshot captured at admission —
-    // pointer identity, so two epochs of one domain can never share a
-    // predictBatch — and run one batched prediction per group. Requests
-    // whose domain opted out (effective MaxBatch <= 1), whose epoch has
-    // no model, or whose deadline already expired pass through
-    // unguided.
-    {
-      obs::ScopedSpan PredictSpan("serve.batch.predict");
-      std::vector<const Service *> GroupOrder;
-      std::map<const Service *, std::vector<size_t>> Groups;
-      Clock::time_point Now = Clock::now();
-      for (size_t I = 0; I < Batch.size(); ++I) {
-        const Service *Svc = Batch[I].Svc.get();
-        if (!Svc->recognitionModel() || effectiveMaxBatch(*Svc) <= 1 ||
-            Batch[I].Deadline <= Now)
-          continue;
-        if (Groups.emplace(Svc, std::vector<size_t>()).second)
-          GroupOrder.push_back(Svc);
-        Groups[Svc].push_back(I);
-      }
-      for (const Service *Svc : GroupOrder) {
-        const std::vector<size_t> &Members = Groups[Svc];
-        const size_t Chunk =
-            static_cast<size_t>(std::max(1, effectiveMaxBatch(*Svc)));
-        for (size_t Off = 0; Off < Members.size(); Off += Chunk) {
-          size_t End = std::min(Off + Chunk, Members.size());
-          std::vector<const Task *> Tasks;
-          Tasks.reserve(End - Off);
-          for (size_t K = Off; K < End; ++K)
-            Tasks.push_back(Batch[Members[K]].Task.get());
-          std::vector<ContextualGrammar> Guides =
-              Svc->recognitionModel()->predictBatch(Tasks);
-          for (size_t K = Off; K < End; ++K)
-            Batch[Members[K]].Guide =
-                std::make_shared<const ContextualGrammar>(
-                    std::move(Guides[K - Off]));
-          BatchedPredicts.fetch_add(1, std::memory_order_relaxed);
-          obs::countAdd("serve.batched_predicts." +
-                        Svc->config().DomainName);
-        }
-      }
-    }
-
-    // Hand over in admission order. pushWait blocks on a full dispatch
-    // queue rather than dropping admitted work; the dispatch queue is
-    // only closed after this thread exits, so the push cannot fail
-    // while we are here.
-    obs::ScopedSpan DispatchSpan("serve.batch.dispatch");
-    for (Pending &P : Batch)
-      Dispatch->pushWait(std::move(P));
-    obs::gaugeSet("serve.dispatch_depth",
-                  static_cast<double>(Dispatch->depth()));
-  }
-  // Admission queue closed and drained: flush the pipeline end.
-  Dispatch->close();
-}
-
-//===----------------------------------------------------------------------===//
 // Workers
 //===----------------------------------------------------------------------===//
 
 void Server::workerLoop() {
-  // With batching on, workers consume the collector's dispatch queue;
-  // otherwise they pop admissions directly (the pre-batching pipeline).
-  BoundedQueue<Pending> &Source = Dispatch ? *Dispatch : *Queue;
-  while (std::optional<Pending> P = Source.pop()) {
+  while (std::optional<Pending> P = Queue->pop()) {
     Clock::time_point Dequeued = Clock::now();
     double QueueMs = millisBetween(P->Admitted, Dequeued);
     double RemainingSeconds =
@@ -667,7 +535,7 @@ void Server::workerLoop() {
 
     // Search on the epoch captured at admission, never the current one.
     Outcome O = P->Svc->solve(P->Task, RemainingSeconds, P->NodeBudget,
-                              P->FrontierSize, P->Guide.get());
+                              P->FrontierSize);
     Clock::time_point Done = Clock::now();
     double SolveMs = millisBetween(Dequeued, Done);
 
@@ -744,11 +612,7 @@ ServerStats Server::stats() const {
   S.BadRequest = BadRequests.load(std::memory_order_relaxed);
   S.Reloads = Reloads.load(std::memory_order_relaxed);
   S.FailedReloads = FailedReloads.load(std::memory_order_relaxed);
-  S.BatchedPredicts = BatchedPredicts.load(std::memory_order_relaxed);
-  S.EwmaArrivalGapUs = EwmaArrivalGapUs.load(std::memory_order_relaxed);
-  S.LastLingerUs = LastLingerUs.load(std::memory_order_relaxed);
   S.QueueDepth = Queue->depth();
-  S.DispatchDepth = Dispatch ? Dispatch->depth() : 0;
   S.Connections = OpenConnections.load(std::memory_order_relaxed);
   return S;
 }
@@ -775,14 +639,6 @@ Json Server::buildStats() const {
         Json::integer(static_cast<long long>(Queue->capacity())));
   R.set("connections", Json::integer(S.Connections));
   R.set("workers", Json::integer(Config.Workers));
-  R.set("max_batch", Json::integer(Config.MaxBatch));
-  R.set("batched_predicts", Json::integer(S.BatchedPredicts));
-  if (Config.AdaptiveLinger) {
-    R.set("ewma_arrival_gap_us", Json::integer(S.EwmaArrivalGapUs));
-    R.set("last_linger_us", Json::integer(S.LastLingerUs));
-  }
-  R.set("dispatch_depth",
-        Json::integer(static_cast<long long>(S.DispatchDepth)));
   R.set("shutting_down", Json::boolean(shuttingDown()));
 
   // Per-domain: current epoch plus the outcome history of every epoch

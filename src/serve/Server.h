@@ -13,16 +13,6 @@
 ///                                                          │
 ///                                     worker pool ◄────────┘
 ///
-/// With micro-batching enabled (ServerConfig::MaxBatch > 1 or a
-/// per-domain override), a collector thread sits between the admission
-/// queue and the workers: it gathers up to MaxBatch solve requests
-/// within a BatchLingerMicros window, groups them by their admission
-/// (domain, epoch) snapshot — a batch therefore never mixes epochs —
-/// runs one RecognitionModel::predictBatch per group, and forwards each
-/// request with its precomputed guide through a dispatch queue. Since
-/// predictBatch rows are bit-identical to predict(), batching changes
-/// no answer; it only amortizes inference (DESIGN.md §9).
-///
 /// Readers parse and validate requests and answer health/stats inline
 /// (those never block on search capacity); solve requests resolve their
 /// domain to a registry snapshot and are stamped with both that epoch
@@ -59,7 +49,6 @@
 #include "serve/Service.h"
 
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -79,27 +68,6 @@ struct ServerConfig {
   int Workers = 2;          ///< search worker threads
   int QueueCapacity = 16;   ///< admission bound (beyond in-flight work)
   long DefaultTimeoutMs = 5000; ///< per-request deadline when unspecified
-  /// Cross-request micro-batching (DESIGN.md §9): a collector between
-  /// the admission queue and the workers gathers up to MaxBatch solve
-  /// requests inside a BatchLingerMicros window, groups them by
-  /// (domain, epoch) snapshot, and runs one predictBatch per group so
-  /// recognition inference amortizes across queued requests. 1 (the
-  /// default) disables the stage entirely — workers pop the admission
-  /// queue directly, exactly the pre-batching pipeline. Per-domain
-  /// ServiceConfig overrides refine both knobs.
-  int MaxBatch = 1;
-  long BatchLingerMicros = 2000; ///< max extra wait for batch-mates
-  /// Size each collection window's wait from the observed request
-  /// arrival rate (EWMA of admission inter-arrival gaps; see
-  /// serve/AdaptiveLinger.h) instead of always spending the full
-  /// BatchLingerMicros. The configured linger stays authoritative as
-  /// the per-window ceiling; dense traffic waits only as long as the
-  /// remaining batch slots are expected to take to fill, and sparse
-  /// traffic passes straight through.
-  bool AdaptiveLinger = false;
-  /// Reject lines longer than this before parsing (a malformed or
-  /// malicious client cannot balloon reader memory).
-  size_t MaxLineBytes = 1 << 20;
 };
 
 /// Point-in-time operational numbers (the `stats` endpoint; all counters
@@ -113,14 +81,7 @@ struct ServerStats {
   long BadRequest = 0;
   long Reloads = 0;       ///< successful epoch swaps
   long FailedReloads = 0; ///< reload_failed responses
-  long BatchedPredicts = 0; ///< predictBatch calls by the collector
-  /// Adaptive linger only: EWMA inter-arrival gap and the last window's
-  /// computed wait, both in microseconds (0 when adaptive linger is off
-  /// or before two admissions have been observed).
-  long EwmaArrivalGapUs = 0;
-  long LastLingerUs = 0;
   size_t QueueDepth = 0;
-  size_t DispatchDepth = 0; ///< collector → worker queue (batching only)
   int Connections = 0;
 };
 
@@ -136,10 +97,12 @@ struct EpochCounters {
 
 class Server {
 public:
-  /// Binds and starts all threads. Null + \p ErrorOut on bind failure
-  /// or an empty registry. \p Registry must outlive the server; it may
-  /// keep receiving install()/reload() calls while the server runs
-  /// (that is the hot-reload path).
+  /// Binds and starts all threads. Null + \p ErrorOut on an out-of-range
+  /// config (Port outside 0-65535, Workers or QueueCapacity below 1, a
+  /// negative DefaultTimeoutMs), bind failure, or an empty registry.
+  /// \p Registry must outlive the server; it may keep receiving
+  /// install()/reload() calls while the server runs (that is the
+  /// hot-reload path).
   static std::unique_ptr<Server> start(ServiceRegistry &Registry,
                                        const ServerConfig &Config,
                                        std::string *ErrorOut = nullptr);
@@ -191,14 +154,6 @@ private:
   void acceptLoop();
   void readerLoop(std::shared_ptr<Connection> Conn);
   void workerLoop();
-  /// Micro-batching stage (only runs when batching is enabled): drains
-  /// the admission queue in linger-bounded batches, attaches batched
-  /// recognition predictions, and forwards to the dispatch queue.
-  void collectorLoop();
-  /// Effective per-domain batching knobs: the domain's override when
-  /// set, else the server-wide config.
-  int effectiveMaxBatch(const Service &Svc) const;
-  long effectiveLingerMicros(const Service &Svc) const;
   void handleLine(const std::shared_ptr<Connection> &Conn,
                   const std::string &Line);
   void handleSolve(const std::shared_ptr<Connection> &Conn, const Json &Id,
@@ -218,11 +173,7 @@ private:
   int WakePipe[2] = {-1, -1};
 
   std::unique_ptr<BoundedQueue<Pending>> Queue;
-  /// Second-stage queue between the collector and the workers; null
-  /// when batching is disabled (workers then pop Queue directly).
-  std::unique_ptr<BoundedQueue<Pending>> Dispatch;
   std::thread Acceptor;
-  std::thread Collector; ///< joinable only when batching is enabled
   std::vector<std::thread> Workers;
   std::mutex ReadersMutex;
   std::vector<std::thread> Readers; ///< guarded by ReadersMutex
@@ -235,10 +186,7 @@ private:
 
   // Operational counters (see ServerStats).
   std::atomic<long> Accepted{0}, Rejected{0}, Solved{0}, NoSolution{0},
-      Timeouts{0}, BadRequests{0}, Reloads{0}, FailedReloads{0},
-      BatchedPredicts{0};
-  /// Published by the collector when adaptive linger is on (ServerStats).
-  std::atomic<long> EwmaArrivalGapUs{0}, LastLingerUs{0};
+      Timeouts{0}, BadRequests{0}, Reloads{0}, FailedReloads{0};
   std::atomic<int> OpenConnections{0};
 
   /// (domain, epoch) -> outcome counters; ordered so the stats endpoint

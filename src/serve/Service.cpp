@@ -18,6 +18,9 @@ using namespace dc::serve;
 
 namespace {
 
+/// Programs a solve keeps when the request sets no frontier_size.
+constexpr int DefaultFrontierSize = 5;
+
 /// Unconditional: a caller reusing an error buffer across attempts must
 /// see *this* failure, not a stale message from a previous one.
 bool fail(std::string *ErrorOut, const std::string &Msg) {
@@ -152,15 +155,11 @@ Outcome Service::solve(const TaskPtr &T, double RemainingSeconds,
     Params.NodeBudget = Config.DefaultNodeBudget;
   if (Params.NodeBudget > Config.MaxNodeBudget)
     Params.NodeBudget = Config.MaxNodeBudget;
-  Params.FrontierSize =
-      FrontierSize > 0 ? FrontierSize : Config.DefaultFrontierSize;
+  Params.FrontierSize = FrontierSize > 0 ? FrontierSize : DefaultFrontierSize;
 
   EnumerationStats Stats;
   if (Model) {
     if (Guide) {
-      // Precomputed by the batching collector from this same model —
-      // bit-identical to the predict() below, so batching cannot
-      // change any answer.
       Out.Beam = solveTask(*Guide, T, Params, &Stats);
     } else {
       ContextualGrammar CG = Model->predict(*T); // thread-safe by contract

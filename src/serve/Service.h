@@ -61,12 +61,6 @@ struct ServiceConfig {
   std::string ModelPath;
   long DefaultNodeBudget = 0;  ///< 0 = the domain's tuned budget
   long MaxNodeBudget = 5000000; ///< cap on client-requested budgets
-  int DefaultFrontierSize = 5;
-  /// Per-domain micro-batching overrides (DESIGN.md §9): -1 inherits
-  /// the server-wide ServerConfig value. MaxBatch 1 disables batching
-  /// for this domain (its requests dispatch immediately, no linger).
-  int MaxBatch = -1;
-  long BatchLingerMicros = -1;
 };
 
 /// One solve() answer.
@@ -99,13 +93,11 @@ public:
   /// \p RemainingSeconds wall-clock budget; <= 0 means the deadline
   /// already passed and an immediate Timeout is returned without
   /// searching. \p NodeBudget 0 uses the default; values are clamped to
-  /// MaxNodeBudget. \p FrontierSize 0 uses the default.
+  /// MaxNodeBudget. \p FrontierSize 0 keeps the 5 best programs.
   ///
-  /// \p Guide, when non-null, is a recognition-model prediction for
-  /// \p T computed ahead of time (the micro-batching collector's
-  /// predictBatch output, always from *this* service's model, so it is
-  /// bit-identical to the predict() this call would otherwise run);
-  /// ignored when the service has no model.
+  /// \p Guide, when non-null, is this service's own predict() for \p T
+  /// computed ahead of time (a caller that times prediction and search
+  /// apart); ignored when the service has no model.
   Outcome solve(const TaskPtr &T, double RemainingSeconds, long NodeBudget,
                 int FrontierSize,
                 const ContextualGrammar *Guide = nullptr) const;
@@ -118,8 +110,8 @@ public:
   const DomainSpec &domain() const { return *Domain; }
   const Grammar &grammar() const { return Lib; }
   bool hasRecognitionModel() const { return Model != nullptr; }
-  /// The loaded model (nullptr when none): the micro-batching collector
-  /// calls predictBatch on it directly. Thread-safe for predictions.
+  /// The loaded model (nullptr when none), for callers that predict a
+  /// guide themselves. Thread-safe for predictions.
   const RecognitionModel *recognitionModel() const { return Model.get(); }
   const ServiceConfig &config() const { return Config; }
 

@@ -204,103 +204,6 @@ TEST_F(RecognitionTest, ConcurrentPredictReturnsIdenticalGrammars) {
     EXPECT_EQ(Observed[T], Serial) << "thread " << T << " diverged";
 }
 
-TEST_F(RecognitionTest, PredictBatchMatchesPredict) {
-  // The predictBatch determinism contract: element k is bit-identical
-  // to predict(*Tasks[k]) — one GEMM per layer instead of one matvec
-  // per task, but the same per-element accumulation order (DESIGN.md
-  // §5). Holds for any batch size (including 1) and any NumThreads the
-  // model was trained with.
-  std::vector<TaskPtr> Tasks = {
-      intTask("inc", [](long X) { return X + 1; }),
-      intTask("dec", [](long X) { return X - 1; }),
-      intTask("dbl", [](long X) { return X + X; }),
-      intTask("sqr", [](long X) { return X * X; }),
-      intTask("neg", [](long X) { return -X; }),
-      intTask("tri", [](long X) { return 3 * X; }),
-      intTask("sub2", [](long X) { return X - 2; }),
-      intTask("id", [](long X) { return X; })};
-  std::vector<Fantasy> Pairs;
-  Pairs.push_back({Tasks[0], parseProgram("(lambda (+ $0 1))"), -3.0});
-  Pairs.push_back({Tasks[1], parseProgram("(lambda (- $0 1))"), -3.0});
-  Pairs.push_back({Tasks[2], parseProgram("(lambda (+ $0 $0))"), -3.0});
-
-  auto Signature = [&](const ContextualGrammar &CG) {
-    std::vector<float> Sig;
-    auto AddSlot = [&](const Grammar &Slot) {
-      for (const Production &P : Slot.productions())
-        Sig.push_back(P.LogWeight);
-      Sig.push_back(static_cast<float>(Slot.logVariable()));
-    };
-    AddSlot(CG.slot(ParentStart, 0));
-    for (size_t P = 0; P < CG.productions().size(); ++P)
-      AddSlot(CG.slot(static_cast<int>(P), 0));
-    return Sig;
-  };
-
-  for (int Threads : {1, 4, 8}) {
-    RecognitionParams RP;
-    RP.TrainingSteps = 200;
-    RP.Seed = 5;
-    RP.NumThreads = Threads;
-    RecognitionModel Model(G, Featurizer, RP);
-    Model.trainOnPairs(Pairs);
-
-    std::vector<const Task *> Ptrs;
-    for (const TaskPtr &T : Tasks)
-      Ptrs.push_back(T.get());
-    std::vector<ContextualGrammar> Batch = Model.predictBatch(Ptrs);
-    ASSERT_EQ(Batch.size(), Tasks.size());
-    for (size_t K = 0; K < Tasks.size(); ++K)
-      EXPECT_EQ(Signature(Batch[K]), Signature(Model.predict(*Tasks[K])))
-          << "threads " << Threads << " task " << Tasks[K]->name();
-
-    // Batch of one is the degenerate case the serve collector leans on.
-    std::vector<const Task *> Lone = {Ptrs.front()};
-    std::vector<ContextualGrammar> One = Model.predictBatch(Lone);
-    ASSERT_EQ(One.size(), 1u);
-    EXPECT_EQ(Signature(One[0]), Signature(Model.predict(*Tasks[0])));
-  }
-}
-
-TEST_F(RecognitionTest, ConcurrentPredictBatchIsThreadSafe) {
-  // predictBatch is const with call-local state only: eight threads
-  // batching against one shared model must each see the serial answer.
-  // Runs under TSan in CI alongside ConcurrentPredictReturnsIdentical.
-  RecognitionParams RP;
-  RP.TrainingSteps = 200;
-  RP.Seed = 5;
-  RecognitionModel Model(G, Featurizer, RP);
-  TaskPtr Inc = intTask("inc", [](long X) { return X + 1; });
-  TaskPtr Dec = intTask("dec", [](long X) { return X - 1; });
-  Model.trainOnPairs({{Inc, parseProgram("(lambda (+ $0 1))"), -3.0}});
-
-  auto Signature = [&](const ContextualGrammar &CG) {
-    std::vector<float> Sig;
-    for (const Production &P : CG.slot(ParentStart, 0).productions())
-      Sig.push_back(P.LogWeight);
-    return Sig;
-  };
-  std::vector<const Task *> Ptrs = {Inc.get(), Dec.get()};
-  std::vector<ContextualGrammar> Serial = Model.predictBatch(Ptrs);
-
-  constexpr int NumThreads = 8;
-  std::vector<bool> Matched(NumThreads, false);
-  std::vector<std::thread> Threads;
-  for (int T = 0; T < NumThreads; ++T)
-    Threads.emplace_back([&, T] {
-      for (int Round = 0; Round < 5; ++Round) {
-        std::vector<ContextualGrammar> Got = Model.predictBatch(Ptrs);
-        Matched[T] = Got.size() == Serial.size() &&
-                     Signature(Got[0]) == Signature(Serial[0]) &&
-                     Signature(Got[1]) == Signature(Serial[1]);
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  for (int T = 0; T < NumThreads; ++T)
-    EXPECT_TRUE(Matched[T]) << "thread " << T << " diverged";
-}
-
 TEST_F(RecognitionTest, ExampleGradMatchesFiniteDifference) {
   // Central-difference check of the full pipeline (forward → masked
   // log-softmax over each decision's support → backward) on a tiny

@@ -258,8 +258,8 @@ TEST(Mlp, ForwardIsConstAndRepeatable) {
 
 TEST(Mlp, ForwardBatchMatchesForwardBitwise) {
   // Each row of a batched forward must be bit-identical to the serial
-  // forward of that row — the property the recognition predictBatch and
-  // trainOnPairs determinism contracts are built on.
+  // forward of that row — the property the recognition trainOnPairs
+  // determinism contract is built on.
   std::mt19937 Rng(31);
   const Mlp Net(5, 12, 4, Rng);
   std::uniform_real_distribution<float> U(-1, 1);

@@ -302,57 +302,6 @@ TEST(ServeQueueTest, ConcurrentProducersAndConsumers) {
   EXPECT_EQ(Sum.load(), N * (N - 1) / 2);
 }
 
-TEST(ServeQueueTest, PopUntilTimesOutAndDrains) {
-  // popUntil is the collector's linger primitive: it must return an
-  // item promptly when one exists, nullopt once the deadline passes on
-  // an empty queue, and keep draining items after close.
-  BoundedQueue<int> Q(4);
-  auto Soon = [] {
-    return std::chrono::steady_clock::now() +
-           std::chrono::milliseconds(20);
-  };
-  EXPECT_FALSE(Q.popUntil(Soon()).has_value()) << "empty queue times out";
-  ASSERT_EQ(Q.tryPush(7), PushResult::Ok);
-  EXPECT_EQ(*Q.popUntil(Soon()), 7);
-
-  // An item arriving mid-wait wakes the waiter before the deadline.
-  std::thread Producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_EQ(Q.tryPush(8), PushResult::Ok);
-  });
-  std::optional<int> Got = Q.popUntil(std::chrono::steady_clock::now() +
-                                      std::chrono::seconds(10));
-  Producer.join();
-  ASSERT_TRUE(Got.has_value());
-  EXPECT_EQ(*Got, 8);
-
-  ASSERT_EQ(Q.tryPush(9), PushResult::Ok);
-  Q.close();
-  EXPECT_EQ(*Q.popUntil(Soon()), 9) << "closed queues still drain";
-  EXPECT_FALSE(Q.popUntil(Soon()).has_value()) << "closed and drained";
-}
-
-TEST(ServeQueueTest, PushWaitBlocksInsteadOfDropping) {
-  // pushWait is the collector's handover primitive: admitted work must
-  // never be dropped, so a full dispatch queue blocks the collector
-  // until a worker pops — and only a close() makes it return false.
-  BoundedQueue<int> Q(1);
-  EXPECT_TRUE(Q.pushWait(1));
-  std::atomic<bool> Second{false};
-  std::thread Blocked([&] {
-    EXPECT_TRUE(Q.pushWait(2)); // full: parks until the pop below
-    Second.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(Second.load()) << "pushWait must block while full";
-  EXPECT_EQ(*Q.pop(), 1);
-  Blocked.join();
-  EXPECT_TRUE(Second.load());
-  EXPECT_EQ(*Q.pop(), 2);
-  Q.close();
-  EXPECT_FALSE(Q.pushWait(3)) << "closed queue admits nothing";
-}
-
 //===----------------------------------------------------------------------===//
 // Service
 //===----------------------------------------------------------------------===//
@@ -582,22 +531,19 @@ TEST(ServeServiceTest, ConcurrentSolvesAreDeterministic) {
 }
 
 TEST(ServeServiceTest, GuidedSolveIsBitIdenticalToUnguided) {
-  // The contract the micro-batching collector rests on: handing solve()
-  // a guide precomputed by this service's own predictBatch yields the
-  // exact beam the internal predict() path produces.
+  // A caller that predicts the guide itself (to time prediction and
+  // search apart) and hands it to solve() must get the exact beam the
+  // internal predict() path produces.
   std::string ModelPath = writeListModel("guided_solve.model");
   std::unique_ptr<Service> S = makeListModelService(ModelPath);
   ASSERT_TRUE(S);
   ASSERT_TRUE(S->hasRecognitionModel());
 
   TaskPtr T = identityTask();
-  std::vector<const Task *> Tasks = {T.get()};
-  std::vector<ContextualGrammar> Guides =
-      S->recognitionModel()->predictBatch(Tasks);
-  ASSERT_EQ(Guides.size(), 1u);
+  ContextualGrammar Guide = S->recognitionModel()->predict(*T);
 
   Outcome Unguided = S->solve(T, 60.0, 0, 0);
-  Outcome Guided = S->solve(T, 60.0, 0, 0, &Guides[0]);
+  Outcome Guided = S->solve(T, 60.0, 0, 0, &Guide);
   ASSERT_EQ(Unguided.TheStatus, Outcome::Status::Solved);
   ASSERT_EQ(Guided.TheStatus, Outcome::Status::Solved);
   EXPECT_EQ(beamSignature(Guided.Beam), beamSignature(Unguided.Beam));
@@ -814,8 +760,7 @@ std::string identityRequest(const char *Id, const char *Domain = nullptr) {
 }
 
 /// A head-of-list solve with an explicit id: a second, distinct solvable
-/// task so a batched predict whose rows were swapped or misaligned would
-/// produce detectably different answers.
+/// task, so answers delivered to the wrong request are detectable.
 std::string carRequest(const char *Id) {
   return std::string(R"({"id":")") + Id +
          R"(","method":"solve","params":{"request":"list(int) -> int",)" +
@@ -831,6 +776,23 @@ std::string programsSignature(const Json &Response) {
   if (!Result || !Result->find("programs"))
     return "<no-programs:" + Response.dump() + ">";
   return Result->find("programs")->dump();
+}
+
+/// beamSignature of a solve response's programs. The server writes
+/// doubles with 17 significant digits, so the log priors round-trip
+/// exactly and the result equals beamSignature of the served Frontier.
+std::string responseBeamSignature(const Json &Response) {
+  const Json *Result = Response.find("result");
+  if (!Result || !Result->find("programs"))
+    return "<no-programs:" + Response.dump() + ">";
+  std::string Sig;
+  for (const Json &E : Result->find("programs")->items()) {
+    char Buf[64];
+    std::snprintf(Buf, sizeof(Buf), "|%.17g",
+                  E.find("log_prior")->asNumber());
+    Sig += E.find("program")->asString() + Buf;
+  }
+  return Sig;
 }
 
 } // namespace
@@ -1119,90 +1081,118 @@ TEST(ServeServerTest, ReloadFailedLeavesOldEpochServing) {
   EXPECT_EQ(Final.FailedReloads, 1);
 }
 
-TEST(ServeServerTest, BatchedAnswersMatchUnbatched) {
-  // The micro-batching acceptance bar: the same pipelined request mix
-  // against a batching server and a non-batching server — both loading
-  // the identical recognition model — produces bit-identical answers.
-  // One worker forces the batched server to actually collect (requests
-  // pile up behind the in-flight solve) rather than racing them through
-  // one at a time.
-  std::string ModelPath = writeListModel("batch_e2e.model");
-  const char *Ids[] = {"q0", "q1", "q2", "q3"};
-  auto Request = [&](int I) {
-    return I % 2 == 0 ? identityRequest(Ids[I]) : carRequest(Ids[I]);
-  };
-
-  auto RunServer = [&](bool Batched) {
-    ServiceRegistry Reg;
-    std::map<std::string, std::string> Sigs;
-    EXPECT_TRUE(Reg.install(makeListModelService(ModelPath)));
-    ServerConfig SC;
-    SC.Workers = 1;
-    if (Batched) {
-      SC.MaxBatch = 4;
-      SC.BatchLingerMicros = 200000; // generous: all 4 must collect
-    }
+TEST(ServeServerTest, StartRejectsOutOfRangeConfig) {
+  // Out-of-range knobs fail with a message instead of being wrapped or
+  // clamped: cast to uint16_t, port 70000 would bind port 4464, and
+  // cast to size_t, a queue bound of -1 would admit without limit.
+  ServiceRegistry Reg;
+  ASSERT_TRUE(Reg.install(makeListService()));
+  // The message must name the offending field.
+  auto ExpectRejected = [&](const ServerConfig &SC, const char *Field) {
     std::string Err;
     std::unique_ptr<Server> Srv = Server::start(Reg, SC, &Err);
-    EXPECT_TRUE(Srv) << Err;
-    if (!Srv)
-      return Sigs;
-
-    TestClient C(Srv->port());
-    EXPECT_TRUE(C.connected());
-    for (int I = 0; I < 4; ++I)
-      C.sendLine(Request(I));
-    for (int I = 0; I < 4; ++I) {
-      Json Resp = C.recvLine();
-      if (!Resp.find("ok") || !Resp.find("ok")->asBool()) {
-        ADD_FAILURE() << "solve failed: " << Resp.dump();
-        continue;
-      }
-      Sigs[Resp.find("id")->asString()] = programsSignature(Resp);
-    }
-    if (Batched) {
-      Json Stats = C.roundTrip(R"({"id":"s","method":"stats"})");
-      const Json *SR = Stats.find("result");
-      EXPECT_EQ(SR->find("max_batch")->asInteger(), 4);
-      EXPECT_GE(SR->find("batched_predicts")->asInteger(), 1)
-          << "the collector never ran a batched prediction";
-    }
-    Srv->requestShutdown();
-    Srv->waitForShutdown();
-    if (Batched) {
-      EXPECT_GE(Srv->stats().BatchedPredicts, 1);
-    }
-    return Sigs;
+    EXPECT_FALSE(Srv) << Field;
+    EXPECT_NE(Err.find(Field), std::string::npos) << Err;
   };
+  ServerConfig SC;
+  SC.Port = 70000;
+  ExpectRejected(SC, "port");
+  SC.Port = -1;
+  ExpectRejected(SC, "port");
+  SC = ServerConfig();
+  SC.QueueCapacity = -1;
+  ExpectRejected(SC, "queue");
+  SC.QueueCapacity = 0;
+  ExpectRejected(SC, "queue");
+  SC = ServerConfig();
+  SC.Workers = 0;
+  ExpectRejected(SC, "workers");
+  SC = ServerConfig();
+  SC.DefaultTimeoutMs = -1;
+  ExpectRejected(SC, "timeout");
 
-  std::map<std::string, std::string> Unbatched = RunServer(false);
-  std::map<std::string, std::string> Batched = RunServer(true);
-  ASSERT_EQ(Unbatched.size(), 4u);
-  ASSERT_EQ(Batched.size(), 4u);
-  for (const char *Id : Ids) {
-    ASSERT_TRUE(Unbatched.count(Id)) << Id;
-    ASSERT_TRUE(Batched.count(Id)) << Id;
-    EXPECT_EQ(Batched.at(Id), Unbatched.at(Id))
-        << "batching changed the answer for " << Id;
-  }
-  EXPECT_NE(Unbatched.at("q0"), Unbatched.at("q1"))
-      << "the two request kinds must have distinguishable answers";
+  // The low edge of every range still serves.
+  SC = ServerConfig();
+  SC.Workers = 1;
+  SC.QueueCapacity = 1;
+  SC.DefaultTimeoutMs = 0;
+  std::string Err;
+  std::unique_ptr<Server> Srv = Server::start(Reg, SC, &Err);
+  ASSERT_TRUE(Srv) << Err;
+  TestClient C(Srv->port());
+  ASSERT_TRUE(C.connected());
+  Json Stats = C.roundTrip(R"({"id":"s","method":"stats"})");
+  EXPECT_EQ(Stats.find("result")->find("queue_capacity")->asInteger(), 1);
+  EXPECT_EQ(Stats.find("result")->find("workers")->asInteger(), 1);
 }
 
-TEST(ServeServerTest, BatchedHotReloadNeverMixesEpochs) {
-  // Epoch purity under batching: requests admitted before a reload keep
-  // their epoch-1 snapshot (and its model) even when they sit in the
-  // collector/dispatch pipeline while epoch 2 publishes; requests
-  // admitted after route to epoch 2. Grouping is by snapshot pointer,
-  // so a predictBatch can never span the reload boundary.
-  std::string ModelPath = writeListModel("batch_reload.model");
+TEST(ServeServerTest, PipelinedModelBackedAnswersMatchInProcessSolve) {
+  // The model-backed TCP path: four solves of two kinds pipelined on one
+  // connection through a single worker. Each answer must equal an
+  // in-process Service::solve of the same request on the same loaded
+  // service: the socket, the queue and the worker change no answer.
+  std::string ModelPath = writeListModel("pipelined_solve.model");
+  ServiceRegistry Reg;
+  ServiceRegistry::Snapshot Svc =
+      Reg.install(makeListModelService(ModelPath));
+  ASSERT_TRUE(Svc && Svc->hasRecognitionModel());
+  ServerConfig SC;
+  SC.Workers = 1;
+  std::string Err;
+  std::unique_ptr<Server> Srv = Server::start(Reg, SC, &Err);
+  ASSERT_TRUE(Srv) << Err;
+
+  const char *Ids[] = {"q0", "q1", "q2", "q3"};
+  std::vector<std::string> Lines;
+  for (int I = 0; I < 4; ++I)
+    Lines.push_back(I % 2 == 0 ? identityRequest(Ids[I])
+                               : carRequest(Ids[I]));
+  TestClient C(Srv->port());
+  ASSERT_TRUE(C.connected());
+  for (const std::string &Line : Lines)
+    C.sendLine(Line);
+
+  std::map<std::string, std::string> Expected;
+  for (int I = 0; I < 4; ++I) {
+    std::optional<Request> Req = parseRequestLine(Lines[I], &Err);
+    ASSERT_TRUE(Req) << Err;
+    std::optional<SolveParams> SP = parseSolveParams(Req->Params, &Err);
+    ASSERT_TRUE(SP) << Err;
+    Outcome O = Svc->solve(SP->InlineTask, 60.0, SP->NodeBudget,
+                           SP->FrontierSize);
+    ASSERT_EQ(O.TheStatus, Outcome::Status::Solved) << Ids[I];
+    Expected[Ids[I]] = beamSignature(O.Beam);
+  }
+  EXPECT_NE(Expected.at("q0"), Expected.at("q1"))
+      << "the two request kinds must have distinguishable answers";
+
+  for (int I = 0; I < 4; ++I) {
+    Json Resp = C.recvLine();
+    ASSERT_TRUE(Resp.find("ok") && Resp.find("ok")->asBool())
+        << Resp.dump();
+    std::string Id = Resp.find("id")->asString();
+    ASSERT_TRUE(Expected.count(Id)) << Id;
+    EXPECT_EQ(responseBeamSignature(Resp), Expected.at(Id))
+        << "the served answer differs from Service::solve for " << Id;
+    Expected.erase(Id); // each id is answered exactly once
+  }
+
+  Srv->requestShutdown();
+  Srv->waitForShutdown();
+  EXPECT_EQ(Srv->stats().Solved, 4);
+}
+
+TEST(ServeServerTest, ModelBackedHotReloadNeverMixesEpochs) {
+  // Epoch purity with a recognition model: a request admitted before a
+  // reload keeps its epoch-1 snapshot (and that epoch's model) while it
+  // waits in the queue and epoch 2 publishes; a request admitted after
+  // routes to epoch 2.
+  std::string ModelPath = writeListModel("model_reload.model");
   ServiceRegistry Reg;
   ASSERT_TRUE(Reg.install(makeListModelService(ModelPath)));
   ServerConfig SC;
   SC.Workers = 1;
   SC.QueueCapacity = 8;
-  SC.MaxBatch = 4;
-  SC.BatchLingerMicros = 100000;
   std::string Err;
   std::unique_ptr<Server> Srv = Server::start(Reg, SC, &Err);
   ASSERT_TRUE(Srv) << Err;
@@ -1259,5 +1249,4 @@ TEST(ServeServerTest, BatchedHotReloadNeverMixesEpochs) {
   EXPECT_EQ((ES[{"list", 1ul}].Solved), 2);  // base + pre
   EXPECT_EQ((ES[{"list", 1ul}].Timeout), 1); // slow
   EXPECT_EQ((ES[{"list", 2ul}].Solved), 1);  // post
-  EXPECT_GE(Srv->stats().BatchedPredicts, 1);
 }

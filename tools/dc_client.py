@@ -6,11 +6,7 @@ Subcommands:
     stats             print the server's operational counters
     solve             send one solve request (--task NAME, or --request/
                       --examples-json for an inline task; --domain routes
-                      to a named domain on a multi-domain server).
-                      --batch N additionally pipelines N copies of the
-                      request on one connection — letting a server with
-                      --max-batch > 1 micro-batch them — and asserts all
-                      N answers arrive and match the sequential answer
+                      to a named domain on a multi-domain server)
     reload            hot-swap one domain's checkpoint/model: the server
                       loads and validates off the serving path, then
                       atomically publishes a new library epoch
@@ -19,7 +15,7 @@ Subcommands:
                       past-deadline request answered with a structured
                       timeout, queue-full admission rejection, graceful
                       SIGTERM shutdown mid-load with exit code 0,
-                      micro-batched pipelined solves answering
+                      pipelined solves on one worker answering
                       bit-identically to sequential ones, and (with
                       --checkpoint-b) a SIGHUP hot reload where answers
                       change only after the new epoch publishes.
@@ -374,19 +370,12 @@ def smoke(args):
             except OSError:
                 pass
 
-    # --- Scenario 3: micro-batching linger changes no answer -------------
-    # One worker with --max-batch 4: pipelined requests pile up behind
-    # the in-flight solve, so the collector actually gathers them inside
-    # its linger window before dispatching. Batched answers must be
-    # bit-identical to sequential ones, and a lone request must still be
-    # answered promptly (the linger bounds its extra latency).
-    # The batching flags are position-dependent (before --domain = the
-    # server-wide default); here every domain should batch.
+    # --- Scenario 3: pipelining changes no answer -----------------------
+    # One worker: pipelined requests queue behind the in-flight solve on
+    # one connection. Every answer must arrive under its own id and be
+    # bit-identical to the sequential answer.
     srv = ServerProcess(
-        args.server,
-        ["--max-batch", "4", "--batch-linger-us", "50000"]
-        + common
-        + ["--workers", "1", "--queue", "8"],
+        args.server, common + ["--workers", "1", "--queue", "8"]
     )
     try:
         c = srv.connect()
@@ -395,19 +384,19 @@ def smoke(args):
         seq = c.request("solve", params)
         check(
             seq.get("ok") and seq["result"]["status"] == "solved",
-            "lone request solved despite the linger window",
+            "sequential request solved",
         )
         sig_seq = json.dumps(seq["result"]["programs"])
 
         n = 4
         for i in range(n):
-            c.send("solve", params, req_id="batch-%d" % i)
+            c.send("solve", params, req_id="pipe-%d" % i)
         resps = {}
         for _ in range(n):
             r = c.recv_line()
             resps[r.get("id")] = r
         check(
-            sorted(resps) == ["batch-%d" % i for i in range(n)],
+            sorted(resps) == ["pipe-%d" % i for i in range(n)],
             "all %d pipelined answers arrived (ids match)" % n,
         )
         check(
@@ -419,28 +408,13 @@ def smoke(args):
                 json.dumps(r["result"]["programs"]) == sig_seq
                 for r in resps.values()
             ),
-            "batched answers are bit-identical to the sequential answer",
+            "pipelined answers are bit-identical to the sequential answer",
         )
-
-        stats = c.request("stats")["result"]
-        check(
-            stats.get("max_batch") == 4,
-            "stats reports the configured max_batch",
-        )
-        if args.model:
-            check(
-                stats.get("batched_predicts", 0) >= 1,
-                "collector ran at least one batched prediction",
-            )
         c.close()
 
         srv.sigterm()
         rc, out = srv.wait()
-        check(rc == 0, "scenario-3 server exits 0 with batching on")
-        check(
-            "micro-batching on" in out,
-            "startup banner announces micro-batching",
-        )
+        check(rc == 0, "scenario-3 server exits 0 after pipelined solves")
     finally:
         srv.kill()
 
@@ -570,13 +544,6 @@ def main():
     p.add_argument(
         "--domain", help="route to this domain on a multi-domain server"
     )
-    p.add_argument(
-        "--batch",
-        type=int,
-        help="after the sequential solve, pipeline N copies of the same "
-        "request on one connection and assert all N answers arrive and "
-        "match it (exercises server-side micro-batching)",
-    )
 
     p = sub.add_parser("reload")
     p.add_argument("--host", default="127.0.0.1")
@@ -649,42 +616,10 @@ def main():
             if args.domain:
                 params["domain"] = args.domain
             resp = client.request("solve", params)
-            if resp.get("ok") and args.batch and args.batch > 1:
-                resp = batch_solve(client, params, resp, args.batch)
     finally:
         client.close()
     print(json.dumps(resp, indent=2))
     return 0 if resp.get("ok") else 1
-
-
-def batch_solve(client, params, sequential, n):
-    """Pipelines n copies of the solved request on the open connection and
-    verifies every answer arrives and matches the sequential one; returns
-    the sequential response annotated with the batch verdict."""
-    ids = ["batch-%d" % i for i in range(n)]
-    for req_id in ids:
-        client.send("solve", params, req_id=req_id)
-    resps = {}
-    for _ in range(n):
-        r = client.recv_line()
-        resps[r.get("id")] = r
-    sig = json.dumps(sequential["result"]["programs"])
-    missing = [i for i in ids if i not in resps]
-    if missing:
-        raise AssertionError("no answer for pipelined ids: %r" % missing)
-    mismatched = [
-        i
-        for i in ids
-        if not resps[i].get("ok")
-        or json.dumps(resps[i]["result"]["programs"]) != sig
-    ]
-    if mismatched:
-        raise AssertionError(
-            "pipelined answers diverge from the sequential one: %r"
-            % mismatched
-        )
-    sequential["batch"] = {"pipelined": n, "all_matched": True}
-    return sequential
 
 
 if __name__ == "__main__":

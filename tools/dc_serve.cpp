@@ -26,6 +26,8 @@
 #include "obs/Trace.h"
 #include "serve/Server.h"
 
+#include <charconv>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -49,8 +51,6 @@ void usage(const char *Argv0) {
       "                         [--max-node-budget N]]...\n"
       "          [--port N] [--port-file PATH]\n"
       "          [--workers N] [--queue N] [--default-timeout-ms N]\n"
-      "          [--max-batch N] [--batch-linger-us N]\n"
-      "          [--adaptive-linger]\n"
       "          [--metrics-out PATH] [--trace-out PATH] [--verbose]\n"
       "--domain:     may repeat to serve several domains from one\n"
       "              process; requests route by their \"domain\" field,\n"
@@ -61,32 +61,38 @@ void usage(const char *Argv0) {
       "              domain's base primitives with uniform weights)\n"
       "--model:      trained recognition model (saveRecognitionModel\n"
       "              format) matching the checkpoint's grammar\n"
-      "--port:       TCP port on 127.0.0.1; 0 (default) = ephemeral —\n"
-      "              the chosen port is printed and, with --port-file,\n"
-      "              written there for scripts to pick up\n"
-      "--workers:    concurrent search workers (default 2)\n"
-      "--queue:      admission bound; requests beyond it are rejected\n"
-      "              with the structured 'overloaded' error (default 16)\n"
+      "--port:       TCP port on 127.0.0.1, 0-65535; 0 (default) = an\n"
+      "              ephemeral port — the chosen port is printed and,\n"
+      "              with --port-file, written there for scripts\n"
+      "--workers:    concurrent search workers, at least 1 (default 2)\n"
+      "--queue:      admission bound, at least 1; requests beyond it are\n"
+      "              rejected with the structured 'overloaded' error\n"
+      "              (default 16)\n"
       "--default-timeout-ms: per-request deadline when the request sets\n"
-      "              none (default 5000)\n"
-      "--max-batch:  micro-batch recognition predictions across up to N\n"
-      "              queued solve requests (default 1 = off). Position-\n"
-      "              dependent: before the first --domain it sets the\n"
-      "              server-wide default, after a --domain it overrides\n"
-      "              that domain only\n"
-      "--batch-linger-us: how long the collector waits for batch-mates\n"
-      "              (default 2000); position-dependent like --max-batch.\n"
-      "              A lone request is never delayed beyond this window\n"
-      "--adaptive-linger: size each batch wait from the observed arrival\n"
-      "              rate (EWMA of admission gaps) instead of always\n"
-      "              spending the full linger; the configured linger\n"
-      "              stays authoritative as the ceiling. Sparse traffic\n"
-      "              passes straight through with zero added latency\n"
+      "              none, at least 0 (default 5000)\n"
+      "integer flags take a whole decimal number; anything else prints\n"
+      "this usage and exits 2\n"
       "signals: SIGHUP reloads every domain's checkpoint+model from disk\n"
       "         and atomically publishes the new library epoch (nothing\n"
       "         in flight is dropped); SIGTERM/SIGINT drain and exit 0\n"
       "domains: list text logo tower regex regression physics origami\n",
       Argv0);
+}
+
+/// A strict integer flag value: the whole token must be a decimal number
+/// in [Min, Max], else the usage is printed and the process exits 2.
+/// Whether a value in range makes sense (a port above 65535, an empty
+/// queue) is Server::start's check.
+long long parseInt(const char *Argv0, const char *Text, long long Min,
+                   long long Max) {
+  const char *End = Text + std::strlen(Text);
+  long long V = 0;
+  auto [Ptr, Ec] = std::from_chars(Text, End, V);
+  if (Ec != std::errc() || Ptr != End || V < Min || V > Max) {
+    usage(Argv0);
+    std::exit(2);
+  }
+  return V;
 }
 
 /// Signal handling via the self-pipe trick: the handler only write()s (one
@@ -138,46 +144,32 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    auto NextInt = [&](long long Min, long long Max) {
+      return parseInt(Argv[0], Next(), Min, Max);
+    };
     if (!std::strcmp(Argv[I], "--domain")) {
       Domains.emplace_back();
       Domains.back().DomainName = Next();
     } else if (!std::strcmp(Argv[I], "--seed"))
-      Current().DomainSeed = static_cast<unsigned>(std::atoi(Next()));
+      Current().DomainSeed = static_cast<unsigned>(NextInt(0, UINT_MAX));
     else if (!std::strcmp(Argv[I], "--checkpoint"))
       Current().CheckpointPath = Next();
     else if (!std::strcmp(Argv[I], "--model"))
       Current().ModelPath = Next();
     else if (!std::strcmp(Argv[I], "--node-budget"))
-      Current().DefaultNodeBudget = std::atol(Next());
+      Current().DefaultNodeBudget = NextInt(0, LONG_MAX);
     else if (!std::strcmp(Argv[I], "--max-node-budget"))
-      Current().MaxNodeBudget = std::atol(Next());
+      Current().MaxNodeBudget = NextInt(0, LONG_MAX);
     else if (!std::strcmp(Argv[I], "--port"))
-      SrvConfig.Port = std::atoi(Next());
+      SrvConfig.Port = static_cast<int>(NextInt(INT_MIN, INT_MAX));
     else if (!std::strcmp(Argv[I], "--port-file"))
       PortFile = Next();
     else if (!std::strcmp(Argv[I], "--workers"))
-      SrvConfig.Workers = std::atoi(Next());
+      SrvConfig.Workers = static_cast<int>(NextInt(INT_MIN, INT_MAX));
     else if (!std::strcmp(Argv[I], "--queue"))
-      SrvConfig.QueueCapacity = std::atoi(Next());
+      SrvConfig.QueueCapacity = static_cast<int>(NextInt(INT_MIN, INT_MAX));
     else if (!std::strcmp(Argv[I], "--default-timeout-ms"))
-      SrvConfig.DefaultTimeoutMs = std::atol(Next());
-    else if (!std::strcmp(Argv[I], "--max-batch")) {
-      // Before any --domain: the server-wide default. After one: that
-      // domain's override (unlike other per-domain flags, this one does
-      // not implicitly open the default domain).
-      int V = std::atoi(Next());
-      if (Domains.empty())
-        SrvConfig.MaxBatch = V;
-      else
-        Domains.back().MaxBatch = V;
-    } else if (!std::strcmp(Argv[I], "--batch-linger-us")) {
-      long V = std::atol(Next());
-      if (Domains.empty())
-        SrvConfig.BatchLingerMicros = V;
-      else
-        Domains.back().BatchLingerMicros = V;
-    } else if (!std::strcmp(Argv[I], "--adaptive-linger"))
-      SrvConfig.AdaptiveLinger = true;
+      SrvConfig.DefaultTimeoutMs = NextInt(LONG_MIN, LONG_MAX);
     else if (!std::strcmp(Argv[I], "--metrics-out"))
       MetricsPath = Next();
     else if (!std::strcmp(Argv[I], "--trace-out"))
@@ -258,11 +250,10 @@ int main(int Argc, char **Argv) {
   });
 
   std::printf("dc_serve listening on %s:%d (%d workers, queue %d, "
-              "%zu domain%s%s)\n",
+              "%zu domain%s)\n",
               SrvConfig.BindAddress.c_str(), Srv->port(), SrvConfig.Workers,
               SrvConfig.QueueCapacity, Registry.size(),
-              Registry.size() == 1 ? "" : "s",
-              SrvConfig.MaxBatch > 1 ? ", micro-batching on" : "");
+              Registry.size() == 1 ? "" : "s");
   std::fflush(stdout);
   if (!PortFile.empty()) {
     std::ofstream Out(PortFile);

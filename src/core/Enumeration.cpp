@@ -176,6 +176,43 @@ void recordSearchMetrics(long NodesExpanded, long ProgramsEnumerated,
   R.histogram("enum.budget_reached").observe(BudgetReached);
 }
 
+/// Searches one description-length window [\p Lower, \p Upper) and tests
+/// every candidate against \p NumTasks tasks. Enumeration stays serial: the
+/// node-budget accounting is what makes searches deterministic, and it is
+/// three orders of magnitude cheaper than running candidates. Candidates
+/// are buffered, and each batch's Test(task, program) calls fan out across
+/// workers (parallelFor runs them inline at one thread). \p Fold then sees
+/// every candidate with its row of NumTasks log likelihoods in enumeration
+/// order, so results are bit-identical at any thread count.
+template <typename TestFn, typename FoldFn>
+void searchWindow(const EnumerationSource &Src, TypePtr Request,
+                  double Lower, double Upper, long &Nodes,
+                  const std::function<bool()> &ShouldStop, int NumThreads,
+                  size_t NumTasks, TestFn &&Test, FoldFn &&Fold) {
+  std::vector<std::pair<ExprPtr, double>> Batch;
+  std::vector<double> LL;
+  auto Flush = [&] {
+    LL.resize(Batch.size() * NumTasks);
+    parallelFor(NumThreads, LL.size(), [&](size_t J) {
+      LL[J] = Test(J % NumTasks, Batch[J / NumTasks].first);
+    });
+    for (size_t B = 0; B < Batch.size(); ++B)
+      Fold(Batch[B].first, Batch[B].second, &LL[B * NumTasks]);
+    Batch.clear();
+  };
+  enumerateWindow(Src, Request, Lower, Upper, Nodes,
+                  [&](ExprPtr P, double LogPrior) {
+                    Batch.emplace_back(P, LogPrior);
+                    if (Batch.size() >= TestBatchSize)
+                      Flush();
+                    return true;
+                  },
+                  ShouldStop);
+  // Candidates enumerated before an interruption still get tested: a
+  // request that found its solution just before the deadline reports it.
+  Flush();
+}
+
 } // namespace
 
 void dc::enumerateWindow(const EnumerationSource &Src, const TypePtr &Request,
@@ -214,66 +251,26 @@ Frontier dc::solveTask(const EnumerationSource &Src, const TaskPtr &T,
   int WindowsSinceSolved = -1;
   double Lower = 0;
   double Upper = Params.InitialBudget;
-  const bool Parallel =
-      ThreadPool::resolveThreadCount(Params.NumThreads) > 1;
   bool Interrupted = false;
   const std::function<bool()> ShouldStop =
       makeShouldStop(Params, deadlineFor(Params), Interrupted);
 
-  // The per-candidate fold, shared by both paths: candidates arrive in
-  // enumeration order with their likelihood already computed, so the
-  // effort counter and the frontier evolve identically either way.
-  auto Fold = [&](ExprPtr P, double LogPrior, double LL) {
+  // Candidates arrive in enumeration order with their likelihood already
+  // computed.
+  auto Fold = [&](ExprPtr P, double LogPrior, const double *LL) {
     ++Seen;
-    if (LL == NegInf)
+    if (*LL == NegInf)
       return;
     if (F.empty() && EffortAtSolve < 0)
       EffortAtSolve = Seen;
-    F.record({P, LogPrior, LL}, Params.FrontierSize);
+    F.record({P, LogPrior, *LL}, Params.FrontierSize);
   };
 
   while (Lower < Params.MaxBudget && Nodes > 0 && !Interrupted) {
     ++Windows;
-    if (!Parallel) {
-      enumerateWindow(Src, T->request(), Lower, Upper, Nodes,
-                      [&](ExprPtr P, double LogPrior) {
-                        Fold(P, LogPrior, T->logLikelihood(P));
-                        return true;
-                      },
-                      ShouldStop);
-    } else {
-      // Parallel candidate testing: enumeration itself stays serial (the
-      // node-budget accounting is what makes searches deterministic and
-      // is three orders of magnitude cheaper than running candidates),
-      // buffering batches whose evaluator calls fan out across workers.
-      // Results fold back in enumeration order — bit-identical to the
-      // serial path at any thread count.
-      std::vector<std::pair<ExprPtr, double>> Batch;
-      std::vector<double> LL;
-      auto Flush = [&] {
-        if (Batch.empty())
-          return;
-        LL.resize(Batch.size());
-        parallelFor(Params.NumThreads, Batch.size(), [&](size_t I) {
-          LL[I] = T->logLikelihood(Batch[I].first);
-        });
-        for (size_t I = 0; I < Batch.size(); ++I)
-          Fold(Batch[I].first, Batch[I].second, LL[I]);
-        Batch.clear();
-      };
-      enumerateWindow(Src, T->request(), Lower, Upper, Nodes,
-                      [&](ExprPtr P, double LogPrior) {
-                        Batch.emplace_back(P, LogPrior);
-                        if (Batch.size() >= TestBatchSize)
-                          Flush();
-                        return true;
-                      },
-                      ShouldStop);
-      // Candidates enumerated before an interruption still get tested:
-      // a request that found its solution just before the deadline
-      // reports it.
-      Flush();
-    }
+    searchWindow(
+        Src, T->request(), Lower, Upper, Nodes, ShouldStop, Params.NumThreads,
+        1, [&](size_t, ExprPtr P) { return T->logLikelihood(P); }, Fold);
     if (!F.empty()) {
       if (WindowsSinceSolved < 0)
         WindowsSinceSolved = 0;
@@ -332,8 +329,6 @@ std::vector<Frontier> dc::solveTasks(const Grammar &G,
 
   std::vector<long> Efforts(Tasks.size(), -1);
   std::vector<EnumerationStats> GroupStats(GroupIndices.size());
-  const bool Parallel =
-      ThreadPool::resolveThreadCount(Params.NumThreads) > 1;
   // All groups share one wall-clock deadline anchored at entry (they run
   // concurrently, so a per-group anchor would overshoot the caller's
   // budget when groups outnumber workers).
@@ -371,47 +366,15 @@ std::vector<Frontier> dc::solveTasks(const Grammar &G,
       }
     };
 
-    std::vector<double> Row(Indices.size());
     while (Lower < Params.MaxBudget && Nodes > 0 && !Interrupted) {
       ++Windows;
-      if (!Parallel) {
-        enumerateWindow(G, Request, Lower, Upper, Nodes,
-                        [&](ExprPtr P, double LogPrior) {
-                          for (size_t K = 0; K < Indices.size(); ++K)
-                            Row[K] = Tasks[Indices[K]]->logLikelihood(P);
-                          Fold(P, LogPrior, Row.data());
-                          return true;
-                        },
-                        ShouldStop);
-      } else {
-        // Shared-grammar analog of solveTask's parallel testing: buffer
-        // candidates, fan the (candidate x task) evaluator calls across
-        // workers, fold in enumeration order.
-        const size_t NT = Indices.size();
-        std::vector<std::pair<ExprPtr, double>> Batch;
-        std::vector<double> LL;
-        auto Flush = [&] {
-          if (Batch.empty())
-            return;
-          LL.resize(Batch.size() * NT);
-          parallelFor(Params.NumThreads, Batch.size() * NT, [&](size_t J) {
-            LL[J] = Tasks[Indices[J % NT]]->logLikelihood(
-                Batch[J / NT].first);
-          });
-          for (size_t B = 0; B < Batch.size(); ++B)
-            Fold(Batch[B].first, Batch[B].second, &LL[B * NT]);
-          Batch.clear();
-        };
-        enumerateWindow(G, Request, Lower, Upper, Nodes,
-                        [&](ExprPtr P, double LogPrior) {
-                          Batch.emplace_back(P, LogPrior);
-                          if (Batch.size() >= TestBatchSize)
-                            Flush();
-                          return true;
-                        },
-                        ShouldStop);
-        Flush();
-      }
+      searchWindow(
+          G, Request, Lower, Upper, Nodes, ShouldStop, Params.NumThreads,
+          Indices.size(),
+          [&](size_t K, ExprPtr P) {
+            return Tasks[Indices[K]]->logLikelihood(P);
+          },
+          Fold);
       bool AllSolved = true;
       for (size_t I : Indices)
         AllSolved = AllSolved && !Out[I].empty();

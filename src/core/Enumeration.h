@@ -40,8 +40,8 @@ struct EnumerationParams {
   /// windows to diversify the beam before stopping.
   int ExtraWindowsAfterSolution = 0;
   /// Worker threads for the wake phase (the paper parallelizes search
-  /// across 20-64 CPUs): 0 = one per hardware core, 1 = the exact
-  /// single-threaded legacy path, N = at most N threads. Budget
+  /// across 20-64 CPUs): 0 = one per hardware core, 1 = everything on
+  /// the calling thread, N = at most N threads. Budget
   /// accounting stays per-task/per-group and results are merged in task
   /// order, so frontiers and stats are bit-identical at every setting
   /// (DESIGN.md, threading model).

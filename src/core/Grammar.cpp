@@ -50,8 +50,8 @@ int Grammar::addProduction(ExprPtr P) {
     return Existing;
   assert(P->isLeafLike() && "grammar productions are primitives/inventions");
   TypePtr Ret = functionReturn(P->declaredType());
-  std::string Head = Ret->isConstructor() ? Ret->name() : std::string();
-  Prods.push_back({P, P->declaredType(), 0.0, std::move(Head)});
+  Prods.push_back({P, P->declaredType(), 0.0,
+                   Ret->isConstructor() ? Ret->head() : nullptr});
   return static_cast<int>(Prods.size()) - 1;
 }
 
@@ -87,12 +87,12 @@ Grammar::candidates(int /*ParentIdx*/, int /*ArgIdx*/, const TypePtr &Request,
 
   // Library productions whose (full-arity) return type unifies with the
   // request.
-  bool RequestIsCon = Request->isConstructor();
+  TypeName RequestHead = Request->isConstructor() ? Request->head() : nullptr;
   for (size_t I = 0; I < Prods.size(); ++I) {
     // Cheap rejection: a concrete return head can only unify with the same
     // concrete request head.
-    if (RequestIsCon && !Prods[I].ReturnHead.empty() &&
-        Prods[I].ReturnHead != Request->name())
+    if (RequestHead && Prods[I].ReturnHead &&
+        Prods[I].ReturnHead != RequestHead)
       continue;
     TypeContext Local = Ctx;
     TypePtr Inst = Local.instantiate(Prods[I].Ty);

@@ -32,9 +32,10 @@ struct Production {
   ExprPtr Program;  ///< primitive or invented routine
   TypePtr Ty;       ///< cached declared type
   double LogWeight; ///< unnormalized log weight θ_i
-  /// Head constructor name of the return type ("" when the return type is a
-  /// type variable); used to reject unification cheaply during enumeration.
-  std::string ReturnHead;
+  /// Interned head constructor of the return type (null when the return
+  /// type is a type variable); used to reject unification cheaply during
+  /// enumeration.
+  TypeName ReturnHead;
 };
 
 /// A typed, weighted choice available while generating at some hole.

@@ -151,34 +151,56 @@ ExprPtr Expr::applications(ExprPtr Fn, const std::vector<ExprPtr> &Args) {
   return Out;
 }
 
-std::string Expr::show() const {
-  switch (TheKind) {
+namespace {
+
+/// Appends the s-expression rendering of \p E to \p Out.
+void showInto(ExprPtr E, std::string &Out) {
+  switch (E->kind()) {
   case ExprKind::Index:
-    return "$" + std::to_string(IndexVal);
+    Out += '$';
+    Out += std::to_string(E->index());
+    return;
   case ExprKind::Primitive:
-    return Name;
+    Out += E->name();
+    return;
   case ExprKind::Invented: {
     // DreamCoder notation: the '#' fuses with the body's own parentheses,
     // e.g. #(lambda (+ $0 1)).
-    std::string B = Body->show();
-    if (!B.empty() && B[0] == '(')
-      return "#" + B;
-    return "#(" + B + ")";
+    std::string B = E->body()->show();
+    bool Fused = !B.empty() && B[0] == '(';
+    Out += Fused ? "#" : "#(";
+    Out += B;
+    if (!Fused)
+      Out += ')';
+    return;
   }
   case ExprKind::Abstraction:
-    return "(lambda " + Body->show() + ")";
+    Out += "(lambda ";
+    showInto(E->body(), Out);
+    Out += ')';
+    return;
   case ExprKind::Application: {
     // Flatten the spine for readability: ((f a) b) prints as (f a b).
-    auto [Head, Args] = applicationSpine(this);
-    std::string Out = "(" + Head->show();
-    for (ExprPtr A : Args)
-      Out += " " + A->show();
-    Out += ")";
-    return Out;
+    auto [Head, Args] = applicationSpine(E);
+    Out += '(';
+    showInto(Head, Out);
+    for (ExprPtr A : Args) {
+      Out += ' ';
+      showInto(A, Out);
+    }
+    Out += ')';
+    return;
   }
   }
   assert(false && "unknown expression kind");
-  return "";
+}
+
+} // namespace
+
+std::string Expr::show() const {
+  std::string Out;
+  showInto(this, Out);
+  return Out;
 }
 
 int Expr::size() const {

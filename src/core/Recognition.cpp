@@ -7,6 +7,7 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -373,6 +374,37 @@ float bitsToFloat(std::uint32_t Bits) {
   return F;
 }
 
+/// Parses a word of exactly eight hex digits (no sign, no 0x prefix).
+bool parseHexWord(const std::string &Word, std::uint32_t &Bits) {
+  if (Word.size() != 8)
+    return false;
+  Bits = 0;
+  for (char C : Word) {
+    int Digit = C >= '0' && C <= '9'   ? C - '0'
+                : C >= 'a' && C <= 'f' ? C - 'a' + 10
+                : C >= 'A' && C <= 'F' ? C - 'A' + 10
+                                       : -1;
+    if (Digit < 0)
+      return false;
+    Bits = Bits << 4 | static_cast<std::uint32_t>(Digit);
+  }
+  return true;
+}
+
+/// Reads the next whitespace-separated word straight from \p Buf; false
+/// at end of input.
+bool nextWord(std::streambuf &Buf, std::string &Word) {
+  Word.clear();
+  int C = Buf.sgetc();
+  while (C != std::char_traits<char>::eof() && std::isspace(C))
+    C = Buf.snextc();
+  while (C != std::char_traits<char>::eof() && !std::isspace(C)) {
+    Word.push_back(static_cast<char>(C));
+    C = Buf.snextc();
+  }
+  return !Word.empty();
+}
+
 bool loadFail(std::string *ErrorOut, const std::string &Msg) {
   if (ErrorOut && ErrorOut->empty())
     *ErrorOut = "recognition model: " + Msg;
@@ -416,6 +448,7 @@ dc::loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
   RecognitionParams P;
   int Bigram = 1;
   std::string ClampHex;
+  std::uint32_t ClampBits = 0;
   int Slots = 0, Children = 0;
   size_t ParamCount = 0;
   for (const char *Expect : {"hidden", "bigram", "logitClamp", "shape"}) {
@@ -431,7 +464,8 @@ dc::loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
     else if (Ok && Tag == "bigram")
       Ok = static_cast<bool>(LS >> Bigram);
     else if (Ok && Tag == "logitClamp")
-      Ok = static_cast<bool>(LS >> ClampHex) && ClampHex.size() == 8;
+      Ok = static_cast<bool>(LS >> ClampHex) &&
+           parseHexWord(ClampHex, ClampBits);
     else if (Ok && Tag == "shape")
       Ok = static_cast<bool>(LS >> Slots >> Children >> ParamCount);
     if (!Ok) {
@@ -440,8 +474,7 @@ dc::loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
     }
   }
   P.Bigram = Bigram != 0;
-  P.LogitClamp = bitsToFloat(
-      static_cast<std::uint32_t>(std::stoul(ClampHex, nullptr, 16)));
+  P.LogitClamp = bitsToFloat(ClampBits);
 
   auto M = std::make_unique<RecognitionModel>(G, F, P);
   if (M->slotCount() != Slots || M->childCount() != Children) {
@@ -467,27 +500,22 @@ dc::loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
     loadFail(ErrorOut, "missing 'params' section");
     return nullptr;
   }
+  // One pass over the block, straight from the stream buffer.
+  std::streambuf &Buf = *In.rdbuf();
   for (nn::Mlp::ParamSegment &Seg : M->net().parameterSegments())
     for (size_t I = 0; I < Seg.Size; ++I) {
-      if (!(In >> Tag) || Tag.size() != 8) {
+      std::uint32_t Bits = 0;
+      if (!nextWord(Buf, Tag) || Tag.size() != 8) {
         loadFail(ErrorOut, "truncated parameter block");
         return nullptr;
       }
-      size_t Used = 0;
-      unsigned long Bits = 0;
-      try {
-        Bits = std::stoul(Tag, &Used, 16);
-      } catch (const std::exception &) {
-        Used = 0;
-      }
-      if (Used != 8) {
+      if (!parseHexWord(Tag, Bits)) {
         loadFail(ErrorOut, "malformed parameter word '" + Tag + "'");
         return nullptr;
       }
-      Seg.Param[I] = bitsToFloat(static_cast<std::uint32_t>(Bits));
+      Seg.Param[I] = bitsToFloat(Bits);
     }
-  In >> Tag;
-  if (Tag != "end") {
+  if (!nextWord(Buf, Tag) || Tag != "end") {
     loadFail(ErrorOut, "parameter block missing 'end'");
     return nullptr;
   }

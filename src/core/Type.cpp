@@ -2,126 +2,279 @@
 
 #include "core/Type.h"
 
-#include <functional>
-#include <map>
-#include <sstream>
+#include <algorithm>
+#include <iterator>
+#include <mutex>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace dc;
 
-TypePtr Type::variable(int Id) {
-  auto T = std::shared_ptr<Type>(new Type(Kind::Variable));
-  T->VarId = Id;
-  return T;
+namespace {
+
+/// Combines hashes in the boost::hash_combine style.
+size_t hashCombine(size_t Seed, size_t V) {
+  return Seed ^ (V + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
 }
 
-TypePtr Type::constructor(std::string Name, std::vector<TypePtr> Args) {
-  auto T = std::shared_ptr<Type>(new Type(Kind::Constructor));
-  T->ConName = std::move(Name);
-  T->Args = std::move(Args);
-  return T;
+/// The fields that identify a node, borrowed from the caller so a lookup
+/// that hits allocates nothing.
+struct TypeKey {
+  Type::Kind Kind;
+  int VarId;
+  TypeName Head;
+  const TypePtr *Args;
+  size_t NumArgs;
+  size_t Hash;
+};
+
+size_t keyHash(Type::Kind Kind, int VarId, TypeName Head,
+               const TypePtr *Args, size_t NumArgs) {
+  if (Kind == Type::Kind::Variable)
+    return hashCombine(0x7661726961626c65ULL, static_cast<size_t>(VarId));
+  size_t H = std::hash<std::string_view>()(*Head);
+  for (size_t I = 0; I < NumArgs; ++I)
+    H = hashCombine(H, Args[I]->hash());
+  return H;
+}
+
+/// Transparent hash and equality so a shard's set of nodes can be probed
+/// with a borrowed TypeKey.
+struct NodeHash {
+  using is_transparent = void;
+  size_t operator()(TypePtr T) const { return T->hash(); }
+  size_t operator()(const TypeKey &K) const { return K.Hash; }
+};
+
+struct NodeEq {
+  using is_transparent = void;
+  bool operator()(TypePtr A, TypePtr B) const { return A == B; }
+  bool operator()(const TypeKey &K, TypePtr T) const {
+    if (K.Hash != T->hash() || K.Kind != T->kind())
+      return false;
+    if (K.Kind == Type::Kind::Variable)
+      return K.VarId == T->variableId();
+    return K.Head == T->head() &&
+           std::equal(K.Args, K.Args + K.NumArgs, T->arguments().begin(),
+                      T->arguments().end());
+  }
+  bool operator()(TypePtr T, const TypeKey &K) const { return (*this)(K, T); }
+};
+
+} // namespace
+
+namespace dc {
+
+/// Process-wide arena owning every Type and constructor name ever created.
+/// Like the Expr arena (core/Program.cpp) it never frees, which keeps
+/// TypePtr trivially copyable, and it is sharded by key hash with one mutex
+/// per shard so concurrent searches do not serialize on one lock. Nodes are
+/// immutable after construction and published under the shard lock.
+class TypeArena {
+public:
+  static TypeArena &get() {
+    static TypeArena *Singleton = new TypeArena();
+    return *Singleton;
+  }
+
+  TypeName name(const std::string &Name) {
+    std::lock_guard<std::mutex> Lock(NamesMutex);
+    return &*Names.insert(Name).first;
+  }
+
+  TypePtr intern(Type::Kind Kind, int VarId, TypeName Head,
+                 const TypePtr *Args, size_t NumArgs) {
+    size_t Hash = keyHash(Kind, VarId, Head, Args, NumArgs);
+    TypeKey Key{Kind, VarId, Head, Args, NumArgs, Hash};
+    Shard &S = Shards[Key.Hash % NumShards];
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    auto It = S.Interned.find(Key);
+    if (It != S.Interned.end())
+      return *It;
+    TypePtr Node = create(Key);
+    S.Interned.insert(Node);
+    return Node;
+  }
+
+  TypePtr constructor(TypeName Head, const TypePtr *Args, size_t NumArgs) {
+    return intern(Type::Kind::Constructor, 0, Head, Args, NumArgs);
+  }
+
+private:
+  static TypePtr create(const TypeKey &Key) {
+    auto *Node = new Type();
+    Node->TheKind = Key.Kind;
+    Node->HashVal = Key.Hash;
+    if (Key.Kind == Type::Kind::Variable) {
+      Node->VarId = Key.VarId;
+      Node->MaxVar = Key.VarId;
+      Node->Mono = false;
+      return Node;
+    }
+    Node->Head = Key.Head;
+    Node->Args.assign(Key.Args, Key.Args + Key.NumArgs);
+    Node->Arrow = *Key.Head == "->" && Key.NumArgs == 2;
+    for (TypePtr A : Node->Args) {
+      Node->Mono = Node->Mono && A->isMonomorphic();
+      Node->MaxVar = std::max(Node->MaxVar, A->maxVariable());
+    }
+    return Node;
+  }
+
+  static constexpr size_t NumShards = 64;
+  struct Shard {
+    std::mutex Mutex;
+    std::unordered_set<TypePtr, NodeHash, NodeEq> Interned;
+  };
+  Shard Shards[NumShards];
+  std::mutex NamesMutex;
+  /// Node-based, so element addresses stay put as the set grows.
+  std::unordered_set<std::string> Names;
+};
+
+} // namespace dc
+
+namespace {
+
+/// Rebuilds constructor \p U with every argument mapped through \p F,
+/// returning \p U itself when no argument changed.
+template <typename MapFn> TypePtr mapArguments(TypePtr U, MapFn &&F) {
+  const std::vector<TypePtr> &Args = U->arguments();
+  TypePtr Small[4];
+  std::vector<TypePtr> Large;
+  TypePtr *Out = Small;
+  if (Args.size() > std::size(Small)) {
+    Large.resize(Args.size());
+    Out = Large.data();
+  }
+  bool Changed = false;
+  for (size_t I = 0; I < Args.size(); ++I) {
+    Out[I] = F(Args[I]);
+    Changed = Changed || Out[I] != Args[I];
+  }
+  if (!Changed)
+    return U;
+  return TypeArena::get().constructor(U->head(), Out, Args.size());
+}
+
+/// Renames the variables of \p U to Base, Base+1, ... in order of first
+/// occurrence. \p Renaming is indexed by old variable id (null = not yet
+/// seen); \p Fresh counts the variables renamed so far.
+TypePtr renameRec(TypePtr U, int Base, std::vector<TypePtr> &Renaming,
+                  int &Fresh) {
+  if (U->isVariable()) {
+    TypePtr &New = Renaming[U->variableId()];
+    if (!New)
+      New = Type::variable(Base + Fresh++);
+    return New;
+  }
+  if (U->isMonomorphic())
+    return U;
+  return mapArguments(
+      U, [&](TypePtr A) { return renameRec(A, Base, Renaming, Fresh); });
+}
+
+/// renameRec over a whole type; \p Fresh receives the number of distinct
+/// variables.
+TypePtr renameFrom(TypePtr T, int Base, int &Fresh) {
+  Fresh = 0;
+  if (T->isMonomorphic())
+    return T;
+  std::vector<TypePtr> Renaming(T->maxVariable() + 1, nullptr);
+  return renameRec(T, Base, Renaming, Fresh);
+}
+
+} // namespace
+
+TypePtr Type::variable(int Id) {
+  return TypeArena::get().intern(Kind::Variable, Id, nullptr, nullptr, 0);
+}
+
+TypePtr Type::constructor(const std::string &Name,
+                          const std::vector<TypePtr> &Args) {
+  assert(std::find(Args.begin(), Args.end(), nullptr) == Args.end() &&
+         "constructor argument must be a type");
+  TypeArena &Arena = TypeArena::get();
+  return Arena.constructor(Arena.name(Name), Args.data(), Args.size());
 }
 
 TypePtr Type::arrow(TypePtr From, TypePtr To) {
-  return constructor("->", {std::move(From), std::move(To)});
+  assert(From && To && "arrow sides must be types");
+  static const TypeName ArrowName = TypeArena::get().name("->");
+  TypePtr Args[2] = {From, To};
+  return TypeArena::get().constructor(ArrowName, Args, 2);
 }
 
 TypePtr Type::arrows(const std::vector<TypePtr> &Args, TypePtr Ret) {
-  TypePtr T = std::move(Ret);
+  TypePtr T = Ret;
   for (auto It = Args.rbegin(); It != Args.rend(); ++It)
     T = arrow(*It, T);
   return T;
 }
 
-bool Type::isArrow() const {
-  return TheKind == Kind::Constructor && ConName == "->" && Args.size() == 2;
-}
-
-std::string Type::show() const {
+void Type::showInto(std::string &Out) const {
   if (isVariable()) {
-    std::ostringstream OS;
-    OS << "t" << VarId;
-    return OS.str();
+    Out += 't';
+    Out += std::to_string(VarId);
+    return;
   }
   if (isArrow()) {
-    const Type &Lhs = *Args[0];
-    std::string Left =
-        Lhs.isArrow() ? "(" + Lhs.show() + ")" : Lhs.show();
-    return Left + " -> " + Args[1]->show();
+    bool Paren = Args[0]->isArrow();
+    if (Paren)
+      Out += '(';
+    Args[0]->showInto(Out);
+    if (Paren)
+      Out += ')';
+    Out += " -> ";
+    Args[1]->showInto(Out);
+    return;
   }
+  Out += *Head;
   if (Args.empty())
-    return ConName;
-  std::string Out = ConName + "(";
+    return;
+  Out += '(';
   for (size_t I = 0; I < Args.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += Args[I]->show();
+    Args[I]->showInto(Out);
   }
-  Out += ")";
-  return Out;
+  Out += ')';
 }
 
-bool Type::isMonomorphic() const {
-  if (isVariable())
-    return false;
-  for (const TypePtr &A : Args)
-    if (!A->isMonomorphic())
-      return false;
-  return true;
+std::string Type::show() const {
+  std::string Out;
+  showInto(Out);
+  return Out;
 }
 
 void Type::collectVariables(std::vector<int> &Out) const {
   if (isVariable()) {
-    for (int Existing : Out)
-      if (Existing == VarId)
-        return;
-    Out.push_back(VarId);
+    if (std::find(Out.begin(), Out.end(), VarId) == Out.end())
+      Out.push_back(VarId);
     return;
   }
-  for (const TypePtr &A : Args)
+  for (TypePtr A : Args)
     A->collectVariables(Out);
 }
 
-bool Type::equals(const Type &Other) const {
-  if (TheKind != Other.TheKind)
-    return false;
-  if (isVariable())
-    return VarId == Other.VarId;
-  if (ConName != Other.ConName || Args.size() != Other.Args.size())
-    return false;
-  for (size_t I = 0; I < Args.size(); ++I)
-    if (!Args[I]->equals(*Other.Args[I]))
-      return false;
-  return true;
-}
-
-std::vector<TypePtr> dc::functionArguments(const TypePtr &T) {
+std::vector<TypePtr> dc::functionArguments(TypePtr T) {
   std::vector<TypePtr> Out;
-  const Type *Cur = T.get();
-  TypePtr Hold = T;
-  while (Cur->isArrow()) {
-    Out.push_back(Cur->arrowArgument());
-    Hold = Cur->arrowResult();
-    Cur = Hold.get();
-  }
+  for (; T->isArrow(); T = T->arrowResult())
+    Out.push_back(T->arrowArgument());
   return Out;
 }
 
-TypePtr dc::functionReturn(const TypePtr &T) {
-  TypePtr Cur = T;
-  while (Cur->isArrow())
-    Cur = Cur->arrowResult();
-  return Cur;
+TypePtr dc::functionReturn(TypePtr T) {
+  while (T->isArrow())
+    T = T->arrowResult();
+  return T;
 }
 
-int dc::functionArity(const TypePtr &T) {
+int dc::functionArity(TypePtr T) {
   int N = 0;
-  const Type *Cur = T.get();
-  TypePtr Hold = T;
-  while (Cur->isArrow()) {
+  for (; T->isArrow(); T = T->arrowResult())
     ++N;
-    Hold = Cur->arrowResult();
-    Cur = Hold.get();
-  }
   return N;
 }
 
@@ -129,15 +282,11 @@ int dc::functionArity(const TypePtr &T) {
 // Ground types
 //===----------------------------------------------------------------------===//
 
-// These intentionally build fresh shared nodes on every call; types are
-// compared structurally so sharing is an optimization we do not rely on.
 TypePtr dc::tInt() { return Type::constructor("int"); }
 TypePtr dc::tReal() { return Type::constructor("real"); }
 TypePtr dc::tBool() { return Type::constructor("bool"); }
 TypePtr dc::tChar() { return Type::constructor("char"); }
-TypePtr dc::tList(TypePtr Elem) {
-  return Type::constructor("list", {std::move(Elem)});
-}
+TypePtr dc::tList(TypePtr Elem) { return Type::constructor("list", {Elem}); }
 TypePtr dc::tString() { return tList(tChar()); }
 TypePtr dc::t0() { return Type::variable(0); }
 TypePtr dc::t1() { return Type::variable(1); }
@@ -146,12 +295,6 @@ TypePtr dc::t2() { return Type::variable(2); }
 //===----------------------------------------------------------------------===//
 // TypeContext
 //===----------------------------------------------------------------------===//
-
-TypePtr TypeContext::makeVariable() {
-  // Fresh variables start unbound; the substitution vector grows lazily at
-  // first binding, so minting variables is allocation free.
-  return Type::variable(NextVar++);
-}
 
 TypePtr TypeContext::lookup(int Var) const {
   if (!Substitution || Var < 0 ||
@@ -167,85 +310,70 @@ void TypeContext::bind(int Var, TypePtr T) {
     Substitution = std::make_shared<std::vector<TypePtr>>(*Substitution);
   if (Var >= static_cast<int>(Substitution->size()))
     Substitution->resize(Var + 1);
-  (*Substitution)[Var] = std::move(T);
+  (*Substitution)[Var] = T;
 }
 
-TypePtr TypeContext::shallowResolve(const TypePtr &T) {
-  TypePtr Cur = T;
-  while (Cur->isVariable()) {
-    TypePtr Bound = lookup(Cur->variableId());
+TypePtr TypeContext::shallowResolve(TypePtr T) const {
+  while (T->isVariable()) {
+    TypePtr Bound = lookup(T->variableId());
     if (!Bound)
-      return Cur;
-    Cur = Bound;
+      return T;
+    T = Bound;
   }
-  return Cur;
+  return T;
 }
 
-namespace {
-
-/// Recursive worker for TypeContext::instantiate.
-TypePtr instantiateRec(TypeContext &Ctx, const TypePtr &U,
-                       std::map<int, TypePtr> &Renaming) {
-  if (U->isVariable()) {
-    auto It = Renaming.find(U->variableId());
-    if (It != Renaming.end())
-      return It->second;
-    TypePtr Fresh = Ctx.makeVariable();
-    Renaming.emplace(U->variableId(), Fresh);
-    return Fresh;
-  }
-  if (U->arguments().empty() || U->isMonomorphic())
-    return U;
-  std::vector<TypePtr> NewArgs;
-  NewArgs.reserve(U->arguments().size());
-  for (const TypePtr &A : U->arguments())
-    NewArgs.push_back(instantiateRec(Ctx, A, Renaming));
-  return Type::constructor(U->name(), std::move(NewArgs));
-}
-
-} // namespace
-
-TypePtr TypeContext::instantiate(const TypePtr &T) {
+TypePtr TypeContext::instantiate(TypePtr T) {
   if (T->isMonomorphic())
-    return T; // nothing to rename; avoids all allocation
-  std::map<int, TypePtr> Renaming;
-  return instantiateRec(*this, T, Renaming);
-}
-
-TypePtr TypeContext::apply(const TypePtr &T) {
-  TypePtr R = shallowResolve(T);
-  if (R->isVariable())
-    return R;
-  if (R->arguments().empty())
-    return R;
-  std::vector<TypePtr> NewArgs;
-  NewArgs.reserve(R->arguments().size());
-  bool Changed = false;
-  for (const TypePtr &A : R->arguments()) {
-    TypePtr NA = apply(A);
-    Changed = Changed || NA.get() != A.get();
-    NewArgs.push_back(std::move(NA));
+    return T; // nothing to rename
+  // A pure function of (T, NextVar), so one memo per thread serves every
+  // context. It is cleared when it grows past a few MB; entries only
+  // ever save work.
+  struct KeyHash {
+    size_t operator()(const std::pair<TypePtr, int> &K) const {
+      return hashCombine(K.first->hash(), static_cast<size_t>(K.second));
+    }
+  };
+  static constexpr size_t MaxMemoEntries = 1 << 16;
+  thread_local std::unordered_map<std::pair<TypePtr, int>,
+                                  std::pair<TypePtr, int>, KeyHash>
+      Memo;
+  auto [It, Inserted] = Memo.try_emplace({T, NextVar});
+  if (Inserted) {
+    int Fresh = 0;
+    It->second.first = renameFrom(T, NextVar, Fresh);
+    It->second.second = Fresh;
   }
-  if (!Changed)
-    return R;
-  return Type::constructor(R->name(), std::move(NewArgs));
+  auto [Result, Fresh] = It->second;
+  NextVar += Fresh;
+  if (Memo.size() > MaxMemoEntries)
+    Memo.clear();
+  return Result;
 }
 
-bool TypeContext::occurs(int Var, const TypePtr &T) {
+TypePtr TypeContext::apply(TypePtr T) const {
+  TypePtr R = shallowResolve(T);
+  if (R->isVariable() || R->isMonomorphic())
+    return R;
+  return mapArguments(R, [&](TypePtr A) { return apply(A); });
+}
+
+bool TypeContext::occurs(int Var, TypePtr T) const {
+  if (T->isMonomorphic())
+    return false;
   TypePtr R = shallowResolve(T);
   if (R->isVariable())
     return R->variableId() == Var;
-  for (const TypePtr &A : R->arguments())
+  for (TypePtr A : R->arguments())
     if (occurs(Var, A))
       return true;
   return false;
 }
 
-bool TypeContext::unify(const TypePtr &A, const TypePtr &B) {
+bool TypeContext::unify(TypePtr A, TypePtr B) {
   TypePtr X = shallowResolve(A);
   TypePtr Y = shallowResolve(B);
-  if (X->isVariable() && Y->isVariable() &&
-      X->variableId() == Y->variableId())
+  if (X == Y)
     return true;
   if (X->isVariable()) {
     if (occurs(X->variableId(), Y))
@@ -255,7 +383,8 @@ bool TypeContext::unify(const TypePtr &A, const TypePtr &B) {
   }
   if (Y->isVariable())
     return unify(Y, X);
-  if (X->name() != Y->name() ||
+  // Distinct interned nodes: two ground types cannot be equal.
+  if ((X->isMonomorphic() && Y->isMonomorphic()) || X->head() != Y->head() ||
       X->arguments().size() != Y->arguments().size())
     return false;
   for (size_t I = 0; I < X->arguments().size(); ++I)
@@ -264,25 +393,7 @@ bool TypeContext::unify(const TypePtr &A, const TypePtr &B) {
   return true;
 }
 
-TypePtr dc::canonicalize(const TypePtr &T) {
-  std::map<int, int> Renaming;
-  std::function<TypePtr(const TypePtr &)> Go =
-      [&](const TypePtr &U) -> TypePtr {
-    if (U->isVariable()) {
-      auto It = Renaming.find(U->variableId());
-      if (It == Renaming.end())
-        It = Renaming.emplace(U->variableId(),
-                              static_cast<int>(Renaming.size()))
-                 .first;
-      return Type::variable(It->second);
-    }
-    if (U->arguments().empty())
-      return U;
-    std::vector<TypePtr> NewArgs;
-    NewArgs.reserve(U->arguments().size());
-    for (const TypePtr &A : U->arguments())
-      NewArgs.push_back(Go(A));
-    return Type::constructor(U->name(), std::move(NewArgs));
-  };
-  return Go(T);
+TypePtr dc::canonicalize(TypePtr T) {
+  int Fresh = 0;
+  return renameFrom(T, 0, Fresh);
 }

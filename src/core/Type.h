@@ -10,7 +10,11 @@
 /// to argument types (e.g. int, list(int), int -> bool). Function types are
 /// represented as the binary constructor "->".
 ///
-/// Types are immutable and shared via std::shared_ptr. Unification lives in
+/// Types are interned in a process-wide arena, the same way programs are
+/// (core/Program.h): structurally equal types are one node, so equality is
+/// pointer identity and a TypePtr is a plain pointer with no refcount.
+/// Constructor names are interned too and compare by identity. Nodes are
+/// immutable and live for the whole process. Unification lives in
 /// TypeContext (core/TypeContext.h semantics are folded into this header to
 /// keep the dependency graph flat).
 ///
@@ -20,39 +24,45 @@
 #define DC_CORE_TYPE_H
 
 #include <cassert>
+#include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 namespace dc {
 
 class Type;
+class TypeArena;
 
-/// Shared immutable handle to a type node.
-using TypePtr = std::shared_ptr<const Type>;
+/// Interned handle to a type node; equality is identity.
+using TypePtr = const Type *;
+
+/// Interned constructor name: one string per distinct name, so names
+/// compare by identity.
+using TypeName = const std::string *;
 
 /// A polymorphic type: either a variable or a constructor application.
 class Type {
 public:
-  enum class Kind { Variable, Constructor };
+  enum class Kind : unsigned char { Variable, Constructor };
 
-  /// Creates a type variable with the given id.
+  /// The type variable with the given id.
   static TypePtr variable(int Id);
 
-  /// Creates a nullary or applied type constructor.
-  static TypePtr constructor(std::string Name, std::vector<TypePtr> Args = {});
+  /// A nullary or applied type constructor.
+  static TypePtr constructor(const std::string &Name,
+                             const std::vector<TypePtr> &Args = {});
 
-  /// Creates the function type \p From -> \p To.
+  /// The function type \p From -> \p To.
   static TypePtr arrow(TypePtr From, TypePtr To);
 
-  /// Creates a right-nested arrow from argument types to a return type.
+  /// A right-nested arrow from argument types to a return type.
   static TypePtr arrows(const std::vector<TypePtr> &Args, TypePtr Ret);
 
   Kind kind() const { return TheKind; }
   bool isVariable() const { return TheKind == Kind::Variable; }
   bool isConstructor() const { return TheKind == Kind::Constructor; }
-  bool isArrow() const;
+  bool isArrow() const { return Arrow; }
 
   /// Variable id; only valid when isVariable().
   int variableId() const {
@@ -60,11 +70,14 @@ public:
     return VarId;
   }
 
-  /// Constructor name; only valid when isConstructor().
-  const std::string &name() const {
+  /// Interned constructor name; only valid when isConstructor().
+  TypeName head() const {
     assert(isConstructor() && "not a constructor");
-    return ConName;
+    return Head;
   }
+
+  /// Constructor name; only valid when isConstructor().
+  const std::string &name() const { return *head(); }
 
   /// Constructor arguments; only valid when isConstructor().
   const std::vector<TypePtr> &arguments() const {
@@ -73,13 +86,13 @@ public:
   }
 
   /// For an arrow type, the argument (left) side.
-  const TypePtr &arrowArgument() const {
+  TypePtr arrowArgument() const {
     assert(isArrow() && "not an arrow type");
     return Args[0];
   }
 
   /// For an arrow type, the result (right) side.
-  const TypePtr &arrowResult() const {
+  TypePtr arrowResult() const {
     assert(isArrow() && "not an arrow type");
     return Args[1];
   }
@@ -89,33 +102,42 @@ public:
   std::string show() const;
 
   /// True if the type contains no type variables.
-  bool isMonomorphic() const;
+  bool isMonomorphic() const { return Mono; }
+
+  /// Largest variable id occurring in the type; -1 when monomorphic.
+  int maxVariable() const { return MaxVar; }
 
   /// Collects the distinct variable ids occurring in this type, in first
   /// occurrence order.
   void collectVariables(std::vector<int> &Out) const;
 
-  /// Structural equality (ignores sharing).
-  bool equals(const Type &Other) const;
+  /// Structural hash, computed once when the node is interned.
+  size_t hash() const { return HashVal; }
 
 private:
-  Type(Kind K) : TheKind(K) {}
+  friend class TypeArena;
+  Type() = default;
+  void showInto(std::string &Out) const;
 
-  Kind TheKind;
+  Kind TheKind = Kind::Variable;
+  bool Arrow = false;
+  bool Mono = true;
   int VarId = 0;
-  std::string ConName;
+  int MaxVar = -1;
+  size_t HashVal = 0;
+  TypeName Head = nullptr;
   std::vector<TypePtr> Args;
 };
 
 /// Returns the list of curried argument types of \p T (empty when \p T is not
 /// an arrow) — e.g. for a -> b -> c returns [a, b].
-std::vector<TypePtr> functionArguments(const TypePtr &T);
+std::vector<TypePtr> functionArguments(TypePtr T);
 
 /// Returns the final return type of \p T after stripping all arrows.
-TypePtr functionReturn(const TypePtr &T);
+TypePtr functionReturn(TypePtr T);
 
 /// Number of curried arguments of \p T.
-int functionArity(const TypePtr &T);
+int functionArity(TypePtr T);
 
 //===----------------------------------------------------------------------===//
 // Common ground types
@@ -143,35 +165,36 @@ public:
   TypeContext() = default;
 
   /// Mints a fresh, unbound type variable.
-  TypePtr makeVariable();
+  TypePtr makeVariable() { return Type::variable(NextVar++); }
 
   /// Number of variables allocated so far.
   int variableCount() const { return NextVar; }
 
   /// Binds every variable occurring in \p T to fresh variables, returning the
   /// renamed type. This is how polymorphic library entries are instantiated
-  /// at each use site.
-  TypePtr instantiate(const TypePtr &T);
+  /// at each use site. The result depends only on \p T and
+  /// variableCount(), so it is memoized per thread on that pair.
+  TypePtr instantiate(TypePtr T);
 
   /// Resolves \p T under the current substitution (deep walk).
-  TypePtr apply(const TypePtr &T);
+  TypePtr apply(TypePtr T) const;
 
   /// Follows variable bindings at the head only — O(chain) and allocation
   /// free. Sufficient for dispatching on arrow-ness or the head constructor;
   /// argument positions may still contain bound variables.
-  TypePtr resolve(const TypePtr &T) { return shallowResolve(T); }
+  TypePtr resolve(TypePtr T) const { return shallowResolve(T); }
 
   /// Attempts to unify \p A and \p B, extending the substitution. Returns
   /// false (leaving the context in a valid but possibly partially-extended
   /// state) when the types cannot be unified; callers that need rollback
   /// should copy the context first.
-  bool unify(const TypePtr &A, const TypePtr &B);
+  bool unify(TypePtr A, TypePtr B);
 
 private:
   TypePtr lookup(int Var) const;
   /// Walks variable chains until hitting an unbound variable or constructor.
-  TypePtr shallowResolve(const TypePtr &T);
-  bool occurs(int Var, const TypePtr &T);
+  TypePtr shallowResolve(TypePtr T) const;
+  bool occurs(int Var, TypePtr T) const;
   void bind(int Var, TypePtr T);
 
   int NextVar = 0;
@@ -182,9 +205,9 @@ private:
   std::shared_ptr<std::vector<TypePtr>> Substitution;
 };
 
-/// Renames the variables of \p T to 0,1,2,... in order of first occurrence.
-/// Canonical types are suitable as map keys via show().
-TypePtr canonicalize(const TypePtr &T);
+/// Renames the variables of \p T to 0,1,2,... in order of first occurrence,
+/// so alpha-equivalent types canonicalize to the same node.
+TypePtr canonicalize(TypePtr T);
 
 } // namespace dc
 

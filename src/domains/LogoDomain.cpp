@@ -215,8 +215,10 @@ DomainSpec dc::makeLogoDomain(unsigned Seed) {
     if (Cells.empty() || Cells.size() > 600)
       return nullptr;
     std::string Sig = "logo";
-    for (int C : Cells)
-      Sig += ":" + std::to_string(C);
+    for (int C : Cells) {
+      Sig += ':';
+      Sig += std::to_string(C);
+    }
     return std::make_shared<LogoTask>("fantasy-" + Sig, std::move(Cells));
   };
 

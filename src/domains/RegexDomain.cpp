@@ -312,24 +312,68 @@ DomainSpec dc::makeRegexDomain(unsigned Seed) {
     const char *Name;
     std::function<std::string()> Sample;
   };
+  // Each sample draws its digit groups last to first: the order gcc
+  // evaluated the operands of the operator+ chains these once were, so
+  // the corpus stays what it was, and no longer depends on the compiler.
   std::vector<Concept> Concepts = {
-      {"phone", [&] { return "(" + Digits(3) + ") " + Digits(3) + "-" +
-                             Digits(4); }},
-      {"currency", [&] { return "$" + Digits(1) + "." + Digits(1) + "0"; }},
-      {"decimal", [&] { return "-" + Digits(1) + "." + Digits(2); }},
-      {"time", [&] { return "-00:" + Digits(2) + ":" + Digits(2) + "." +
-                            Digits(1); }},
-      {"parenthesized", [&] { return "(" + Digits(2 + (Rng() % 3)) + ")"; }},
-      {"date", [&] { return Digits(2) + "/" + Digits(2) + "/" + Digits(4); }},
-      {"integer-list", [&] { return Digits(1 + (Rng() % 4)); }},
-      {"ratio", [&] { return Digits(1) + ":" + Digits(2); }},
-      {"signed", [&] { return "-" + Digits(1 + (Rng() % 3)); }},
-      {"code", [&] {
-         std::uniform_int_distribution<int> U('A', 'Z');
-         return std::string(1, static_cast<char>(U(Rng))) + "-" + Digits(3);
+      {"phone",
+       [&] {
+         std::string Line = Digits(4), Exchange = Digits(3), Area = Digits(3);
+         return "(" + Area + ") " + Exchange + "-" + Line;
        }},
-      {"money-range", [&] { return "$" + Digits(2) + "-$" + Digits(2); }},
-      {"dotted-pair", [&] { return Digits(1) + "." + Digits(1); }},
+      {"currency",
+       [&] {
+         std::string Cents = Digits(1), Dollars = Digits(1);
+         return "$" + Dollars + "." + Cents + "0";
+       }},
+      {"decimal",
+       [&] {
+         std::string Fraction = Digits(2), Whole = Digits(1);
+         return "-" + Whole + "." + Fraction;
+       }},
+      {"time",
+       [&] {
+         std::string Tenths = Digits(1), Seconds = Digits(2),
+                     Minutes = Digits(2);
+         return "-00:" + Minutes + ":" + Seconds + "." + Tenths;
+       }},
+      {"parenthesized",
+       [&] {
+         std::string Inner = Digits(2 + (Rng() % 3));
+         return "(" + Inner + ")";
+       }},
+      {"date",
+       [&] {
+         std::string Year = Digits(4), Day = Digits(2), Month = Digits(2);
+         return Month + "/" + Day + "/" + Year;
+       }},
+      {"integer-list", [&] { return Digits(1 + (Rng() % 4)); }},
+      {"ratio",
+       [&] {
+         std::string Right = Digits(2), Left = Digits(1);
+         return Left + ":" + Right;
+       }},
+      {"signed",
+       [&] {
+         std::string Magnitude = Digits(1 + (Rng() % 3));
+         return "-" + Magnitude;
+       }},
+      {"code",
+       [&] {
+         std::string Number = Digits(3);
+         std::uniform_int_distribution<int> U('A', 'Z');
+         return std::string(1, static_cast<char>(U(Rng))) + "-" + Number;
+       }},
+      {"money-range",
+       [&] {
+         std::string High = Digits(2), Low = Digits(2);
+         return "$" + Low + "-$" + High;
+       }},
+      {"dotted-pair",
+       [&] {
+         std::string Right = Digits(1), Left = Digits(1);
+         return Left + "." + Right;
+       }},
   };
 
   for (size_t I = 0; I < Concepts.size(); ++I) {

@@ -186,8 +186,10 @@ DomainSpec dc::makeTowerDomain(unsigned Seed) {
     if (T.empty() || T.size() > 200)
       return nullptr;
     std::string Sig = "tower";
-    for (int C : T)
-      Sig += ":" + std::to_string(C);
+    for (int C : T) {
+      Sig += ':';
+      Sig += std::to_string(C);
+    }
     return std::make_shared<TowerTask>("fantasy-" + Sig, std::move(T));
   };
 

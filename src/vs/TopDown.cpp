@@ -361,22 +361,9 @@ dc::proposeTopDown(const Grammar &G, const std::vector<Frontier> &Frontiers,
       for (int MI = 0; MI < static_cast<int>(S.Sites.size()); ++MI) {
         ExprPtr Sub = S.Sites[MI].HoleSubs.front();
         // Head key: leaves bucket by the atom itself; applications and
-        // abstractions each form one bucket (keyed by a representative
-        // subtree — only the kind matters for the refinement).
-        ExprPtr Key;
-        switch (Sub->kind()) {
-        case ExprKind::Index:
-        case ExprKind::Primitive:
-        case ExprKind::Invented:
-          Key = Sub;
-          break;
-        case ExprKind::Abstraction:
-          Key = nullptr; // bucket 0 of the structural pair below
-          break;
-        case ExprKind::Application:
-          Key = nullptr;
-          break;
-        }
+        // abstractions go to the structural buckets below (only the kind
+        // matters for the refinement).
+        ExprPtr Key = Sub->isIndex() || Sub->isLeafLike() ? Sub : nullptr;
         if (Key) {
           auto [It, New] = HeadSlot.emplace(
               Key, static_cast<int>(HeadBuckets.size()));

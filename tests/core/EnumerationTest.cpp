@@ -9,7 +9,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <random>
 #include <set>
 
 using namespace dc;
@@ -258,7 +260,8 @@ std::string searchFingerprint(const std::vector<Frontier> &Fs,
       char Buf[64];
       std::snprintf(Buf, sizeof(Buf), "|%.12g|%.12g;", E.LogPrior,
                     E.LogLikelihood);
-      Sig += E.Program->show() + Buf;
+      Sig += E.Program->show();
+      Sig += Buf;
     }
     Sig += "]";
   }
@@ -267,8 +270,10 @@ std::string searchFingerprint(const std::vector<Frontier> &Fs,
                 Stats.NodesExpanded, Stats.ProgramsEnumerated,
                 Stats.BudgetReached);
   Sig += Buf;
-  for (long E : Stats.EffortToSolve)
-    Sig += " " + std::to_string(E);
+  for (long E : Stats.EffortToSolve) {
+    Sig += ' ';
+    Sig += std::to_string(E);
+  }
   return Sig;
 }
 
@@ -393,6 +398,90 @@ TEST_F(EnumerationTest, EffortStaysAlignedWithTaskOrder) {
     else
       EXPECT_EQ(Stats.EffortToSolve, Baseline) << "NumThreads=" << Threads;
   }
+}
+
+namespace {
+
+/// FNV-1a over \p S, continuing from \p H.
+uint64_t fnv1a(const std::string &S, uint64_t H) {
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ULL;
+  }
+  return H;
+}
+
+} // namespace
+
+TEST_F(EnumerationTest, ProgramStreamMatchesGolden) {
+  // Pins the enumerator's observable output across builds, not just across
+  // thread counts: the ordered program stream with bit-exact priors, the
+  // solvers' fingerprints, and a sampled stream. The literal was computed
+  // before types were interned; any change to enumeration order, a prior,
+  // or a sampled program changes it.
+  uint64_t H = 1469598103934665603ULL;
+  char Buf[64];
+  for (TypePtr Req : {Type::arrow(tList(tInt()), tList(tInt())),
+                      Type::arrow(tInt(), tInt())}) {
+    long Nodes = 1000000;
+    enumerateWindow(G, Req, 0, 12.0, Nodes, [&](ExprPtr P, double LogPrior) {
+      std::snprintf(Buf, sizeof(Buf), " %a\n", LogPrior);
+      H = fnv1a(P->show(), H);
+      H = fnv1a(Buf, H);
+      return true;
+    });
+  }
+
+  auto Double = [](const std::vector<long> &In) {
+    std::vector<long> Out;
+    for (long V : In)
+      Out.push_back(2 * V);
+    return Out;
+  };
+  std::vector<TaskPtr> Tasks = {
+      listTask("identity", [](const std::vector<long> &In) { return In; }),
+      listTask("increment-each",
+               [](const std::vector<long> &In) {
+                 std::vector<long> Out;
+                 for (long V : In)
+                   Out.push_back(V + 1);
+                 return Out;
+               }),
+      listTask("double", Double),
+  };
+  Grammar Focused = focusedGrammar();
+  EnumerationParams Params;
+  Params.MaxBudget = 14;
+  Params.NodeBudget = 500000;
+  for (int Threads : {1, 4}) {
+    Params.NumThreads = Threads;
+    EnumerationStats Stats;
+    auto Fs = solveTasks(Focused, Tasks, Params, &Stats);
+    H = fnv1a(searchFingerprint(Fs, Stats), H);
+  }
+
+  Grammar Boosted = Focused;
+  for (const char *Name : {"map", "+"})
+    Boosted.productions()[Boosted.productionIndex(lookupPrimitive(Name))]
+        .LogWeight = 2.0;
+  EnumerationParams Single;
+  Single.MaxBudget = 16;
+  Single.NodeBudget = 2000000;
+  EnumerationStats Guided;
+  Frontier F = solveTask(Boosted, listTask("double", Double), Single, &Guided);
+  H = fnv1a(searchFingerprint({F}, Guided), H);
+
+  std::mt19937 Rng(20210620);
+  TypePtr SampleReq = Type::arrow(tList(tInt()), tList(tInt()));
+  for (int I = 0; I < 50; ++I) {
+    ExprPtr P = sampleFromSource(G, SampleReq, Rng);
+    H = fnv1a(P ? P->show() : "null", H);
+    H = fnv1a("\n", H);
+  }
+
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(H));
+  EXPECT_STREQ(Buf, "636acde962b5f009");
 }
 
 //===----------------------------------------------------------------------===//

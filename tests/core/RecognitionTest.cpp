@@ -109,8 +109,9 @@ TEST_F(RecognitionTest, GuidedSearchBeatsUniformSearch) {
   Frontier F = solveTask(Q, Inc, Params, &Guided);
   ASSERT_FALSE(F.empty());
   ASSERT_FALSE(Guided.EffortToSolve.empty());
-  if (Uniform.EffortToSolve[0] > 0 && Guided.EffortToSolve[0] > 0)
+  if (Uniform.EffortToSolve[0] > 0 && Guided.EffortToSolve[0] > 0) {
     EXPECT_LE(Guided.EffortToSolve[0], Uniform.EffortToSolve[0]);
+  }
 }
 
 TEST_F(RecognitionTest, UnigramModeCollapsesSlots) {

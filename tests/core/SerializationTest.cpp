@@ -289,3 +289,48 @@ TEST_F(SerializationTest, RecognitionModelRejectsGarbage) {
   EXPECT_EQ(loadRecognitionModel(Base, Featurizer, Bad, &Err), nullptr);
   EXPECT_FALSE(Err.empty());
 }
+
+TEST_F(SerializationTest, RecognitionModelRejectsMalformedWords) {
+  // Every parameter is exactly eight hex digits: a sign or a 0x prefix
+  // must not slip through as a different (or NaN) weight.
+  Grammar Base = Grammar::uniform(prims::functionalCore());
+  IoFeaturizer Featurizer;
+  RecognitionParams RP;
+  RP.HiddenDim = 16;
+  std::stringstream SS;
+  saveRecognitionModel(RecognitionModel(Base, Featurizer, RP), SS);
+  const std::string Text = SS.str();
+  const size_t First = Text.find("params\n") + 7; // the first word
+  auto LoadError = [&](const std::string &Corrupt) {
+    std::istringstream In(Corrupt);
+    std::string Err;
+    if (loadRecognitionModel(Base, Featurizer, In, &Err))
+      return std::string("loaded");
+    return Err;
+  };
+  ASSERT_EQ(LoadError(Text), "loaded");
+
+  for (const char *Word : {"-0000001", "+3e7cbc0", "0x3e7cbc"}) {
+    std::string Bad = Text;
+    Bad.replace(First, 8, Word);
+    EXPECT_EQ(LoadError(Bad),
+              std::string("recognition model: malformed parameter word '") +
+                  Word + "'");
+  }
+  std::string Short = Text;
+  Short.replace(First, 8, "3e7cbc0");
+  EXPECT_EQ(LoadError(Short), "recognition model: truncated parameter block");
+  EXPECT_EQ(LoadError(Text.substr(0, Text.rfind(' '))),
+            "recognition model: truncated parameter block");
+  EXPECT_EQ(LoadError(Text.substr(0, Text.rfind("end"))),
+            "recognition model: parameter block missing 'end'");
+
+  // The logitClamp word follows the same rule (a non-hex one used to
+  // throw out of the loader).
+  const size_t Clamp = Text.find("logitClamp ") + 11;
+  for (const char *Word : {"zzzzzzzz", "-0000001"}) {
+    std::string Bad = Text;
+    Bad.replace(Clamp, 8, Word);
+    EXPECT_EQ(LoadError(Bad), "recognition model: malformed 'logitClamp' line");
+  }
+}

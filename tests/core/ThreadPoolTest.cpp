@@ -24,10 +24,11 @@ TEST(ThreadPoolTest, SubmittedJobsAllRun) {
   constexpr int Jobs = 100;
   for (int I = 0; I < Jobs; ++I)
     Pool.submit([&] {
-      if (Ran.fetch_add(1) + 1 == Jobs) {
-        std::lock_guard<std::mutex> L(M);
+      // Count under the lock: once the waiter has seen the last count, no
+      // job touches M or Cv again, so they may go out of scope.
+      std::lock_guard<std::mutex> L(M);
+      if (Ran.fetch_add(1) + 1 == Jobs)
         Cv.notify_all();
-      }
     });
   std::unique_lock<std::mutex> L(M);
   ASSERT_TRUE(Cv.wait_for(L, std::chrono::seconds(30),

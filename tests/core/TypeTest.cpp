@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
+
 using namespace dc;
 
 TEST(Type, ShowGroundTypes) {
@@ -47,10 +50,11 @@ TEST(Type, Monomorphism) {
 }
 
 TEST(Type, StructuralEquality) {
-  EXPECT_TRUE(tList(tInt())->equals(*tList(tInt())));
-  EXPECT_FALSE(tList(tInt())->equals(*tList(tBool())));
-  EXPECT_TRUE(t0()->equals(*Type::variable(0)));
-  EXPECT_FALSE(t0()->equals(*t1()));
+  // Interned: structurally equal types are one node.
+  EXPECT_EQ(tList(tInt()), tList(tInt()));
+  EXPECT_NE(tList(tInt()), tList(tBool()));
+  EXPECT_EQ(t0(), Type::variable(0));
+  EXPECT_NE(t0(), t1());
 }
 
 TEST(TypeContext, FreshVariablesAreDistinct) {
@@ -102,8 +106,8 @@ TEST(TypeContext, InstantiateRenamesConsistently) {
   TypePtr Inst = Ctx.instantiate(Poly);
   auto Args = functionArguments(Inst);
   ASSERT_EQ(Args.size(), 2u);
-  EXPECT_TRUE(Args[0]->equals(*Args[1]));
-  EXPECT_FALSE(Args[0]->equals(*functionReturn(Inst)));
+  EXPECT_EQ(Args[0], Args[1]);
+  EXPECT_NE(Args[0], functionReturn(Inst));
 }
 
 TEST(TypeContext, UnifyArrowDecomposition) {
@@ -130,4 +134,85 @@ TEST(Type, CollectVariables) {
   ASSERT_EQ(Vars.size(), 2u);
   EXPECT_EQ(Vars[0], 1);
   EXPECT_EQ(Vars[1], 0);
+}
+
+TEST(Type, EqualTypesAreOneNode) {
+  EXPECT_EQ(tList(tInt()), Type::constructor("list", {tInt()}));
+  EXPECT_EQ(Type::arrow(tInt(), tBool()),
+            Type::constructor("->", {tInt(), tBool()}));
+  EXPECT_TRUE(Type::constructor("->", {tInt(), tBool()})->isArrow());
+  EXPECT_EQ(tList(tInt())->head(), tList(tBool())->head());
+  EXPECT_NE(tList(tInt())->head(), tInt()->head());
+  EXPECT_EQ(Type::arrows({t1(), t0()}, t1())->maxVariable(), 1);
+  EXPECT_EQ(tList(tInt())->maxVariable(), -1);
+}
+
+TEST(TypeContext, InstantiateIsTheSameFromColdAndWarmMemo) {
+  TypePtr Poly = Type::arrows({Type::arrow(t0(), t1()), tList(t0())},
+                              tList(t1()));
+  auto InstantiateAfterOffset = [&](int Offset, int &Count) {
+    TypeContext Ctx;
+    for (int I = 0; I < Offset; ++I)
+      Ctx.makeVariable();
+    TypePtr Inst = Ctx.instantiate(Poly);
+    Count = Ctx.variableCount();
+    return Inst;
+  };
+  // The memo is per thread, so a new thread starts cold.
+  TypePtr Cold = nullptr;
+  int ColdCount = 0;
+  std::thread([&] { Cold = InstantiateAfterOffset(5, ColdCount); }).join();
+  int WarmCount = 0;
+  InstantiateAfterOffset(5, WarmCount);
+  TypePtr Warm = InstantiateAfterOffset(5, WarmCount);
+  EXPECT_EQ(Cold, Warm);
+  EXPECT_EQ(ColdCount, 7);
+  EXPECT_EQ(WarmCount, ColdCount);
+  EXPECT_EQ(Warm->show(), "(t5 -> t6) -> list(t5) -> list(t6)");
+  // A different offset is a different entry.
+  int Count = 0;
+  EXPECT_EQ(InstantiateAfterOffset(2, Count)->show(),
+            "(t2 -> t3) -> list(t2) -> list(t3)");
+  EXPECT_EQ(Count, 4);
+}
+
+TEST(Type, CanonicalizeIsIdempotent) {
+  TypePtr Messy = Type::arrows(
+      {Type::variable(9), tList(Type::variable(4))}, Type::variable(9));
+  TypePtr Canon = canonicalize(Messy);
+  EXPECT_EQ(canonicalize(Canon), Canon);
+  EXPECT_EQ(Canon, Type::arrows({t0(), tList(t1())}, t0()));
+  EXPECT_EQ(canonicalize(tList(tInt())), tList(tInt()));
+}
+
+TEST(Type, ConcurrentInterningYieldsOneNodePerType) {
+  // Every thread builds the same shapes, in a different order, from
+  // scratch; all must come back with the same nodes.
+  constexpr int NumThreads = 8;
+  constexpr int NumShapes = 64;
+  auto Build = [](int Shape) {
+    TypePtr T = Shape % 2 ? tInt() : Type::variable(Shape % 7);
+    for (int Depth = 0; Depth < Shape % 5; ++Depth)
+      T = Depth % 2 ? tList(T) : Type::arrow(T, Type::constructor("grid"));
+    return Type::constructor("shape" + std::to_string(Shape % 16), {T});
+  };
+  std::vector<std::vector<TypePtr>> Seen(NumThreads,
+                                         std::vector<TypePtr>(NumShapes));
+  std::vector<std::thread> Threads;
+  for (int W = 0; W < NumThreads; ++W)
+    Threads.emplace_back([&, W] {
+      for (int I = 0; I < NumShapes; ++I) {
+        int Shape = (I * 7 + W * 13) % NumShapes;
+        Seen[W][Shape] = Build(Shape);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (int W = 1; W < NumThreads; ++W)
+    EXPECT_EQ(Seen[W], Seen[0]) << "thread " << W;
+  std::set<std::string> Shown;
+  std::set<TypePtr> Nodes(Seen[0].begin(), Seen[0].end());
+  for (TypePtr T : Seen[0])
+    Shown.insert(T->show());
+  EXPECT_EQ(Nodes.size(), Shown.size());
 }

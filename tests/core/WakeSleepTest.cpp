@@ -59,16 +59,23 @@ std::string resultSignature(const WakeSleepResult &R) {
     Sig += P.Program->show() + ";";
   for (const Frontier &F : R.TrainFrontiers) {
     Sig += "[";
-    for (const FrontierEntry &E : F.entries())
-      Sig += E.Program->show() + ",";
+    for (const FrontierEntry &E : F.entries()) {
+      Sig += E.Program->show();
+      Sig += ',';
+    }
     Sig += "]";
   }
   for (const CycleMetrics &M : R.Cycles) {
-    Sig += "|" + std::to_string(M.TrainSolvedCumulative) + "," +
-           std::to_string(M.LibrarySize) + "," +
-           std::to_string(M.WakeNodesExpanded);
-    for (long E : M.SolveEffort)
-      Sig += "," + std::to_string(E);
+    Sig += '|';
+    Sig += std::to_string(M.TrainSolvedCumulative);
+    Sig += ',';
+    Sig += std::to_string(M.LibrarySize);
+    Sig += ',';
+    Sig += std::to_string(M.WakeNodesExpanded);
+    for (long E : M.SolveEffort) {
+      Sig += ',';
+      Sig += std::to_string(E);
+    }
   }
   return Sig;
 }

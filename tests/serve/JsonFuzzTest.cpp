@@ -264,8 +264,11 @@ Json randomValue(Lcg &Rng, int Depth) {
   }
   default: {
     Json O = Json::object();
-    for (uint64_t I = 0, N = Rng.next(4); I < N; ++I)
-      O.set("k" + std::to_string(I), randomValue(Rng, Depth + 1));
+    for (uint64_t I = 0, N = Rng.next(4); I < N; ++I) {
+      std::string Key = "k";
+      Key += std::to_string(I);
+      O.set(std::move(Key), randomValue(Rng, Depth + 1));
+    }
     return O;
   }
   }

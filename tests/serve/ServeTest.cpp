@@ -738,6 +738,8 @@ constexpr const char *IdentityRequest =
     R"json("examples":[{"inputs":[[1,2,3]],"output":[1,2,3]},{"inputs":[[4]],"output":[4]}],)json"
     R"json("timeout_ms":60000,"node_budget":50000}})json";
 
+/// An unsolvable solve that outlasts deadlines of up to about a second:
+/// exhausting its search space takes a few seconds of enumeration.
 std::string slowRequest(const char *Id, long TimeoutMs) {
   return std::string(R"({"id":")") + Id +
          R"(","method":"solve","params":{"request":"int -> int",)" +
@@ -912,12 +914,12 @@ TEST(ServeServerTest, OverloadRejectionAndGracefulDrain) {
     return false;
   };
 
-  A.sendLine(slowRequest("a", 3000));
+  A.sendLine(slowRequest("a", 1000));
   ASSERT_TRUE(waitFor(1, 0)) << "A never reached the worker";
-  B.sendLine(slowRequest("b", 3000));
+  B.sendLine(slowRequest("b", 1000));
   ASSERT_TRUE(waitFor(2, 1)) << "B never queued";
 
-  Json Rejected = C.roundTrip(slowRequest("c", 3000));
+  Json Rejected = C.roundTrip(slowRequest("c", 1000));
   EXPECT_FALSE(Rejected.find("ok")->asBool());
   EXPECT_EQ(Rejected.find("error")->find("code")->asString(),
             "overloaded");
@@ -926,7 +928,7 @@ TEST(ServeServerTest, OverloadRejectionAndGracefulDrain) {
   // task is unsolvable, so timeouts), post-shutdown work is rejected as
   // shutting_down, and teardown joins every thread.
   Srv->requestShutdown();
-  Json Refused = Probe.roundTrip(slowRequest("d", 3000));
+  Json Refused = Probe.roundTrip(slowRequest("d", 1000));
   EXPECT_EQ(Refused.find("error")->find("code")->asString(),
             "shutting_down");
 
@@ -982,7 +984,7 @@ TEST(ServeServerTest, HotReloadUnderLoad) {
   std::string SigA = programsSignature(Baseline);
 
   // Occupy the worker, then pipeline "pre" behind it on epoch 1.
-  Slow.sendLine(slowRequest("slow", 2000));
+  Slow.sendLine(slowRequest("slow", 1000));
   ASSERT_TRUE(waitFor(2, 0)) << "slow never reached the worker";
   C.sendLine(identityRequest("pre"));
   ASSERT_TRUE(waitFor(3, 1)) << "pre never queued";
@@ -1216,7 +1218,7 @@ TEST(ServeServerTest, ModelBackedHotReloadNeverMixesEpochs) {
 
   // Occupy the single worker, then pipeline "pre" behind it: both are
   // admitted — and snapshot their epoch — before the reload below.
-  Slow.sendLine(slowRequest("slow", 2000));
+  Slow.sendLine(slowRequest("slow", 1000));
   ASSERT_TRUE(waitForAccepted(2)) << "slow never admitted";
   C.sendLine(identityRequest("pre"));
   ASSERT_TRUE(waitForAccepted(3)) << "pre never admitted";

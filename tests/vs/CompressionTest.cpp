@@ -328,8 +328,9 @@ TEST_F(CompressionTest, VerboseSurvivesNormalizationBudgetExhaustion) {
   // The un-normalizable beam entry must never be replaced by a
   // half-reduced term: either it survives untouched or (being a raw
   // redex outside the grammar's support) the final rescore drops it.
-  if (!R.RewrittenFrontiers.back().empty())
+  if (!R.RewrittenFrontiers.back().empty()) {
     EXPECT_EQ(R.RewrittenFrontiers.back().best()->Program, Original);
+  }
 }
 
 TEST_F(CompressionTest, CloseOverFreeIndicesRejectsIncompleteSets) {

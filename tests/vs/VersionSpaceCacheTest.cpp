@@ -256,9 +256,10 @@ TEST_F(VersionSpaceCacheTest, DegradeLadderMatchesUncachedAtEveryCap) {
                            "cold");
     expectIdenticalResults(Uncached, compressLibrary(G, Fs, Params),
                            "warm");
-    if (Cap <= 8)
+    if (Cap <= 8) {
       EXPECT_EQ(VersionSpaceCache::global().stats().Entries, 0u)
           << "a fully overflowed sleep must not park shards";
+    }
   }
 }
 

@@ -289,7 +289,7 @@ def smoke(args):
     )
     try:
         stats_conn = srv.connect()
-        slow = solve_params(UNSOLVABLE, timeout_ms=3000, node_budget=100000000)
+        slow = solve_params(UNSOLVABLE, timeout_ms=1000, node_budget=100000000)
 
         conn_a = srv.connect()
         conn_a.send("solve", slow, req_id="slow-a")

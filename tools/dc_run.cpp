@@ -4,7 +4,7 @@
 // optionally writes a checkpoint (learned grammar + beams) that future
 // runs can resume from.
 //
-//   dc_run --domain list --variant full --iterations 4 --seed 1 \
+//   dc_run --domain list --variant full --iterations 4 --seed 1
 //          --checkpoint out.ckpt --verbose
 //
 // Domains:  list text logo tower regex regression physics origami

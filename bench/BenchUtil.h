@@ -15,13 +15,12 @@
 #ifndef DC_BENCH_BENCHUTIL_H
 #define DC_BENCH_BENCHUTIL_H
 
-#include "obs/Metrics.h"
+#include "serve/Json.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -98,38 +97,33 @@ private:
   };
 
   void write() const {
-    std::ostringstream Os;
-    Os << "{\"bench\":";
-    dc::obs::writeJsonEscaped(Os, Name);
-    Os << ",\"wall_seconds\":" << Timer.seconds() << ",\"sections\":[";
-    for (size_t S = 0; S < Sections.size(); ++S) {
-      if (S)
-        Os << ",";
-      Os << "{\"title\":";
-      dc::obs::writeJsonEscaped(Os, Sections[S].Title);
-      Os << ",\"rows\":[";
-      for (size_t R = 0; R < Sections[S].Rows.size(); ++R) {
-        const RowEntry &E = Sections[S].Rows[R];
-        if (R)
-          Os << ",";
-        Os << "{\"label\":";
-        dc::obs::writeJsonEscaped(Os, E.Label);
-        Os << ",\"value\":" << E.Value << ",\"unit\":";
-        dc::obs::writeJsonEscaped(Os, E.Unit);
-        Os << "}";
+    using dc::serve::Json;
+    Json SectionsOut = Json::array();
+    for (const Section &S : Sections) {
+      Json Rows = Json::array();
+      for (const RowEntry &E : S.Rows) {
+        Json Row = Json::object();
+        Row.set("label", Json::string(E.Label));
+        Row.set("value", Json::number(E.Value));
+        Row.set("unit", Json::string(E.Unit));
+        Rows.push(std::move(Row));
       }
-      Os << "],\"notes\":[";
-      for (size_t N = 0; N < Sections[S].Notes.size(); ++N) {
-        if (N)
-          Os << ",";
-        dc::obs::writeJsonEscaped(Os, Sections[S].Notes[N]);
-      }
-      Os << "]}";
+      Json Notes = Json::array();
+      for (const std::string &N : S.Notes)
+        Notes.push(Json::string(N));
+      Json SectionOut = Json::object();
+      SectionOut.set("title", Json::string(S.Title));
+      SectionOut.set("rows", std::move(Rows));
+      SectionOut.set("notes", std::move(Notes));
+      SectionsOut.push(std::move(SectionOut));
     }
-    Os << "]}\n";
+    Json Report = Json::object();
+    Report.set("bench", Json::string(Name));
+    Report.set("wall_seconds", Json::number(Timer.seconds()));
+    Report.set("sections", std::move(SectionsOut));
     std::ofstream File("BENCH_" + Name + ".json");
     if (File)
-      File << Os.str();
+      File << Report.dump() << "\n";
   }
 
   std::string Name;

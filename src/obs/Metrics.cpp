@@ -2,69 +2,16 @@
 
 #include "obs/Metrics.h"
 
+#include "serve/Json.h"
+
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <ostream>
-#include <sstream>
 
 using namespace dc;
 using namespace dc::obs;
-
-void dc::obs::writeJsonEscaped(std::ostream &Out, std::string_view S) {
-  Out << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out << "\\\"";
-      break;
-    case '\\':
-      Out << "\\\\";
-      break;
-    case '\n':
-      Out << "\\n";
-      break;
-    case '\r':
-      Out << "\\r";
-      break;
-    case '\t':
-      Out << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out << Buf;
-      } else {
-        Out << C;
-      }
-    }
-  }
-  Out << '"';
-}
+using dc::serve::Json;
 
 namespace {
-
-/// JSON has no Infinity/NaN literals; clamp to null-free numbers.
-void writeJsonNumber(std::ostream &Out, double V) {
-  if (std::isnan(V)) {
-    Out << 0;
-    return;
-  }
-  if (std::isinf(V)) {
-    Out << (V > 0 ? "1e308" : "-1e308");
-    return;
-  }
-  // Round-trippable without scientific-notation surprises for the
-  // integral counts that dominate the registry.
-  if (V == std::floor(V) && std::fabs(V) < 1e15) {
-    Out << static_cast<long long>(V);
-    return;
-  }
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  Out << Buf;
-}
 
 int binIndex(double Value) {
   if (!(Value >= 1.0))
@@ -181,56 +128,34 @@ size_t MetricsRegistry::histogramCount() const {
   return Histograms.size();
 }
 
-void MetricsRegistry::writeJson(std::ostream &Out) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Out << "{\n  \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, C] : Counters) {
-    Out << (First ? "\n    " : ",\n    ");
-    First = false;
-    writeJsonEscaped(Out, Name);
-    Out << ": " << C->value();
-  }
-  Out << (First ? "" : "\n  ") << "},\n  \"gauges\": {";
-  First = true;
-  for (const auto &[Name, G] : Gauges) {
-    Out << (First ? "\n    " : ",\n    ");
-    First = false;
-    writeJsonEscaped(Out, Name);
-    Out << ": ";
-    writeJsonNumber(Out, G->value());
-  }
-  Out << (First ? "" : "\n  ") << "},\n  \"histograms\": {";
-  First = true;
-  for (const auto &[Name, H] : Histograms) {
-    Out << (First ? "\n    " : ",\n    ");
-    First = false;
-    writeJsonEscaped(Out, Name);
-    Out << ": {\"count\": " << H->count() << ", \"sum\": ";
-    writeJsonNumber(Out, H->sum());
-    Out << ", \"min\": ";
-    writeJsonNumber(Out, H->min());
-    Out << ", \"max\": ";
-    writeJsonNumber(Out, H->max());
-    Out << ", \"bins\": [";
-    bool FirstBin = true;
-    for (int B = 0; B < Histogram::NumBins; ++B) {
-      long BinN = H->binCount(B);
-      if (BinN == 0)
-        continue;
-      Out << (FirstBin ? "" : ", ");
-      FirstBin = false;
-      Out << "{\"le\": ";
-      writeJsonNumber(Out, Histogram::binUpperBound(B));
-      Out << ", \"count\": " << BinN << "}";
-    }
-    Out << "]}";
-  }
-  Out << (First ? "" : "\n  ") << "}\n}\n";
-}
-
 std::string MetricsRegistry::toJson() const {
-  std::ostringstream SS;
-  writeJson(SS);
-  return SS.str();
+  Json CountersOut = Json::object(), GaugesOut = Json::object(),
+       HistogramsOut = Json::object();
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (const auto &[Name, C] : Counters)
+    CountersOut.set(Name, Json::integer(C->value()));
+  for (const auto &[Name, G] : Gauges)
+    GaugesOut.set(Name, Json::number(G->value()));
+  for (const auto &[Name, H] : Histograms) {
+    Json Bins = Json::array();
+    for (int B = 0; B < Histogram::NumBins; ++B)
+      if (long BinN = H->binCount(B)) {
+        Json Bin = Json::object();
+        Bin.set("le", Json::number(Histogram::binUpperBound(B)));
+        Bin.set("count", Json::integer(BinN));
+        Bins.push(std::move(Bin));
+      }
+    Json Out = Json::object();
+    Out.set("count", Json::integer(H->count()));
+    Out.set("sum", Json::number(H->sum()));
+    Out.set("min", Json::number(H->min()));
+    Out.set("max", Json::number(H->max()));
+    Out.set("bins", std::move(Bins));
+    HistogramsOut.set(Name, std::move(Out));
+  }
+  Json Out = Json::object();
+  Out.set("counters", std::move(CountersOut));
+  Out.set("gauges", std::move(GaugesOut));
+  Out.set("histograms", std::move(HistogramsOut));
+  return Out.dump() + "\n";
 }

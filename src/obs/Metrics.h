@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Counters, gauges, and log-scale histograms behind a process-wide
-/// registry, exported as JSON (tools/dc_run --metrics-out). Instrument
-/// anything the paper's evaluation measures — nodes expanded, solve
-/// effort, library growth, compression candidates, training loss — so the
-/// numbers behind Figs 7 and 20 come out of a real run machine-readably.
+/// registry, exported as JSON through serve::Json (tools/dc_run
+/// --metrics-out). Instrument anything the paper's evaluation measures —
+/// nodes expanded, solve effort, library growth, compression candidates,
+/// training loss — so the numbers behind Figs 7 and 20 come out of a real
+/// run machine-readably.
 ///
 /// Concurrency model:
 ///   * Counter::add is a relaxed fetch_add on one of 64 cache-line-padded
@@ -35,7 +36,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -44,9 +44,6 @@
 #include <vector>
 
 namespace dc::obs {
-
-/// Writes \p S as a JSON string literal (with quotes) to \p Out.
-void writeJsonEscaped(std::ostream &Out, std::string_view S);
 
 /// Monotone counter with per-thread sharding: add() is one relaxed
 /// fetch_add on a shard no other running thread writes.
@@ -140,10 +137,9 @@ public:
   /// export describes exactly one run).
   void reset();
 
-  /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
+  /// {"counters": {...}, "gauges": {...}, "histograms": {...}}, one line.
   /// Histograms export count/sum/min/max plus the non-empty bins as
-  /// [{"le": bound, "count": n}, ...].
-  void writeJson(std::ostream &Out) const;
+  /// [{"le": bound, "count": n}, ...]; the last bin's bound is null.
   std::string toJson() const;
 
   size_t counterCount() const;

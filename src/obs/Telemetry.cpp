@@ -4,8 +4,6 @@
 
 namespace dc::obs {
 
-#if DC_TELEMETRY
 std::atomic<bool> Telemetry::Runtime{false};
-#endif
 
 } // namespace dc::obs

@@ -6,15 +6,10 @@
 ///
 /// \file
 /// The on/off switch shared by the whole observability subsystem
-/// (obs/Metrics.h, obs/Trace.h). Two layers:
-///
-///   * compile time — the DC_TELEMETRY macro (cmake option of the same
-///     name, default ON). When 0, Telemetry::enabled() is a constexpr
-///     false and every guarded instrumentation site is dead code.
-///   * run time — a process-wide relaxed atomic, default OFF. An
-///     un-instrumented run pays one relaxed load + branch per guarded
-///     site (the sites themselves sit at phase granularity, not inside
-///     per-node loops).
+/// (obs/Metrics.h, obs/Trace.h): a process-wide relaxed atomic, default
+/// OFF. An un-instrumented run pays one relaxed load + branch per guarded
+/// site (the sites themselves sit at phase granularity, not inside
+/// per-node loops).
 ///
 /// Determinism contract: telemetry is write-only. Algorithm code may
 /// *emit* metrics and spans but must never read telemetry state to make a
@@ -28,30 +23,19 @@
 
 #include <atomic>
 
-#ifndef DC_TELEMETRY
-#define DC_TELEMETRY 1
-#endif
-
 namespace dc::obs {
 
 class Telemetry {
 public:
-#if DC_TELEMETRY
   /// The fast path every instrumentation site guards on.
   static bool enabled() { return Runtime.load(std::memory_order_relaxed); }
   static void setEnabled(bool On) {
     Runtime.store(On, std::memory_order_relaxed);
   }
-#else
-  static constexpr bool enabled() { return false; }
-  static void setEnabled(bool) {}
-#endif
   static bool disabled() { return !enabled(); }
 
 private:
-#if DC_TELEMETRY
   static std::atomic<bool> Runtime;
-#endif
 };
 
 /// RAII scope that enables telemetry on entry and restores the previous

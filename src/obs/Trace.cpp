@@ -2,15 +2,14 @@
 
 #include "obs/Trace.h"
 
-#include "obs/Metrics.h" // writeJsonEscaped
+#include "serve/Json.h"
 
 #include <atomic>
 #include <chrono>
-#include <ostream>
-#include <sstream>
 
 using namespace dc;
 using namespace dc::obs;
+using dc::serve::Json;
 
 Tracer &Tracer::global() {
   static Tracer *T = new Tracer();
@@ -75,7 +74,7 @@ void Tracer::clear() {
   }
 }
 
-void Tracer::writeJson(std::ostream &Out) const {
+std::string Tracer::toJson() const {
   // Copy under the locks, then format: keeps buffer mutex hold times
   // bounded if workers are still tracing while we export.
   std::vector<TraceEvent> All;
@@ -86,21 +85,21 @@ void Tracer::writeJson(std::ostream &Out) const {
       All.insert(All.end(), B->Events.begin(), B->Events.end());
     }
   }
-  Out << "[";
+  // One small object per event, appended as text: the export never holds
+  // a second, tree-shaped copy of the whole trace.
+  std::string Out = "[";
   for (size_t I = 0; I < All.size(); ++I) {
-    Out << (I ? ",\n " : "\n ");
     const TraceEvent &E = All[I];
-    Out << "{\"name\": ";
-    writeJsonEscaped(Out, E.Name);
-    Out << ", \"ph\": \"X\", \"ts\": " << E.TsMicros
-        << ", \"dur\": " << E.DurMicros << ", \"pid\": 1, \"tid\": "
-        << E.Tid << "}";
+    Json Event = Json::object();
+    Event.set("name", Json::string(E.Name));
+    Event.set("ph", Json::string("X"));
+    Event.set("ts", Json::integer(E.TsMicros));
+    Event.set("dur", Json::integer(E.DurMicros));
+    Event.set("pid", Json::integer(1));
+    Event.set("tid", Json::integer(E.Tid));
+    Out += I ? ",\n " : "\n ";
+    Out += Event.dump();
   }
-  Out << (All.empty() ? "]" : "\n]") << "\n";
-}
-
-std::string Tracer::toJson() const {
-  std::ostringstream SS;
-  writeJson(SS);
-  return SS.str();
+  Out += All.empty() ? "]\n" : "\n]\n";
+  return Out;
 }

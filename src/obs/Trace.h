@@ -30,7 +30,6 @@
 #include "obs/Telemetry.h"
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -73,8 +72,8 @@ public:
   /// Drops all buffered events (tests; dc_run before a run).
   void clear();
 
-  /// Writes every buffered event as a chrome trace-event JSON array.
-  void writeJson(std::ostream &Out) const;
+  /// Every buffered event as a chrome trace-event JSON array, one event
+  /// per line.
   std::string toJson() const;
 
 private:

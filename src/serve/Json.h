@@ -5,10 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dc_serve wire format is line-delimited JSON, and the repo stays
-/// dependency-free, so this is a small self-contained JSON value type with
-/// a strict recursive-descent parser and a writer. Design points that
-/// matter for a network service:
+/// The repo's one JSON module, and it stays dependency-free: a small
+/// self-contained JSON value type with a strict recursive-descent parser
+/// and a writer. It is compiled into dc_obs, so the telemetry exports
+/// (obs/Metrics.h, obs/Trace.h), the bench reports (bench/BenchUtil.h) and
+/// the dc_serve wire format (line-delimited JSON) all write through it,
+/// and the fuzz-tested parser reads every one of them back. Design points
+/// that matter for a network service:
 ///
 ///   * Parsing is bounded: nesting depth is capped (stack safety against
 ///     hostile input) and errors carry a byte offset for diagnostics.
@@ -16,9 +19,7 @@
 ///     ids and budgets round-trip without float formatting surprises.
 ///   * Object member order is preserved (responses read naturally in
 ///     logs); lookup is linear, which is fine at protocol sizes.
-///
-/// The obs/ JSON *writer* is not reused because telemetry only ever
-/// serializes; the service must also parse.
+///   * JSON has no Inf/NaN: a non-finite number is written as null.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -235,14 +235,13 @@ void Server::teardown() {
       if (std::shared_ptr<Connection> C = WC.lock())
         C->hangUp();
   }
-  std::vector<std::thread> ToJoin;
+  std::list<Reader> ToJoin;
   {
     std::lock_guard<std::mutex> RLock(ReadersMutex);
     ToJoin.swap(Readers);
   }
-  for (std::thread &R : ToJoin)
-    if (R.joinable())
-      R.join();
+  for (Reader &R : ToJoin)
+    R.Thread.join();
 
   for (int &Fd : WakePipe)
     if (Fd >= 0) {
@@ -288,8 +287,19 @@ void Server::acceptLoop() {
     }
     OpenConnections.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> Lock(ReadersMutex);
-    Readers.emplace_back(
-        [this, Conn = std::move(Conn)]() mutable { readerLoop(Conn); });
+    // Join the readers whose connections have closed: an exited thread
+    // keeps its stack until it is joined.
+    Readers.remove_if([](Reader &R) {
+      if (!R.Done.load(std::memory_order_acquire))
+        return false;
+      R.Thread.join();
+      return true;
+    });
+    Reader &R = Readers.emplace_back();
+    R.Thread = std::thread([this, Conn = std::move(Conn), &R]() mutable {
+      readerLoop(std::move(Conn));
+      R.Done.store(true, std::memory_order_release);
+    });
   }
 }
 
@@ -335,7 +345,6 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
   std::optional<Request> Req = parseRequestLine(Line, &Err);
   if (!Req) {
     BadRequests.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.requests.bad_request");
     Conn->sendLine(
         makeErrorResponse(Json::null(), errc::BadRequest, Err).dump());
     return;
@@ -394,7 +403,6 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
   std::optional<SolveParams> SP = parseSolveParams(Params, &Err);
   if (!SP) {
     BadRequests.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.requests.bad_request");
     Conn->sendLine(makeErrorResponse(Id, errc::BadRequest, Err).dump());
     return;
   }
@@ -406,7 +414,6 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
                                       : Registry->lookup(SP->Domain);
   if (!Svc) {
     Rejected.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.requests.unknown_domain");
     Conn->sendLine(makeErrorResponse(Id, errc::UnknownDomain,
                                      "no domain named '" + SP->Domain +
                                          "' is loaded")
@@ -418,6 +425,7 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
   if (!Task) {
     Task = Svc->taskByName(SP->TaskName);
     if (!Task) {
+      Rejected.fetch_add(1, std::memory_order_relaxed);
       Conn->sendLine(makeErrorResponse(Id, errc::UnknownTask,
                                        "no task named '" + SP->TaskName +
                                            "' in the corpus")
@@ -445,7 +453,6 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
     // The reason was decided under the queue lock: no race against a
     // concurrent close() can misreport full-vs-closed.
     Rejected.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.requests.rejected");
     if (Admission == PushResult::Closed)
       Conn->sendLine(makeErrorResponse(Id, errc::ShuttingDown,
                                        "server is shutting down")
@@ -458,9 +465,7 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
                          .dump());
     return;
   }
-  Accepted.fetch_add(1, std::memory_order_relaxed);
   bumpEpochCounter(*Svc, &EpochCounters::Accepted);
-  obs::countAdd("serve.requests.accepted");
   size_t Depth = Queue->depth();
   obs::gaugeSet("serve.queue_depth", static_cast<double>(Depth));
   obs::observe("serve.queue_depth", static_cast<double>(Depth));
@@ -472,7 +477,6 @@ void Server::handleReload(const std::shared_ptr<Connection> &Conn,
   std::optional<ReloadParams> RP = parseReloadParams(Params, &Err);
   if (!RP) {
     BadRequests.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.requests.bad_request");
     Conn->sendLine(makeErrorResponse(Id, errc::BadRequest, Err).dump());
     return;
   }
@@ -480,6 +484,7 @@ void Server::handleReload(const std::shared_ptr<Connection> &Conn,
                                       ? Registry->defaultService()
                                       : Registry->lookup(RP->Domain);
   if (!Cur) {
+    FailedReloads.fetch_add(1, std::memory_order_relaxed);
     Conn->sendLine(makeErrorResponse(Id, errc::UnknownDomain,
                                      "no domain named '" + RP->Domain +
                                          "' is loaded")
@@ -500,12 +505,10 @@ void Server::handleReload(const std::shared_ptr<Connection> &Conn,
       Registry->reload(NewConfig.DomainName, NewConfig, &Err);
   if (!Fresh) {
     FailedReloads.fetch_add(1, std::memory_order_relaxed);
-    obs::countAdd("serve.reload.failed");
     Conn->sendLine(makeErrorResponse(Id, errc::ReloadFailed, Err).dump());
     return;
   }
   Reloads.fetch_add(1, std::memory_order_relaxed);
-  obs::countAdd("serve.reload.ok");
   Json R = Json::object();
   R.set("domain", Json::string(Fresh->config().DomainName));
   R.set("epoch", Json::integer(static_cast<long long>(Fresh->epoch())));
@@ -546,9 +549,7 @@ void Server::workerLoop() {
                   static_cast<double>(Queue->depth()));
 
     if (O.TheStatus == Outcome::Status::Timeout) {
-      Timeouts.fetch_add(1, std::memory_order_relaxed);
       bumpEpochCounter(*P->Svc, &EpochCounters::Timeout);
-      obs::countAdd("serve.requests.timeout");
       P->Conn->sendLine(
           makeErrorResponse(P->Id, errc::Timeout,
                             "deadline expired after " +
@@ -575,15 +576,8 @@ void Server::workerLoop() {
     }
 
     bool SolvedNow = O.TheStatus == Outcome::Status::Solved;
-    if (SolvedNow) {
-      Solved.fetch_add(1, std::memory_order_relaxed);
-      bumpEpochCounter(*P->Svc, &EpochCounters::Solved);
-      obs::countAdd("serve.requests.solved");
-    } else {
-      NoSolution.fetch_add(1, std::memory_order_relaxed);
-      bumpEpochCounter(*P->Svc, &EpochCounters::NoSolution);
-      obs::countAdd("serve.requests.no_solution");
-    }
+    bumpEpochCounter(*P->Svc, SolvedNow ? &EpochCounters::Solved
+                                        : &EpochCounters::NoSolution);
 
     Json Result = Json::object();
     Result.set("status",
@@ -602,13 +596,17 @@ void Server::workerLoop() {
 // Stats
 //===----------------------------------------------------------------------===//
 
-ServerStats Server::stats() const {
+ServerStats Server::stats() const { return totals(epochStats()); }
+
+ServerStats Server::totals(const EpochMap &Epochs) const {
   ServerStats S;
-  S.Accepted = Accepted.load(std::memory_order_relaxed);
+  for (const auto &[Key, C] : Epochs) {
+    S.Accepted += C.Accepted;
+    S.Solved += C.Solved;
+    S.NoSolution += C.NoSolution;
+    S.Timeout += C.Timeout;
+  }
   S.Rejected = Rejected.load(std::memory_order_relaxed);
-  S.Solved = Solved.load(std::memory_order_relaxed);
-  S.NoSolution = NoSolution.load(std::memory_order_relaxed);
-  S.Timeout = Timeouts.load(std::memory_order_relaxed);
   S.BadRequest = BadRequests.load(std::memory_order_relaxed);
   S.Reloads = Reloads.load(std::memory_order_relaxed);
   S.FailedReloads = FailedReloads.load(std::memory_order_relaxed);
@@ -617,14 +615,16 @@ ServerStats Server::stats() const {
   return S;
 }
 
-std::map<std::pair<std::string, unsigned long>, EpochCounters>
-Server::epochStats() const {
+Server::EpochMap Server::epochStats() const {
   std::lock_guard<std::mutex> Lock(EpochStatsMutex);
   return EpochStats;
 }
 
 Json Server::buildStats() const {
-  ServerStats S = stats();
+  // One snapshot of the epoch rows gives both the rows and the totals, so
+  // the totals always equal the sums of the rows rendered below.
+  EpochMap ES = epochStats();
+  ServerStats S = totals(ES);
   Json R = Json::object();
   R.set("accepted", Json::integer(S.Accepted));
   R.set("rejected", Json::integer(S.Rejected));
@@ -643,8 +643,6 @@ Json Server::buildStats() const {
 
   // Per-domain: current epoch plus the outcome history of every epoch
   // this server has served (reloads never zero counters).
-  std::map<std::pair<std::string, unsigned long>, EpochCounters> ES =
-      epochStats();
   Json Domains = Json::object();
   for (const std::string &Name : Registry->domainNames()) {
     ServiceRegistry::Snapshot Svc = Registry->lookup(Name);

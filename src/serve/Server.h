@@ -49,6 +49,7 @@
 #include "serve/Service.h"
 
 #include <atomic>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -72,15 +73,19 @@ struct ServerConfig {
 
 /// Point-in-time operational numbers (the `stats` endpoint; all counters
 /// are tracked by the server itself so they work with telemetry off).
+/// Every answer moves exactly one counter. Accepted, Solved, NoSolution
+/// and Timeout are sums of the per-(domain, epoch) rows.
 struct ServerStats {
   long Accepted = 0;
-  long Rejected = 0; ///< overloaded + shutting_down + unknown_domain
+  /// overloaded + shutting_down + unknown_domain + unknown_task
+  long Rejected = 0;
   long Solved = 0;
   long NoSolution = 0;
   long Timeout = 0;
-  long BadRequest = 0;
-  long Reloads = 0;       ///< successful epoch swaps
-  long FailedReloads = 0; ///< reload_failed responses
+  long BadRequest = 0; ///< bad_request + unknown_method
+  long Reloads = 0;    ///< successful epoch swaps
+  /// reload_failed, a reload naming an unknown domain, a failed SIGHUP load
+  long FailedReloads = 0;
   size_t QueueDepth = 0;
   int Connections = 0;
 };
@@ -140,14 +145,22 @@ public:
         .fetch_add(1, std::memory_order_relaxed);
   }
 
+  using EpochMap =
+      std::map<std::pair<std::string, unsigned long>, EpochCounters>;
+
   /// Snapshot of the per-(domain, epoch) counters (tests; the stats
   /// endpoint renders the same data as JSON).
-  std::map<std::pair<std::string, unsigned long>, EpochCounters>
-  epochStats() const;
+  EpochMap epochStats() const;
 
 private:
   struct Connection;
   struct Pending;
+  /// A connection's reader thread. Done is the reader's last write; the
+  /// acceptor joins finished readers before it starts the next one.
+  struct Reader {
+    std::thread Thread;
+    std::atomic<bool> Done{false};
+  };
 
   Server() = default;
 
@@ -161,6 +174,8 @@ private:
   void handleReload(const std::shared_ptr<Connection> &Conn, const Json &Id,
                     const Json &Params);
   void bumpEpochCounter(const Service &Svc, long EpochCounters::*Field);
+  /// stats() over one snapshot of the epoch rows.
+  ServerStats totals(const EpochMap &Epochs) const;
   Json buildStats() const;
   void teardown();
 
@@ -176,7 +191,7 @@ private:
   std::thread Acceptor;
   std::vector<std::thread> Workers;
   std::mutex ReadersMutex;
-  std::vector<std::thread> Readers; ///< guarded by ReadersMutex
+  std::list<Reader> Readers; ///< guarded by ReadersMutex
   std::mutex ConnectionsMutex;
   std::vector<std::weak_ptr<Connection>> Connections;
 
@@ -184,16 +199,15 @@ private:
   std::atomic<bool> TornDown{false};
   std::mutex TeardownMutex;
 
-  // Operational counters (see ServerStats).
-  std::atomic<long> Accepted{0}, Rejected{0}, Solved{0}, NoSolution{0},
-      Timeouts{0}, BadRequests{0}, Reloads{0}, FailedReloads{0};
+  // Counters for answers that have no epoch (see ServerStats).
+  std::atomic<long> Rejected{0}, BadRequests{0}, Reloads{0},
+      FailedReloads{0};
   std::atomic<int> OpenConnections{0};
 
   /// (domain, epoch) -> outcome counters; ordered so the stats endpoint
   /// renders epochs in ascending order.
   mutable std::mutex EpochStatsMutex;
-  std::map<std::pair<std::string, unsigned long>, EpochCounters>
-      EpochStats;
+  EpochMap EpochStats;
 };
 
 } // namespace dc::serve

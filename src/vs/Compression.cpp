@@ -333,11 +333,8 @@ void runVersionSpaceRounds(CompressionResult &Result,
   // hatch: with UseVsCache off every pure value is recomputed from
   // scratch, and the results are bit-identical either way (DESIGN.md §8,
   // gated by bench_vs_cache).
-  VersionSpaceCache *Cache = nullptr;
-  if (Params.UseVsCache) {
-    Cache = &VersionSpaceCache::global();
-    Cache->setNodeBudget(Params.VsCacheNodeBudget);
-  }
+  VersionSpaceCache *Cache =
+      Params.UseVsCache ? &VersionSpaceCache::global() : nullptr;
   // Rewrite memo: anchor term → (beam program → rewritten beam entry).
   // Scoring's dominant cost is extracting + β-normalizing every beam
   // under every candidate; the outcome for one pair is a pure function of

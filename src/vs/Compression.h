@@ -73,9 +73,6 @@ struct CompressionParams {
   /// only skip recomputing pure values, so results are bit-identical with
   /// caching on or off — bench_vs_cache gates this at 1/4/8 threads.
   bool UseVsCache = true;
-  /// LRU node budget of the process-wide shard cache (total nodes across
-  /// cached shards; see VersionSpaceCache::DefaultNodeBudget).
-  size_t VsCacheNodeBudget = 16u * 1024 * 1024;
   /// TopDown backend only: cap on pattern states expanded per proposal
   /// round before the proposer stops refining (branch-and-bound still
   /// prunes below the cap). Literal-subtree candidates are enumerated

@@ -73,12 +73,6 @@ void VersionSpaceCache::clear() {
   Clock = 0;
 }
 
-void VersionSpaceCache::setNodeBudget(size_t Budget) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  NodeBudget = Budget;
-  evictToFitLocked(NodeBudget);
-}
-
 void VersionSpaceCache::evictToFitLocked(size_t Target) {
   while (Nodes > Target && !Map.empty()) {
     auto Victim = Map.begin();

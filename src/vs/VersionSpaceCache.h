@@ -98,8 +98,6 @@ public:
   /// Drops everything and zeroes the LRU clock (tests, benchmarks).
   void clear();
 
-  void setNodeBudget(size_t Budget);
-
   struct Stats {
     long Hits = 0;
     long Misses = 0;
@@ -137,7 +135,7 @@ private:
 
   mutable std::mutex Mutex;
   std::unordered_map<Key, Entry, KeyHash> Map;
-  size_t NodeBudget;
+  const size_t NodeBudget;
   size_t Nodes = 0;
   uint64_t Clock = 0;
   long Hits = 0, Misses = 0, Evictions = 0;

@@ -1,165 +1,46 @@
 //===- tests/obs/ObsTest.cpp - Telemetry subsystem tests ------------------===//
 //
 // The metrics registry under concurrent hammering, histogram binning,
-// JSON well-formedness of both exports (checked by a real little JSON
-// parser, not string matching), and the kill switch's no-op guarantee.
+// both exports read back with serve::Json's parser and checked value by
+// value, and the kill switch's no-op guarantee.
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/Metrics.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
+#include "serve/Json.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
 
 using namespace dc::obs;
+using dc::serve::Json;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Minimal recursive-descent JSON validator
-//===----------------------------------------------------------------------===//
-
-class JsonValidator {
-public:
-  explicit JsonValidator(std::string_view S) : S(S) {}
-
-  bool valid() {
-    skipWs();
-    if (!value())
-      return false;
-    skipWs();
-    return Pos == S.size();
-  }
-
-private:
-  std::string_view S;
-  size_t Pos = 0;
-
-  void skipWs() {
-    while (Pos < S.size() && (S[Pos] == ' ' || S[Pos] == '\t' ||
-                              S[Pos] == '\n' || S[Pos] == '\r'))
-      ++Pos;
-  }
-  bool eat(char C) {
-    if (Pos < S.size() && S[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-  bool literal(std::string_view L) {
-    if (S.substr(Pos, L.size()) != L)
-      return false;
-    Pos += L.size();
-    return true;
-  }
-  bool string() {
-    if (!eat('"'))
-      return false;
-    while (Pos < S.size() && S[Pos] != '"') {
-      if (S[Pos] == '\\') {
-        ++Pos;
-        if (Pos >= S.size())
-          return false;
-      }
-      ++Pos;
-    }
-    return eat('"');
-  }
-  bool number() {
-    size_t Start = Pos;
-    if (Pos < S.size() && S[Pos] == '-')
-      ++Pos;
-    while (Pos < S.size() && (std::isdigit(S[Pos]) || S[Pos] == '.' ||
-                              S[Pos] == 'e' || S[Pos] == 'E' ||
-                              S[Pos] == '+' || S[Pos] == '-'))
-      ++Pos;
-    return Pos > Start;
-  }
-  bool value() {
-    skipWs();
-    if (Pos >= S.size())
-      return false;
-    switch (S[Pos]) {
-    case '{':
-      return object();
-    case '[':
-      return array();
-    case '"':
-      return string();
-    case 't':
-      return literal("true");
-    case 'f':
-      return literal("false");
-    case 'n':
-      return literal("null");
-    default:
-      return number();
-    }
-  }
-  bool object() {
-    if (!eat('{'))
-      return false;
-    skipWs();
-    if (eat('}'))
-      return true;
-    for (;;) {
-      skipWs();
-      if (!string())
-        return false;
-      skipWs();
-      if (!eat(':') || !value())
-        return false;
-      skipWs();
-      if (eat('}'))
-        return true;
-      if (!eat(','))
-        return false;
-    }
-  }
-  bool array() {
-    if (!eat('['))
-      return false;
-    skipWs();
-    if (eat(']'))
-      return true;
-    for (;;) {
-      if (!value())
-        return false;
-      skipWs();
-      if (eat(']'))
-        return true;
-      if (!eat(','))
-        return false;
-    }
-  }
-};
-
-bool isValidJson(const std::string &S) { return JsonValidator(S).valid(); }
-
-} // namespace
-
-TEST(JsonValidator, AcceptsAndRejects) {
-  EXPECT_TRUE(isValidJson("{}"));
-  EXPECT_TRUE(isValidJson("[1, 2.5, -3e4, \"a\\\"b\", true, null, {}]"));
-  EXPECT_TRUE(isValidJson("{\"a\": {\"b\": [1]}}"));
-  EXPECT_FALSE(isValidJson("{"));
-  EXPECT_FALSE(isValidJson("[1,]"));
-  EXPECT_FALSE(isValidJson("{\"a\" 1}"));
-  EXPECT_FALSE(isValidJson("{} extra"));
-  EXPECT_FALSE(isValidJson("\"unterminated"));
+/// Parses an export; a parse failure fails the test and yields null.
+Json parseExport(const std::string &Text) {
+  std::string Err;
+  std::optional<Json> J = Json::parse(Text, &Err);
+  EXPECT_TRUE(J) << Err << "\n" << Text;
+  return J ? *J : Json::null();
 }
 
-#if DC_TELEMETRY
-// Everything below exercises recording, which a -DDC_TELEMETRY=OFF
-// build compiles out entirely; only the kill-switch no-op test remains
-// meaningful there.
+/// Member \p Key of \p J; a missing member fails the test and yields null.
+const Json &member(const Json &J, std::string_view Key) {
+  static const Json Null;
+  const Json *M = J.find(Key);
+  EXPECT_TRUE(M) << "no \"" << Key << "\" in " << J.dump();
+  return M ? *M : Null;
+}
+
+} // namespace
 
 TEST(Metrics, CounterConcurrentAddsSumExactly) {
   TelemetryScope On(true);
@@ -241,14 +122,43 @@ TEST(Metrics, GaugeLastWriteWins) {
 TEST(Metrics, JsonExportIsWellFormed) {
   TelemetryScope On(true);
   MetricsRegistry::global().reset();
+  const std::string Escaped = "json.gauge \"quoted\\name\"\n";
   countAdd("json.counter", 7);
-  gaugeSet("json.gauge \"quoted\\name\"\n", 0.25);
+  gaugeSet(Escaped, 0.25);
+  gaugeSet("json.nan", std::nan(""));
   observe("json.hist", 3.0);
   observe("json.hist", 1e12);
-  std::string J = MetricsRegistry::global().toJson();
-  EXPECT_TRUE(isValidJson(J)) << J;
-  EXPECT_NE(J.find("\"json.counter\""), std::string::npos);
-  EXPECT_NE(J.find("\"histograms\""), std::string::npos);
+  observe("json.huge", 1e300);
+  Json J = parseExport(MetricsRegistry::global().toJson());
+  ASSERT_TRUE(J.isObject());
+  ASSERT_EQ(J.members().size(), 3u);
+  EXPECT_EQ(J.members()[0].first, "counters");
+  EXPECT_EQ(J.members()[1].first, "gauges");
+  EXPECT_EQ(J.members()[2].first, "histograms");
+
+  const Json &Counter = member(member(J, "counters"), "json.counter");
+  EXPECT_TRUE(Counter.isInteger());
+  EXPECT_EQ(Counter.asInteger(), 7);
+  const Json &Gauges = member(J, "gauges");
+  EXPECT_EQ(member(Gauges, Escaped).asNumber(), 0.25);
+  EXPECT_TRUE(member(Gauges, "json.nan").isNull()); // JSON has no NaN
+
+  const Json &H = member(member(J, "histograms"), "json.hist");
+  EXPECT_EQ(member(H, "count").asInteger(), 2);
+  EXPECT_EQ(member(H, "sum").asNumber(), 3.0 + 1e12);
+  EXPECT_EQ(member(H, "min").asNumber(), 3.0);
+  EXPECT_EQ(member(H, "max").asNumber(), 1e12);
+  // Only the non-empty bins: 3 in [2, 4) and 1e12 in [2^39, 2^40).
+  const std::vector<Json> &Bins = member(H, "bins").items();
+  ASSERT_EQ(Bins.size(), 2u);
+  EXPECT_EQ(member(Bins[0], "le").asNumber(), 4.0);
+  EXPECT_EQ(member(Bins[0], "count").asInteger(), 1);
+  EXPECT_EQ(member(Bins[1], "le").asNumber(), std::ldexp(1.0, 40));
+  EXPECT_EQ(member(Bins[1], "count").asInteger(), 1);
+  // The last bin is unbounded; JSON has no infinity.
+  const Json &Huge = member(member(J, "histograms"), "json.huge");
+  ASSERT_EQ(member(Huge, "bins").items().size(), 1u);
+  EXPECT_TRUE(member(member(Huge, "bins").items()[0], "le").isNull());
 }
 
 TEST(Metrics, ResetDropsEverything) {
@@ -263,9 +173,9 @@ TEST(Metrics, ResetDropsEverything) {
   EXPECT_EQ(R.counterCount(), 0u);
   EXPECT_EQ(R.gaugeCount(), 0u);
   EXPECT_EQ(R.histogramCount(), 0u);
+  EXPECT_EQ(R.toJson(),
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}\n");
 }
-
-#endif // DC_TELEMETRY
 
 TEST(Metrics, KillSwitchMakesHelpersNoOps) {
   TelemetryScope Off(false);
@@ -278,7 +188,6 @@ TEST(Metrics, KillSwitchMakesHelpersNoOps) {
   EXPECT_EQ(MetricsRegistry::global().histogramCount(), 0u);
 }
 
-#if DC_TELEMETRY
 TEST(Trace, SpansRecordAndExportValidJson) {
   TelemetryScope On(true);
   Tracer &T = Tracer::global();
@@ -291,17 +200,25 @@ TEST(Trace, SpansRecordAndExportValidJson) {
   T.end("explicit", Start);
   std::thread([&] { ScopedSpan S("from-other-thread"); }).join();
   EXPECT_EQ(T.eventCount(), 4u);
-  std::string J = T.toJson();
-  EXPECT_TRUE(isValidJson(J)) << J;
-  EXPECT_EQ(J.front(), '[');
-  EXPECT_NE(J.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(J.find("from-other-thread"), std::string::npos);
+  Json J = parseExport(T.toJson());
+  ASSERT_TRUE(J.isArray());
+  ASSERT_EQ(J.items().size(), 4u);
+  std::vector<std::string> Names;
+  for (const Json &E : J.items()) {
+    Names.push_back(member(E, "name").asString());
+    EXPECT_EQ(member(E, "ph").asString(), "X");
+    EXPECT_GE(member(E, "ts").asInteger(), 0);
+    EXPECT_GE(member(E, "dur").asInteger(), 0);
+    EXPECT_EQ(member(E, "pid").asInteger(), 1);
+    EXPECT_TRUE(member(E, "tid").isInteger());
+  }
+  std::sort(Names.begin(), Names.end());
+  EXPECT_EQ(Names, (std::vector<std::string>{"explicit", "from-other-thread",
+                                             "inner", "outer \"span\""}));
   T.clear();
   EXPECT_EQ(T.eventCount(), 0u);
-  EXPECT_TRUE(isValidJson(T.toJson()));
+  EXPECT_EQ(T.toJson(), "[]\n");
 }
-
-#endif // DC_TELEMETRY
 
 TEST(Trace, DisabledSpansRecordNothing) {
   Tracer &T = Tracer::global();
@@ -328,7 +245,6 @@ TEST(Trace, SpanDisabledAtConstructionStaysInert) {
   EXPECT_EQ(T.eventCount(), 0u);
 }
 
-#if DC_TELEMETRY
 TEST(Telemetry, ScopeRestoresPreviousState) {
   const bool Before = Telemetry::enabled();
   {
@@ -342,4 +258,3 @@ TEST(Telemetry, ScopeRestoresPreviousState) {
   }
   EXPECT_EQ(Telemetry::enabled(), Before);
 }
-#endif // DC_TELEMETRY

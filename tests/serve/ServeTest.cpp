@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Primitives.h"
 #include "core/Serialization.h"
 #include "domains/ListDomain.h"
 #include "serve/Json.h"
@@ -19,16 +20,40 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <fstream>
+#include <initializer_list>
 #include <thread>
 
 using namespace dc;
 using namespace dc::serve;
+
+namespace {
+
+/// The member of \p J at \p Path, a chain of object keys. A missing step
+/// fails the current test and yields null, whose accessors read as 0,
+/// false, "" and no items: an answer of an unexpected shape fails
+/// assertions instead of crashing the test binary.
+const Json &at(const Json &J, std::initializer_list<std::string_view> Path) {
+  static const Json Null;
+  const Json *Cur = &J;
+  for (std::string_view Key : Path) {
+    Cur = Cur->find(Key);
+    if (!Cur) {
+      ADD_FAILURE() << "no \"" << Key << "\" in " << J.dump();
+      return Null;
+    }
+  }
+  return *Cur;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Json
@@ -44,9 +69,10 @@ TEST(ServeJsonTest, ParseDumpRoundTrip) {
   std::optional<Json> J2 = Json::parse(J->dump());
   ASSERT_TRUE(J2);
   EXPECT_EQ(J->dump(), J2->dump());
-  EXPECT_EQ(J->find("id")->asInteger(), 7);
-  EXPECT_TRUE(J->find("params")->find("xs")->items()[3].asBool());
-  EXPECT_EQ(J->find("params")->find("s")->asString(), "a\nb\"c");
+  EXPECT_EQ(at(*J, {"id"}).asInteger(), 7);
+  ASSERT_EQ(at(*J, {"params", "xs"}).items().size(), 6u);
+  EXPECT_TRUE(at(*J, {"params", "xs"}).items()[3].asBool());
+  EXPECT_EQ(at(*J, {"params", "s"}).asString(), "a\nb\"c");
 }
 
 TEST(ServeJsonTest, IntegersStayExact) {
@@ -165,7 +191,7 @@ TEST(ServeProtocolTest, RequestEnvelopeParses) {
   ASSERT_TRUE(R);
   EXPECT_EQ(R->Id.asString(), "a1");
   EXPECT_EQ(R->Method, "solve");
-  EXPECT_EQ(R->Params.find("task")->asString(), "t");
+  EXPECT_EQ(at(R->Params, {"task"}).asString(), "t");
 
   std::string Err;
   EXPECT_FALSE(parseRequestLine(R"({"id":1})", &Err));
@@ -330,23 +356,30 @@ TaskPtr unsolvableTask() {
                                 Ex);
 }
 
-std::unique_ptr<Service> makeListService() {
+/// A list-domain service with a 50000-node default budget. It serves
+/// \p CheckpointPath's grammar (the uniform base grammar when empty) and
+/// \p ModelPath's recognition model (none when empty).
+std::unique_ptr<Service> makeListService(const std::string &ModelPath = "",
+                                         const std::string &CheckpointPath = "") {
   ServiceConfig C;
   C.DomainName = "list";
   C.DefaultNodeBudget = 50000;
+  C.ModelPath = ModelPath;
+  C.CheckpointPath = CheckpointPath;
   std::string Err;
   std::unique_ptr<Service> S = Service::create(C, &Err);
   EXPECT_TRUE(S) << Err;
   return S;
 }
 
-/// Saves a fresh recognition model matched to the list domain's uniform
-/// base grammar (deterministic seeded-glorot weights; training is not
-/// needed for identity tests — only that every server loading this file
-/// predicts identically).
-std::string writeListModel(const std::string &FileName) {
+/// Saves a fresh recognition model matched to \p G, by default the list
+/// domain's uniform base grammar (deterministic seeded-glorot weights;
+/// training is not needed for identity tests — only that every server
+/// loading this file predicts identically).
+std::string writeListModel(
+    const std::string &FileName,
+    const Grammar &G = Grammar::uniform(makeListDomain(1).BasePrimitives)) {
   DomainSpec D = makeListDomain(1);
-  Grammar G = Grammar::uniform(D.BasePrimitives);
   RecognitionParams RP;
   RP.HiddenDim = 16;
   RecognitionModel Model(G, *D.Featurizer, RP);
@@ -354,17 +387,6 @@ std::string writeListModel(const std::string &FileName) {
   std::ofstream Out(Path);
   saveRecognitionModel(Model, Out);
   return Path;
-}
-
-std::unique_ptr<Service> makeListModelService(const std::string &ModelPath) {
-  ServiceConfig C;
-  C.DomainName = "list";
-  C.DefaultNodeBudget = 50000;
-  C.ModelPath = ModelPath;
-  std::string Err;
-  std::unique_ptr<Service> S = Service::create(C, &Err);
-  EXPECT_TRUE(S) << Err;
-  return S;
 }
 
 std::string beamSignature(const Frontier &F) {
@@ -535,7 +557,7 @@ TEST(ServeServiceTest, GuidedSolveIsBitIdenticalToUnguided) {
   // search apart) and hands it to solve() must get the exact beam the
   // internal predict() path produces.
   std::string ModelPath = writeListModel("guided_solve.model");
-  std::unique_ptr<Service> S = makeListModelService(ModelPath);
+  std::unique_ptr<Service> S = makeListService(ModelPath);
   ASSERT_TRUE(S);
   ASSERT_TRUE(S->hasRecognitionModel());
 
@@ -682,6 +704,8 @@ TEST(ServeProtocolTest, SolveParamsDomainRouting) {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /// Minimal blocking client for the line protocol.
 class TestClient {
 public:
@@ -733,14 +757,9 @@ private:
   std::string Buffer;
 };
 
-constexpr const char *IdentityRequest =
-    R"json({"id":1,"method":"solve","params":{"request":"list(int) -> list(int)",)json"
-    R"json("examples":[{"inputs":[[1,2,3]],"output":[1,2,3]},{"inputs":[[4]],"output":[4]}],)json"
-    R"json("timeout_ms":60000,"node_budget":50000}})json";
-
-/// An unsolvable solve that outlasts deadlines of up to about a second:
-/// exhausting its search space takes a few seconds of enumeration.
-std::string slowRequest(const char *Id, long TimeoutMs) {
+/// An unsolvable `int -> int` solve: no program maps 1 to both 2 and 3,
+/// so only the deadline ends its search.
+std::string unsolvableRequest(const char *Id, long TimeoutMs) {
   return std::string(R"({"id":")") + Id +
          R"(","method":"solve","params":{"request":"int -> int",)" +
          R"("examples":[{"inputs":[1],"output":2},{"inputs":[1],"output":3}],)" +
@@ -777,7 +796,7 @@ std::string programsSignature(const Json &Response) {
   const Json *Result = Response.find("result");
   if (!Result || !Result->find("programs"))
     return "<no-programs:" + Response.dump() + ">";
-  return Result->find("programs")->dump();
+  return at(*Result, {"programs"}).dump();
 }
 
 /// beamSignature of a solve response's programs. The server writes
@@ -788,13 +807,145 @@ std::string responseBeamSignature(const Json &Response) {
   if (!Result || !Result->find("programs"))
     return "<no-programs:" + Response.dump() + ">";
   std::string Sig;
-  for (const Json &E : Result->find("programs")->items()) {
+  for (const Json &E : at(*Result, {"programs"}).items()) {
     char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "|%.17g",
-                  E.find("log_prior")->asNumber());
-    Sig += E.find("program")->asString() + Buf;
+    std::snprintf(Buf, sizeof(Buf), "|%.17g", at(E, {"log_prior"}).asNumber());
+    Sig += at(E, {"program"}).asString() + Buf;
   }
   return Sig;
+}
+
+/// Polls the stats endpoint through \p Probe until `accepted` and
+/// `queue_depth` read \p Accepted and \p Depth; false after about 4 s.
+bool waitForOccupancy(TestClient &Probe, long Accepted, long Depth) {
+  for (int I = 0; I < 400; ++I) {
+    Json S = Probe.roundTrip(R"({"id":"p","method":"stats"})");
+    if (at(S, {"result", "accepted"}).asInteger() == Accepted &&
+        at(S, {"result", "queue_depth"}).asInteger() == Depth)
+      return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+/// A stats result's totals must be the sums of its per-(domain, epoch)
+/// rows.
+void expectTotalsAreEpochSums(const Json &Stats) {
+  for (const char *Field : {"accepted", "solved", "no_solution", "timeout"}) {
+    long long Sum = 0;
+    for (const auto &Domain : at(Stats, {"domains"}).members())
+      for (const Json &Row : at(Domain.second, {"epochs"}).items())
+        Sum += at(Row, {Field}).asInteger();
+    EXPECT_EQ(at(Stats, {Field}).asInteger(), Sum)
+        << Field << " in " << Stats.dump();
+  }
+}
+
+/// The same contract for Server::stats() and Server::epochStats(), read
+/// once the server has shut down.
+void expectTotalsAreEpochSums(const Server &Srv) {
+  ServerStats S = Srv.stats();
+  for (const auto &[Key, C] : Srv.epochStats()) {
+    S.Accepted -= C.Accepted;
+    S.Solved -= C.Solved;
+    S.NoSolution -= C.NoSolution;
+    S.Timeout -= C.Timeout;
+  }
+  EXPECT_EQ(S.Accepted, 0);
+  EXPECT_EQ(S.Solved, 0);
+  EXPECT_EQ(S.NoSolution, 0);
+  EXPECT_EQ(S.Timeout, 0);
+}
+
+/// Deadline of the requests a test holds at a HeldGate.
+constexpr long HeldTimeoutMs = 1000;
+
+/// Holds a serve worker without racing the search: while a HeldGate is
+/// alive, evaluating the test-only primitive `test_hold` waits, so a
+/// search occupies its worker for as long as the test needs, however fast
+/// enumeration is. Declared after the Server, the gate opens before the
+/// server's destructor drains the held worker, also when an assertion
+/// ends the test early.
+class HeldGate {
+public:
+  HeldGate() {
+    std::lock_guard<std::mutex> Lock(M);
+    Shut = true;
+    Held = 0;
+  }
+  ~HeldGate() { open(); }
+  HeldGate(const HeldGate &) = delete;
+  HeldGate &operator=(const HeldGate &) = delete;
+
+  /// test_hold's evaluation.
+  static void pass() {
+    std::unique_lock<std::mutex> Lock(M);
+    ++Held;
+    Cv.notify_all();
+    Cv.wait(Lock, [] { return !Shut; });
+  }
+
+  /// True once an evaluation waits at the gate; false after 30 s.
+  bool waitUntilHeld() {
+    std::unique_lock<std::mutex> Lock(M);
+    return Cv.wait_for(Lock, std::chrono::seconds(30),
+                       [] { return Held > 0; });
+  }
+
+  /// Opens the gate once every request admitted by \p LastAdmission with
+  /// deadline HeldTimeoutMs has expired: the held search, and everything
+  /// queued behind it with that deadline, then answers `timeout`.
+  void openAfterDeadlines(Clock::time_point LastAdmission) {
+    std::this_thread::sleep_until(LastAdmission +
+                                  std::chrono::milliseconds(HeldTimeoutMs));
+    open();
+  }
+
+private:
+  static void open() {
+    std::lock_guard<std::mutex> Lock(M);
+    Shut = false;
+    Cv.notify_all();
+  }
+
+  static inline std::mutex M;
+  static inline std::condition_variable Cv;
+  static inline bool Shut = false;
+  static inline int Held = 0; ///< evaluations since the gate was shut
+};
+
+/// The list domain's base grammar plus the test-only primitive
+/// `test_hold : int -> int`: the identity, except that it waits at a
+/// HeldGate. unsolvableRequest's search reaches `(lambda (test_hold $0))`
+/// in its first window.
+Grammar holdingListGrammar() {
+  static const ExprPtr Hold = definePrimitive(
+      "test_hold", Type::arrow(tInt(), tInt()),
+      [](EvalState &, const std::vector<ValuePtr> &Args) -> ValuePtr {
+        HeldGate::pass();
+        return Args[0];
+      });
+  std::vector<ExprPtr> Prims = makeListDomain(1).BasePrimitives;
+  Prims.push_back(Hold);
+  return Grammar::uniform(Prims);
+}
+
+/// A checkpoint of holdingListGrammar(). The checkpoint parser resolves
+/// test_hold through the primitive registry like any other primitive.
+std::string writeHoldingListCheckpoint(const std::string &FileName) {
+  std::string Path = testing::TempDir() + "/" + FileName;
+  std::ofstream Out(Path);
+  serializeGrammar(holdingListGrammar(), Out);
+  return Path;
+}
+
+/// This process's address-space size in KiB (VmSize in /proc/self/status).
+long vmSizeKb() {
+  std::ifstream Status("/proc/self/status");
+  for (std::string Line; std::getline(Status, Line);)
+    if (Line.rfind("VmSize:", 0) == 0)
+      return std::stol(Line.substr(7));
+  return -1;
 }
 
 } // namespace
@@ -814,144 +965,134 @@ TEST(ServeServerTest, EndToEndSolveHealthStats) {
 
   Json Health = C.roundTrip(R"({"id":"h","method":"health"})");
   ASSERT_TRUE(Health.find("ok"));
-  EXPECT_TRUE(Health.find("ok")->asBool());
-  EXPECT_EQ(Health.find("result")->find("domain")->asString(), "list");
-  const Json *HealthDomains = Health.find("result")->find("domains");
-  ASSERT_TRUE(HealthDomains);
-  EXPECT_EQ(HealthDomains->find("list")->find("epoch")->asInteger(), 1);
+  EXPECT_TRUE(at(Health, {"ok"}).asBool());
+  EXPECT_EQ(at(Health, {"result", "domain"}).asString(), "list");
+  ASSERT_TRUE(at(Health, {"result"}).find("domains"));
+  EXPECT_EQ(at(Health, {"result", "domains", "list", "epoch"}).asInteger(),
+            1);
 
-  Json Solve = C.roundTrip(IdentityRequest);
+  Json Solve = C.roundTrip(identityRequest("s"));
   ASSERT_TRUE(Solve.find("ok"));
-  ASSERT_TRUE(Solve.find("ok")->asBool()) << Solve.dump();
-  const Json *Result = Solve.find("result");
-  EXPECT_EQ(Result->find("status")->asString(), "solved");
-  ASSERT_FALSE(Result->find("programs")->items().empty());
-  EXPECT_EQ(
-      Result->find("programs")->items()[0].find("program")->asString(),
-      "(lambda $0)");
-  EXPECT_EQ(Result->find("domain")->asString(), "list");
-  EXPECT_EQ(Result->find("epoch")->asInteger(), 1);
+  ASSERT_TRUE(at(Solve, {"ok"}).asBool()) << Solve.dump();
+  const Json &Result = at(Solve, {"result"});
+  EXPECT_EQ(at(Result, {"status"}).asString(), "solved");
+  ASSERT_FALSE(at(Result, {"programs"}).items().empty());
+  EXPECT_EQ(at(at(Result, {"programs"}).items()[0], {"program"}).asString(),
+            "(lambda $0)");
+  EXPECT_EQ(at(Result, {"domain"}).asString(), "list");
+  EXPECT_EQ(at(Result, {"epoch"}).asInteger(), 1);
 
   // Explicit routing to the one loaded domain behaves like the default.
   Json Routed = C.roundTrip(identityRequest("r", "list"));
-  ASSERT_TRUE(Routed.find("ok")->asBool()) << Routed.dump();
+  ASSERT_TRUE(at(Routed, {"ok"}).asBool()) << Routed.dump();
   EXPECT_EQ(programsSignature(Routed), programsSignature(Solve));
 
   // Past-deadline request: structured timeout, not a hang or crash.
-  Json Timeout = C.roundTrip(slowRequest("t", 1));
-  EXPECT_FALSE(Timeout.find("ok")->asBool());
-  EXPECT_EQ(Timeout.find("error")->find("code")->asString(), "timeout");
+  Json Timeout = C.roundTrip(unsolvableRequest("t", 1));
+  EXPECT_FALSE(at(Timeout, {"ok"}).asBool());
+  EXPECT_EQ(at(Timeout, {"error", "code"}).asString(), "timeout");
 
   // Unknown things are structured errors too.
   Json Unknown =
       C.roundTrip(R"({"id":9,"method":"solve","params":{"task":"?"}})");
-  EXPECT_EQ(Unknown.find("error")->find("code")->asString(),
-            "unknown_task");
+  EXPECT_EQ(at(Unknown, {"error", "code"}).asString(), "unknown_task");
   Json NoSuchDomain = C.roundTrip(identityRequest("nd", "text"));
-  EXPECT_FALSE(NoSuchDomain.find("ok")->asBool());
-  EXPECT_EQ(NoSuchDomain.find("error")->find("code")->asString(),
+  EXPECT_FALSE(at(NoSuchDomain, {"ok"}).asBool());
+  EXPECT_EQ(at(NoSuchDomain, {"error", "code"}).asString(),
             "unknown_domain");
   Json BadMethod = C.roundTrip(R"({"id":10,"method":"frobnicate"})");
-  EXPECT_EQ(BadMethod.find("error")->find("code")->asString(),
-            "unknown_method");
+  EXPECT_EQ(at(BadMethod, {"error", "code"}).asString(), "unknown_method");
   Json NotJson = C.roundTrip("not json at all");
-  EXPECT_EQ(NotJson.find("error")->find("code")->asString(),
-            "bad_request");
+  EXPECT_EQ(at(NotJson, {"error", "code"}).asString(), "bad_request");
 
+  // Every answer moves exactly one counter.
   Json Stats = C.roundTrip(R"({"id":"s","method":"stats"})");
-  const Json *SR = Stats.find("result");
-  EXPECT_EQ(SR->find("solved")->asInteger(), 2);
-  EXPECT_EQ(SR->find("timeout")->asInteger(), 1);
-  EXPECT_GE(SR->find("accepted")->asInteger(), 3);
-  const Json *StatsDomains = SR->find("domains");
-  ASSERT_TRUE(StatsDomains);
-  const Json *ListEpochs = StatsDomains->find("list")->find("epochs");
-  ASSERT_TRUE(ListEpochs);
-  ASSERT_EQ(ListEpochs->items().size(), 1u);
-  EXPECT_EQ(ListEpochs->items()[0].find("epoch")->asInteger(), 1);
-  EXPECT_EQ(ListEpochs->items()[0].find("solved")->asInteger(), 2);
+  const Json &SR = at(Stats, {"result"});
+  EXPECT_EQ(at(SR, {"solved"}).asInteger(), 2);
+  EXPECT_EQ(at(SR, {"timeout"}).asInteger(), 1);
+  EXPECT_EQ(at(SR, {"accepted"}).asInteger(), 3);
+  EXPECT_EQ(at(SR, {"rejected"}).asInteger(), 2); // unknown task, domain
+  EXPECT_EQ(at(SR, {"bad_request"}).asInteger(), 2); // method, not JSON
+  const Json &ListEpochs = at(SR, {"domains", "list", "epochs"});
+  ASSERT_EQ(ListEpochs.items().size(), 1u);
+  EXPECT_EQ(at(ListEpochs.items()[0], {"epoch"}).asInteger(), 1);
+  EXPECT_EQ(at(ListEpochs.items()[0], {"solved"}).asInteger(), 2);
+  expectTotalsAreEpochSums(SR);
 
   Srv->requestShutdown();
   Srv->waitForShutdown();
   ServerStats Final = Srv->stats();
   EXPECT_EQ(Final.Solved, 2);
   EXPECT_EQ(Final.Timeout, 1);
+  EXPECT_EQ(Final.Rejected, 2);
+  EXPECT_EQ(Final.BadRequest, 2);
   auto ES = Srv->epochStats();
   ASSERT_EQ((ES.count({"list", 1ul})), 1u);
   EXPECT_EQ((ES[{"list", 1ul}].Solved), 2);
   EXPECT_EQ((ES[{"list", 1ul}].Timeout), 1);
+  expectTotalsAreEpochSums(*Srv);
 }
 
 TEST(ServeServerTest, OverloadRejectionAndGracefulDrain) {
   ServiceRegistry Reg;
-  ASSERT_TRUE(Reg.install(makeListService()));
+  ASSERT_TRUE(Reg.install(
+      makeListService("", writeHoldingListCheckpoint("overload.ckpt"))));
   ServerConfig SC;
   SC.Workers = 1;
   SC.QueueCapacity = 1;
   std::string Err;
   std::unique_ptr<Server> Srv = Server::start(Reg, SC, &Err);
   ASSERT_TRUE(Srv) << Err;
+  HeldGate Gate;
 
-  // A occupies the worker, B fills the queue (poll the stats endpoint to
-  // sequence deterministically), C must bounce off admission control.
+  // A is held at the worker, B fills the queue (poll the stats endpoint
+  // to sequence deterministically), C must bounce off admission control.
   TestClient A(Srv->port()), B(Srv->port()), C(Srv->port()),
       Probe(Srv->port());
   ASSERT_TRUE(A.connected() && B.connected() && C.connected() &&
               Probe.connected());
 
-  auto occupancy = [&]() -> std::pair<long, long> {
-    Json S = Probe.roundTrip(R"({"id":"p","method":"stats"})");
-    const Json *R = S.find("result");
-    return {R->find("accepted")->asInteger(),
-            R->find("queue_depth")->asInteger()};
-  };
-  auto waitFor = [&](long Accepted, long Depth) {
-    for (int I = 0; I < 400; ++I) {
-      if (occupancy() == std::make_pair(Accepted, Depth))
-        return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return false;
-  };
+  A.sendLine(unsolvableRequest("a", HeldTimeoutMs));
+  ASSERT_TRUE(Gate.waitUntilHeld()) << "A never reached the worker";
+  ASSERT_TRUE(waitForOccupancy(Probe, 1, 0)) << "A never reached the worker";
+  B.sendLine(unsolvableRequest("b", HeldTimeoutMs));
+  ASSERT_TRUE(waitForOccupancy(Probe, 2, 1)) << "B never queued";
+  const Clock::time_point BQueued = Clock::now();
 
-  A.sendLine(slowRequest("a", 1000));
-  ASSERT_TRUE(waitFor(1, 0)) << "A never reached the worker";
-  B.sendLine(slowRequest("b", 1000));
-  ASSERT_TRUE(waitFor(2, 1)) << "B never queued";
+  Json Rejected = C.roundTrip(unsolvableRequest("c", HeldTimeoutMs));
+  EXPECT_FALSE(at(Rejected, {"ok"}).asBool());
+  EXPECT_EQ(at(Rejected, {"error", "code"}).asString(), "overloaded");
 
-  Json Rejected = C.roundTrip(slowRequest("c", 1000));
-  EXPECT_FALSE(Rejected.find("ok")->asBool());
-  EXPECT_EQ(Rejected.find("error")->find("code")->asString(),
-            "overloaded");
-
-  // Shutdown with A in flight and B queued: both drain to answers (their
-  // task is unsolvable, so timeouts), post-shutdown work is rejected as
-  // shutting_down, and teardown joins every thread.
+  // Shutdown with A held and B queued: both drain to answers (timeouts,
+  // since the gate opens after their deadlines), post-shutdown work is
+  // rejected as shutting_down, and teardown joins every thread.
   Srv->requestShutdown();
-  Json Refused = Probe.roundTrip(slowRequest("d", 1000));
-  EXPECT_EQ(Refused.find("error")->find("code")->asString(),
-            "shutting_down");
+  Json Refused = Probe.roundTrip(unsolvableRequest("d", HeldTimeoutMs));
+  EXPECT_EQ(at(Refused, {"error", "code"}).asString(), "shutting_down");
+  Gate.openAfterDeadlines(BQueued);
 
   Json RespA = A.recvLine();
-  EXPECT_EQ(RespA.find("id")->asString(), "a");
-  EXPECT_EQ(RespA.find("error")->find("code")->asString(), "timeout");
+  EXPECT_EQ(at(RespA, {"id"}).asString(), "a");
+  EXPECT_EQ(at(RespA, {"error", "code"}).asString(), "timeout");
   Json RespB = B.recvLine();
-  EXPECT_EQ(RespB.find("id")->asString(), "b");
-  EXPECT_EQ(RespB.find("error")->find("code")->asString(), "timeout");
+  EXPECT_EQ(at(RespB, {"id"}).asString(), "b");
+  EXPECT_EQ(at(RespB, {"error", "code"}).asString(), "timeout");
 
   Srv->waitForShutdown();
   ServerStats Final = Srv->stats();
   EXPECT_EQ(Final.Accepted, 2);
-  EXPECT_GE(Final.Rejected, 2); // C overloaded + D shutting_down
+  EXPECT_EQ(Final.Rejected, 2); // C overloaded + D shutting_down
   EXPECT_EQ(Final.Timeout, 2);
+  expectTotalsAreEpochSums(*Srv);
 }
 
 TEST(ServeServerTest, HotReloadUnderLoad) {
-  // One worker makes the service order deterministic: slow occupies the
+  // One worker makes the service order deterministic: slow is held at the
   // worker, "pre" queues behind it on epoch 1, the reload publishes
   // epoch 2 while both are still pending, "post" admits on epoch 2.
   ServiceRegistry Reg;
-  ASSERT_TRUE(Reg.install(makeListService()));
+  ASSERT_TRUE(Reg.install(
+      makeListService("", writeHoldingListCheckpoint("hot_reload_a.ckpt"))));
   ServerConfig SC;
   SC.Workers = 1;
   SC.QueueCapacity = 8;
@@ -962,32 +1103,21 @@ TEST(ServeServerTest, HotReloadUnderLoad) {
   TestClient C(Srv->port()), Slow(Srv->port()), Probe(Srv->port());
   ASSERT_TRUE(C.connected() && Slow.connected() && Probe.connected());
 
-  auto occupancy = [&]() -> std::pair<long, long> {
-    Json S = Probe.roundTrip(R"({"id":"p","method":"stats"})");
-    const Json *R = S.find("result");
-    return {R->find("accepted")->asInteger(),
-            R->find("queue_depth")->asInteger()};
-  };
-  auto waitFor = [&](long Accepted, long Depth) {
-    for (int I = 0; I < 400; ++I) {
-      if (occupancy() == std::make_pair(Accepted, Depth))
-        return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return false;
-  };
-
   // Baseline answer on epoch 1.
   Json Baseline = C.roundTrip(identityRequest("base"));
-  ASSERT_TRUE(Baseline.find("ok")->asBool()) << Baseline.dump();
-  EXPECT_EQ(Baseline.find("result")->find("epoch")->asInteger(), 1);
+  ASSERT_TRUE(at(Baseline, {"ok"}).asBool()) << Baseline.dump();
+  EXPECT_EQ(at(Baseline, {"result", "epoch"}).asInteger(), 1);
   std::string SigA = programsSignature(Baseline);
 
-  // Occupy the worker, then pipeline "pre" behind it on epoch 1.
-  Slow.sendLine(slowRequest("slow", 1000));
-  ASSERT_TRUE(waitFor(2, 0)) << "slow never reached the worker";
+  // Hold the worker, then pipeline "pre" behind it on epoch 1.
+  HeldGate Gate;
+  Slow.sendLine(unsolvableRequest("slow", HeldTimeoutMs));
+  ASSERT_TRUE(Gate.waitUntilHeld()) << "slow never reached the worker";
+  ASSERT_TRUE(waitForOccupancy(Probe, 2, 0))
+      << "slow never reached the worker";
+  const Clock::time_point SlowAdmitted = Clock::now();
   C.sendLine(identityRequest("pre"));
-  ASSERT_TRUE(waitFor(3, 1)) << "pre never queued";
+  ASSERT_TRUE(waitForOccupancy(Probe, 3, 1)) << "pre never queued";
 
   // Reload runs on the probe's reader thread while the worker is busy:
   // connections stay open, nothing admitted is dropped.
@@ -996,40 +1126,43 @@ TEST(ServeServerTest, HotReloadUnderLoad) {
       R"({"id":"rl","method":"reload","params":{"checkpoint":")" + CkptB +
       R"("}})");
   ASSERT_TRUE(ReloadResp.find("ok")) << ReloadResp.dump();
-  ASSERT_TRUE(ReloadResp.find("ok")->asBool()) << ReloadResp.dump();
-  EXPECT_EQ(ReloadResp.find("result")->find("epoch")->asInteger(), 2);
+  ASSERT_TRUE(at(ReloadResp, {"ok"}).asBool()) << ReloadResp.dump();
+  EXPECT_EQ(at(ReloadResp, {"result", "epoch"}).asInteger(), 2);
 
   // Post-reload admission routes to epoch 2.
   C.sendLine(identityRequest("post"));
+  ASSERT_TRUE(waitForOccupancy(Probe, 4, 2)) << "post never queued";
+  Gate.openAfterDeadlines(SlowAdmitted);
 
-  // slow drains first (unsolvable -> timeout), then pre, then post.
+  // slow drains first (its deadline passed while held -> timeout), then
+  // pre, then post.
   Json SlowResp = Slow.recvLine();
-  EXPECT_EQ(SlowResp.find("error")->find("code")->asString(), "timeout");
+  EXPECT_EQ(at(SlowResp, {"error", "code"}).asString(), "timeout");
 
   Json Pre = C.recvLine();
-  EXPECT_EQ(Pre.find("id")->asString(), "pre");
-  ASSERT_TRUE(Pre.find("ok")->asBool()) << Pre.dump();
-  EXPECT_EQ(Pre.find("result")->find("epoch")->asInteger(), 1)
+  EXPECT_EQ(at(Pre, {"id"}).asString(), "pre");
+  ASSERT_TRUE(at(Pre, {"ok"}).asBool()) << Pre.dump();
+  EXPECT_EQ(at(Pre, {"result", "epoch"}).asInteger(), 1)
       << "work admitted before the reload must finish on its epoch";
   EXPECT_EQ(programsSignature(Pre), SigA)
       << "pre-reload answer must be bit-identical to the baseline";
 
   Json Post = C.recvLine();
-  EXPECT_EQ(Post.find("id")->asString(), "post");
-  ASSERT_TRUE(Post.find("ok")->asBool()) << Post.dump();
-  EXPECT_EQ(Post.find("result")->find("epoch")->asInteger(), 2);
+  EXPECT_EQ(at(Post, {"id"}).asString(), "post");
+  ASSERT_TRUE(at(Post, {"ok"}).asBool()) << Post.dump();
+  EXPECT_EQ(at(Post, {"result", "epoch"}).asInteger(), 2);
   EXPECT_NE(programsSignature(Post), SigA)
       << "the shifted checkpoint must change the scored beam";
 
   // The epoch history splits the outcomes across library generations.
   Json Stats = Probe.roundTrip(R"({"id":"s","method":"stats"})");
-  const Json *SR = Stats.find("result");
-  EXPECT_EQ(SR->find("reloads")->asInteger(), 1);
-  EXPECT_EQ(SR->find("failed_reloads")->asInteger(), 0);
-  const Json *ListDomain = SR->find("domains")->find("list");
-  ASSERT_TRUE(ListDomain);
-  EXPECT_EQ(ListDomain->find("epoch")->asInteger(), 2);
-  ASSERT_EQ(ListDomain->find("epochs")->items().size(), 2u);
+  const Json &SR = at(Stats, {"result"});
+  EXPECT_EQ(at(SR, {"reloads"}).asInteger(), 1);
+  EXPECT_EQ(at(SR, {"failed_reloads"}).asInteger(), 0);
+  const Json &ListDomain = at(SR, {"domains", "list"});
+  EXPECT_EQ(at(ListDomain, {"epoch"}).asInteger(), 2);
+  ASSERT_EQ(at(ListDomain, {"epochs"}).items().size(), 2u);
+  expectTotalsAreEpochSums(SR);
 
   Srv->requestShutdown();
   Srv->waitForShutdown();
@@ -1040,6 +1173,7 @@ TEST(ServeServerTest, HotReloadUnderLoad) {
   ServerStats Final = Srv->stats();
   EXPECT_EQ(Final.Accepted, 4);
   EXPECT_EQ(Final.Rejected, 0) << "reload must drop no admitted work";
+  expectTotalsAreEpochSums(*Srv);
 }
 
 TEST(ServeServerTest, ReloadFailedLeavesOldEpochServing) {
@@ -1053,34 +1187,36 @@ TEST(ServeServerTest, ReloadFailedLeavesOldEpochServing) {
   TestClient C(Srv->port());
   ASSERT_TRUE(C.connected());
   Json Baseline = C.roundTrip(identityRequest("base"));
-  ASSERT_TRUE(Baseline.find("ok")->asBool()) << Baseline.dump();
+  ASSERT_TRUE(at(Baseline, {"ok"}).asBool()) << Baseline.dump();
   std::string SigA = programsSignature(Baseline);
 
   // A checkpoint that cannot load publishes nothing.
   Json Failed = C.roundTrip(
       R"({"id":"rl","method":"reload","params":)"
       R"({"checkpoint":"/nonexistent/lib.ckpt"}})");
-  EXPECT_FALSE(Failed.find("ok")->asBool());
-  EXPECT_EQ(Failed.find("error")->find("code")->asString(),
-            "reload_failed");
+  EXPECT_FALSE(at(Failed, {"ok"}).asBool());
+  EXPECT_EQ(at(Failed, {"error", "code"}).asString(), "reload_failed");
 
-  // Reloading a domain that was never loaded is a routing error.
+  // Reloading a domain that was never loaded is a routing error, and it
+  // counts as a failed reload.
   Json NoDomain = C.roundTrip(
       R"({"id":"rd","method":"reload","params":{"domain":"text"}})");
-  EXPECT_EQ(NoDomain.find("error")->find("code")->asString(),
-            "unknown_domain");
+  EXPECT_EQ(at(NoDomain, {"error", "code"}).asString(), "unknown_domain");
+  Json Stats = C.roundTrip(R"({"id":"s","method":"stats"})");
+  EXPECT_EQ(at(Stats, {"result", "reloads"}).asInteger(), 0);
+  EXPECT_EQ(at(Stats, {"result", "failed_reloads"}).asInteger(), 2);
 
   // The old epoch keeps serving, bit-identically.
   Json After = C.roundTrip(identityRequest("after"));
-  ASSERT_TRUE(After.find("ok")->asBool()) << After.dump();
-  EXPECT_EQ(After.find("result")->find("epoch")->asInteger(), 1);
+  ASSERT_TRUE(at(After, {"ok"}).asBool()) << After.dump();
+  EXPECT_EQ(at(After, {"result", "epoch"}).asInteger(), 1);
   EXPECT_EQ(programsSignature(After), SigA);
 
   Srv->requestShutdown();
   Srv->waitForShutdown();
   ServerStats Final = Srv->stats();
   EXPECT_EQ(Final.Reloads, 0);
-  EXPECT_EQ(Final.FailedReloads, 1);
+  EXPECT_EQ(Final.FailedReloads, 2);
 }
 
 TEST(ServeServerTest, StartRejectsOutOfRangeConfig) {
@@ -1124,8 +1260,43 @@ TEST(ServeServerTest, StartRejectsOutOfRangeConfig) {
   TestClient C(Srv->port());
   ASSERT_TRUE(C.connected());
   Json Stats = C.roundTrip(R"({"id":"s","method":"stats"})");
-  EXPECT_EQ(Stats.find("result")->find("queue_capacity")->asInteger(), 1);
-  EXPECT_EQ(Stats.find("result")->find("workers")->asInteger(), 1);
+  EXPECT_EQ(at(Stats, {"result", "queue_capacity"}).asInteger(), 1);
+  EXPECT_EQ(at(Stats, {"result", "workers"}).asInteger(), 1);
+}
+
+TEST(ServeServerTest, ClosedConnectionsReleaseTheirReaderThreads) {
+  // Each connection gets a reader thread, and a thread that has exited
+  // keeps its stack (8 MB of address space by default) until it is
+  // joined. 64 connections opened and closed one after another must not
+  // leave 64 stacks behind: the acceptor joins finished readers.
+  //
+  // glibc also gives each thread that allocates while the others hold
+  // their malloc arenas a new arena of 64 MB of address space. Capping
+  // arenas keeps that noise out of VmSize, which then tracks the stacks.
+  mallopt(M_ARENA_MAX, 1);
+  ServiceRegistry Reg;
+  ASSERT_TRUE(Reg.install(makeListService()));
+  std::string Err;
+  std::unique_ptr<Server> Srv = Server::start(Reg, ServerConfig(), &Err);
+  ASSERT_TRUE(Srv) << Err;
+  auto OpenAndClose = [&](int Connections) {
+    for (int I = 0; I < Connections; ++I) {
+      TestClient C(Srv->port());
+      ASSERT_TRUE(C.connected());
+      Json Health = C.roundTrip(R"({"id":"h","method":"health"})");
+      ASSERT_TRUE(at(Health, {"ok"}).asBool()) << Health.dump();
+    }
+  };
+
+  // The first readers fill the stack cache that later readers reuse.
+  OpenAndClose(8);
+  const long BeforeKb = vmSizeKb();
+  ASSERT_GT(BeforeKb, 0);
+  OpenAndClose(64);
+  const long GrowthKb = vmSizeKb() - BeforeKb;
+  EXPECT_LT(GrowthKb, 128 * 1024)
+      << "64 closed connections grew VmSize by " << GrowthKb / 1024
+      << " MB";
 }
 
 TEST(ServeServerTest, PipelinedModelBackedAnswersMatchInProcessSolve) {
@@ -1135,8 +1306,7 @@ TEST(ServeServerTest, PipelinedModelBackedAnswersMatchInProcessSolve) {
   // service: the socket, the queue and the worker change no answer.
   std::string ModelPath = writeListModel("pipelined_solve.model");
   ServiceRegistry Reg;
-  ServiceRegistry::Snapshot Svc =
-      Reg.install(makeListModelService(ModelPath));
+  ServiceRegistry::Snapshot Svc = Reg.install(makeListService(ModelPath));
   ASSERT_TRUE(Svc && Svc->hasRecognitionModel());
   ServerConfig SC;
   SC.Workers = 1;
@@ -1170,9 +1340,9 @@ TEST(ServeServerTest, PipelinedModelBackedAnswersMatchInProcessSolve) {
 
   for (int I = 0; I < 4; ++I) {
     Json Resp = C.recvLine();
-    ASSERT_TRUE(Resp.find("ok") && Resp.find("ok")->asBool())
+    ASSERT_TRUE(Resp.find("ok") && at(Resp, {"ok"}).asBool())
         << Resp.dump();
-    std::string Id = Resp.find("id")->asString();
+    std::string Id = at(Resp, {"id"}).asString();
     ASSERT_TRUE(Expected.count(Id)) << Id;
     EXPECT_EQ(responseBeamSignature(Resp), Expected.at(Id))
         << "the served answer differs from Service::solve for " << Id;
@@ -1189,9 +1359,11 @@ TEST(ServeServerTest, ModelBackedHotReloadNeverMixesEpochs) {
   // reload keeps its epoch-1 snapshot (and that epoch's model) while it
   // waits in the queue and epoch 2 publishes; a request admitted after
   // routes to epoch 2.
-  std::string ModelPath = writeListModel("model_reload.model");
+  std::string ModelPath =
+      writeListModel("model_reload.model", holdingListGrammar());
   ServiceRegistry Reg;
-  ASSERT_TRUE(Reg.install(makeListModelService(ModelPath)));
+  ASSERT_TRUE(Reg.install(makeListService(
+      ModelPath, writeHoldingListCheckpoint("model_reload.ckpt"))));
   ServerConfig SC;
   SC.Workers = 1;
   SC.QueueCapacity = 8;
@@ -1201,47 +1373,42 @@ TEST(ServeServerTest, ModelBackedHotReloadNeverMixesEpochs) {
 
   TestClient C(Srv->port()), Slow(Srv->port()), Probe(Srv->port());
   ASSERT_TRUE(C.connected() && Slow.connected() && Probe.connected());
-  auto waitForAccepted = [&](long Accepted) {
-    for (int I = 0; I < 400; ++I) {
-      Json S = Probe.roundTrip(R"({"id":"p","method":"stats"})");
-      if (S.find("result")->find("accepted")->asInteger() == Accepted)
-        return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return false;
-  };
 
   Json Baseline = C.roundTrip(identityRequest("base"));
-  ASSERT_TRUE(Baseline.find("ok")->asBool()) << Baseline.dump();
-  EXPECT_EQ(Baseline.find("result")->find("epoch")->asInteger(), 1);
+  ASSERT_TRUE(at(Baseline, {"ok"}).asBool()) << Baseline.dump();
+  EXPECT_EQ(at(Baseline, {"result", "epoch"}).asInteger(), 1);
   std::string SigA = programsSignature(Baseline);
 
-  // Occupy the single worker, then pipeline "pre" behind it: both are
+  // Hold the single worker, then pipeline "pre" behind it: both are
   // admitted — and snapshot their epoch — before the reload below.
-  Slow.sendLine(slowRequest("slow", 1000));
-  ASSERT_TRUE(waitForAccepted(2)) << "slow never admitted";
+  HeldGate Gate;
+  Slow.sendLine(unsolvableRequest("slow", HeldTimeoutMs));
+  ASSERT_TRUE(Gate.waitUntilHeld()) << "slow never reached the worker";
+  ASSERT_TRUE(waitForOccupancy(Probe, 2, 0)) << "slow never admitted";
+  const Clock::time_point SlowAdmitted = Clock::now();
   C.sendLine(identityRequest("pre"));
-  ASSERT_TRUE(waitForAccepted(3)) << "pre never admitted";
+  ASSERT_TRUE(waitForOccupancy(Probe, 3, 1)) << "pre never admitted";
 
-  Json ReloadResp =
-      Probe.roundTrip(R"({"id":"rl","method":"reload"})");
-  ASSERT_TRUE(ReloadResp.find("ok")->asBool()) << ReloadResp.dump();
-  EXPECT_EQ(ReloadResp.find("result")->find("epoch")->asInteger(), 2);
+  Json ReloadResp = Probe.roundTrip(R"({"id":"rl","method":"reload"})");
+  ASSERT_TRUE(at(ReloadResp, {"ok"}).asBool()) << ReloadResp.dump();
+  EXPECT_EQ(at(ReloadResp, {"result", "epoch"}).asInteger(), 2);
 
   C.sendLine(identityRequest("post"));
+  ASSERT_TRUE(waitForOccupancy(Probe, 4, 2)) << "post never admitted";
+  Gate.openAfterDeadlines(SlowAdmitted);
 
   Json SlowResp = Slow.recvLine();
-  EXPECT_EQ(SlowResp.find("error")->find("code")->asString(), "timeout");
+  EXPECT_EQ(at(SlowResp, {"error", "code"}).asString(), "timeout");
   Json Pre = C.recvLine();
-  EXPECT_EQ(Pre.find("id")->asString(), "pre");
-  ASSERT_TRUE(Pre.find("ok")->asBool()) << Pre.dump();
-  EXPECT_EQ(Pre.find("result")->find("epoch")->asInteger(), 1)
+  EXPECT_EQ(at(Pre, {"id"}).asString(), "pre");
+  ASSERT_TRUE(at(Pre, {"ok"}).asBool()) << Pre.dump();
+  EXPECT_EQ(at(Pre, {"result", "epoch"}).asInteger(), 1)
       << "work admitted before the reload must answer on its epoch";
   EXPECT_EQ(programsSignature(Pre), SigA);
   Json Post = C.recvLine();
-  EXPECT_EQ(Post.find("id")->asString(), "post");
-  ASSERT_TRUE(Post.find("ok")->asBool()) << Post.dump();
-  EXPECT_EQ(Post.find("result")->find("epoch")->asInteger(), 2);
+  EXPECT_EQ(at(Post, {"id"}).asString(), "post");
+  ASSERT_TRUE(at(Post, {"ok"}).asBool()) << Post.dump();
+  EXPECT_EQ(at(Post, {"result", "epoch"}).asInteger(), 2);
   EXPECT_EQ(programsSignature(Post), SigA)
       << "same checkpoint and model reloaded: epoch 2 answers match";
 
@@ -1251,4 +1418,5 @@ TEST(ServeServerTest, ModelBackedHotReloadNeverMixesEpochs) {
   EXPECT_EQ((ES[{"list", 1ul}].Solved), 2);  // base + pre
   EXPECT_EQ((ES[{"list", 1ul}].Timeout), 1); // slow
   EXPECT_EQ((ES[{"list", 2ul}].Solved), 1);  // post
+  expectTotalsAreEpochSums(*Srv);
 }

@@ -353,15 +353,27 @@ def smoke(args):
         check(rc == 0, "scenario-2 server exits 0 after draining")
         check("served" in out, "final stats line printed")
 
+        # The exports have the shapes the dc_run smoke job checks.
         with open(metrics_path) as f:
             metrics = json.load(f)
         check(
-            any(k.startswith("serve.") for k in metrics.get("counters", {})),
-            "shutdown flushed serve.* metrics",
+            sorted(metrics) == ["counters", "gauges", "histograms"],
+            "shutdown flushed counters, gauges and histograms",
+        )
+        check(
+            "enum.nodes_expanded" in metrics["counters"]
+            and "serve.queue_depth" in metrics["gauges"]
+            and "serve.solve_ms" in metrics["histograms"],
+            "metrics count search nodes, queue depth and solve times",
         )
         with open(trace_path) as f:
             trace = json.load(f)
-        check(isinstance(trace, list), "shutdown flushed a trace array")
+        check(
+            isinstance(trace, list)
+            and trace
+            and all(e["ph"] == "X" for e in trace),
+            "shutdown flushed a non-empty array of complete trace events",
+        )
     finally:
         srv.kill()
         for path in (metrics_path, trace_path):

@@ -79,7 +79,7 @@ void BM_ExtractionAfterClosure(benchmark::State &State) {
   VsId C = VT.betaClosure(P, 2);
   for (auto _ : State) {
     std::unordered_map<VsId, Extraction> Cache;
-    benchmark::DoNotOptimize(VT.extractMinimal(C, -1, nullptr, Cache));
+    benchmark::DoNotOptimize(VT.extractMinimal(C, {}, Cache));
   }
 }
 BENCHMARK(BM_ExtractionAfterClosure);

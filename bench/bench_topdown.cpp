@@ -142,7 +142,7 @@ int main() {
   Params.NumThreads = threadsFromEnv();
 
   // ---- Proposal wall clock: pattern growth vs closure-shard building ---
-  // The version-space side is timed on exactly what runVersionSpaceRounds
+  // The version-space side is timed on exactly what a version-space round
   // does before any candidate exists: build the ≤n-step β-closure shard
   // of every distinct beam program. Everything after (absorb-merge,
   // per-node task coverage, ranking, extraction) only adds to its bill.
@@ -150,7 +150,7 @@ int main() {
   {
     TopDownStats Stats;
     WallTimer ProposeTimer;
-    std::vector<TopDownCandidate> Cands =
+    std::vector<CompressionCandidate> Cands =
         proposeTopDown(G, Corpus, Params, &Stats);
     TdProposeSec = ProposeTimer.seconds();
     row("topdown proposal (one round)", TdProposeSec, "s");

@@ -153,11 +153,22 @@ makeShouldStop(const EnumerationParams &Params,
 
 std::chrono::steady_clock::time_point
 deadlineFor(const EnumerationParams &Params) {
+  using Clock = std::chrono::steady_clock;
   if (Params.WallTimeoutSeconds <= 0)
     return {};
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(Params.WallTimeoutSeconds));
+  // Saturate rather than overflow: a timeout reaching (to within a second)
+  // past the end of the clock's range means no deadline, not one that
+  // wrapped into the past.
+  const Clock::time_point Now = Clock::now();
+  const double LeftSeconds =
+      std::chrono::duration_cast<std::chrono::seconds>(
+          Clock::time_point::max() - Now)
+          .count() -
+      1.0;
+  if (!(Params.WallTimeoutSeconds < LeftSeconds))
+    return Clock::time_point::max();
+  return Now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(Params.WallTimeoutSeconds));
 }
 
 /// Mirrors one finished search (task or request-type group) into the

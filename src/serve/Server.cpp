@@ -443,7 +443,14 @@ void Server::handleSolve(const std::shared_ptr<Connection> &Conn,
   P.Admitted = Clock::now();
   // The deadline covers the request's whole life in the server — queue
   // wait included — so an admitted-then-stuck request still terminates.
-  P.Deadline = P.Admitted + std::chrono::milliseconds(TimeoutMs);
+  // A timeout past the end of the clock's range saturates to no deadline
+  // instead of overflowing into the past.
+  const long MaxMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                         Clock::time_point::max() - P.Admitted)
+                         .count();
+  P.Deadline = TimeoutMs < MaxMs
+                   ? P.Admitted + std::chrono::milliseconds(TimeoutMs)
+                   : Clock::time_point::max();
   P.NodeBudget = SP->NodeBudget;
   P.FrontierSize = SP->FrontierSize;
   P.Conn = Conn;

@@ -62,8 +62,8 @@ void dc::detail::collectFreeIndices(ExprPtr E, int Depth,
 }
 
 /// True when \p Body is worth turning into a library routine: closed,
-/// well-typed, and structurally non-trivial. Shared by both proposal
-/// backends (vs/TopDown.cpp applies the identical admission filter).
+/// well-typed, and structurally non-trivial. Both backends admit proposals
+/// through finalizeProposal, which applies it.
 bool dc::detail::isUsefulInventionBody(ExprPtr Body, const Grammar &G) {
   if (!Body || !Body->isClosed())
     return false;
@@ -111,113 +111,6 @@ bool dc::detail::isUsefulInventionBody(ExprPtr Body, const Grammar &G) {
   return true;
 }
 
-namespace {
-
-/// One proposed library routine.
-struct Candidate {
-  VsId Space = -1;          ///< anchor node rewrites fire at
-  ExprPtr Invention = nullptr; ///< closed #(...) routine added to D
-  /// What an occurrence of Space becomes: the invention applied to the
-  /// open term's free variables, e.g. (#(λ (+ $0 $0)) $1).
-  ExprPtr RewriteExpr = nullptr;
-  /// The normalized open term Space anchors — the content-stable identity
-  /// of this candidate (Space is a table-local id; the term is not). The
-  /// cross-round rewrite memo keys on it: Invention and RewriteExpr are
-  /// both pure functions of the anchor term, so (anchor term, beam
-  /// program, steps) determines the rewritten beam entry exactly.
-  ExprPtr AnchorTerm = nullptr;
-  int TasksCovered = 0;
-};
-
-/// printf-append into a per-candidate log buffer, so verbose output from
-/// concurrently scored candidates can be replayed in candidate order.
-void appendf(std::string &Out, const char *Fmt, ...) {
-  va_list Args;
-  va_start(Args, Fmt);
-  char Buf[1024];
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Out += Buf;
-}
-
-/// One backend-agnostic candidate for a greedy round: the invention plus
-/// a hook that rewrites every frontier entry under it. The hook runs
-/// inside a scoring worker (one per candidate), so it must only touch
-/// the frontiers it is handed and per-candidate state it owns.
-struct RoundCandidate {
-  ExprPtr Invention = nullptr;
-  int TasksCovered = 0;
-  std::function<void(std::vector<Frontier> &Rewritten, size_t CI,
-                     std::string &VerboseLog)>
-      RewriteFrontiers;
-};
-
-/// The shared scoring/adoption half of a greedy round, identical for
-/// both proposal backends by construction: score each candidate in
-/// parallel by rewriting all beams under D ∪ {invention} and evaluating
-/// libraryScore, then adopt the best improving candidate (ties toward
-/// the lowest candidate index — exactly the order a serial loop would
-/// visit). Candidates are independent: each worker copies the grammar
-/// and frontiers and writes score + rewrite into its own slot; verbose
-/// output is buffered per candidate and replayed in order. Returns true
-/// when a candidate was adopted into \p Result.
-bool scoreAndAdoptBest(CompressionResult &Result,
-                       const std::vector<RoundCandidate> &Candidates,
-                       const CompressionParams &Params) {
-  obs::ScopedSpan ScoreSpan("compress.score");
-  struct ScoredCandidate {
-    double Score = NegInf;
-    std::vector<Frontier> Rewritten;
-    Grammar Extended;
-    std::string VerboseLog;
-  };
-  std::vector<ScoredCandidate> Scored(Candidates.size());
-  CompressionParams InnerParams = Params;
-  InnerParams.NumThreads = 1; // summaries stay serial inside workers
-  parallelFor(Params.NumThreads, Candidates.size(), [&](size_t CI) {
-    obs::ScopedSpan CandidateSpan("compress.score.candidate");
-    const RoundCandidate &C = Candidates[CI];
-    ScoredCandidate &S = Scored[CI];
-    S.Extended = Result.NewGrammar;
-    S.Extended.addProduction(C.Invention);
-    S.Rewritten = Result.RewrittenFrontiers;
-    C.RewriteFrontiers(S.Rewritten, CI, S.VerboseLog);
-    S.Score = libraryScore(S.Extended, S.Rewritten, InnerParams);
-    obs::countAdd("compress.candidates_scored");
-    if (Params.Verbose && CI < 12)
-      appendf(S.VerboseLog, "  cand[%zu] %-40s cover=%d score=%.2f%s\n",
-              CI, C.Invention->show().c_str(), C.TasksCovered, S.Score,
-              S.Score > Result.FinalScore ? " (+)" : "");
-  });
-
-  // Deterministic reduction: best score, lowest candidate index on ties.
-  double BestScore = Result.FinalScore;
-  int BestIdx = -1;
-  for (size_t CI = 0; CI < Scored.size(); ++CI) {
-    if (Params.Verbose && !Scored[CI].VerboseLog.empty())
-      std::fputs(Scored[CI].VerboseLog.c_str(), stderr);
-    if (Scored[CI].Score > BestScore) {
-      BestScore = Scored[CI].Score;
-      BestIdx = static_cast<int>(CI);
-    }
-  }
-
-  if (BestIdx < 0)
-    return false; // no candidate improves the objective
-  if (Params.Verbose)
-    std::fprintf(stderr, "compression: +%s (score %.2f -> %.2f)\n",
-                 Candidates[BestIdx].Invention->show().c_str(),
-                 Result.FinalScore, BestScore);
-  Result.NewGrammar = std::move(Scored[BestIdx].Extended);
-  Result.RewrittenFrontiers = std::move(Scored[BestIdx].Rewritten);
-  Result.NewInventions.push_back(Candidates[BestIdx].Invention);
-  Result.FinalScore = BestScore;
-  obs::countAdd("compress.inventions_adopted");
-  return true;
-}
-
-} // namespace
-
 ExprPtr dc::detail::closeOverFreeIndices(ExprPtr Term,
                                          const std::vector<int> &Free) {
   int K = static_cast<int>(Free.size());
@@ -260,6 +153,46 @@ ExprPtr dc::detail::closeOverFreeIndices(ExprPtr Term,
   for (int J = 0; J < K; ++J)
     Out = Expr::abstraction(Out);
   return Out;
+}
+
+detail::ProposedTerm dc::detail::finalizeProposal(ExprPtr Term,
+                                                  const Grammar &G) {
+  // Extracted members are refactorings and corpus patterns may be too, so
+  // both often carry β-redexes. A null normal form means the budget ran
+  // out mid-reduction: drop the term rather than anchor on a half-reduced
+  // one.
+  Term = Term->betaNormalForm(128);
+  if (!Term)
+    return {};
+  // The term may be open: λ-abstract its free variables into the
+  // invention, which rewrite sites apply back to them (makeCandidate).
+  std::set<int> Free;
+  collectFreeIndices(Term, 0, Free);
+  if (Free.size() > 2)
+    return {}; // cap invention arity growth from free variables
+  ExprPtr Body =
+      Free.empty()
+          ? Term
+          : closeOverFreeIndices(Term, std::vector<int>(Free.begin(),
+                                                        Free.end()));
+  if (!isUsefulInventionBody(Body, G))
+    return {};
+  return {Term, Body};
+}
+
+CompressionCandidate dc::detail::makeCandidate(const ProposedTerm &P,
+                                               int TasksCovered) {
+  std::set<int> Free;
+  collectFreeIndices(P.Term, 0, Free);
+  CompressionCandidate C;
+  C.AnchorTerm = P.Term;
+  C.Invention = Expr::invented(P.Body);
+  C.RewriteExpr = C.Invention;
+  for (int I : Free)
+    C.RewriteExpr = Expr::application(C.RewriteExpr, Expr::index(I));
+  C.CapturesArgument = Free.count(0) > 0;
+  C.TasksCovered = TasksCovered;
+  return C;
 }
 
 double dc::libraryScore(Grammar &G, const std::vector<Frontier> &Frontiers,
@@ -323,511 +256,463 @@ double dc::libraryScore(Grammar &G, const std::vector<Frontier> &Frontiers,
 
 namespace {
 
-/// The version-space backend's greedy rounds: per-program β-closure
-/// shards, coverage ranking, proposal validation, then the shared
-/// scoring/adoption round.
-void runVersionSpaceRounds(CompressionResult &Result,
-                           const CompressionParams &Params) {
-  // The content-addressed shard cache (cross-frontier and cross-round
-  // closure reuse) and the cross-round rewrite memo share one escape
-  // hatch: with UseVsCache off every pure value is recomputed from
-  // scratch, and the results are bit-identical either way (DESIGN.md §8,
-  // gated by bench_vs_cache).
-  VersionSpaceCache *Cache =
-      Params.UseVsCache ? &VersionSpaceCache::global() : nullptr;
-  // Rewrite memo: anchor term → (beam program → rewritten beam entry).
-  // Scoring's dominant cost is extracting + β-normalizing every beam
-  // under every candidate; the outcome for one pair is a pure function of
-  // (anchor term, beam program, inversion depth) because extraction
-  // breaks ties by term content (vs/VersionSpace.cpp). After an adoption
-  // only the pairs whose beam the new invention actually rewrote — or
-  // whose candidate is newly proposed — miss; everything else replays
-  // from the memo. Within a round anchors are unique per candidate
-  // (bodies are deduped at admission), so each scoring worker owns its
-  // sub-map exclusively; the outer map is only touched between fan-outs.
-  std::unordered_map<ExprPtr, std::unordered_map<ExprPtr, ExprPtr>>
-      RewriteMemo;
-  int RewriteMemoSteps = std::numeric_limits<int>::min();
+/// printf-append into a per-candidate log buffer, so verbose output from
+/// concurrently scored candidates can be replayed in candidate order.
+void appendf(std::string &Out, const char *Fmt, ...) {
+  va_list Args;
+  va_start(Args, Fmt);
+  char Buf[1024];
+  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_end(Args);
+  Out += Buf;
+}
 
-  for (int Round = 0; Round < Params.MaxNewInventions; ++Round) {
-    obs::countAdd("compress.rounds");
-    int64_t ClosureStart =
-        obs::Telemetry::enabled() ? obs::Tracer::global().begin() : 0;
-    // Build the refactoring closure of every *distinct* beam program. A
-    // closure shard — betaClosure in a fresh private table — is a pure
-    // function of (program, Steps), which makes it the unit of
-    // content-addressed caching: structurally identical beam entries
-    // (near-identical beams are common on list/text corpora) reuse one
-    // shard across frontiers, rounds, and sleep phases instead of
-    // rebuilding it. The master table is assembled by absorbing shards in
-    // first-occurrence order (frontier order, entry order), so the merged
-    // table and everything downstream of it is a pure function of the
-    // frontiers and Steps — never of the thread count, and never of which
-    // lookups hit (a hit returns a table bit-identical to a rebuild).
-    // Large corpora can overflow the node cap at n=3; degrade the
-    // inversion depth rather than giving up (shallower refactorings still
-    // beat none), dropping the shards the overflowed attempt installed
-    // before retrying.
-    const size_t NumFrontiers = Result.RewrittenFrontiers.size();
-    std::vector<ExprPtr> Programs;
-    std::unordered_map<ExprPtr, size_t> ProgramSlot;
-    for (const Frontier &F : Result.RewrittenFrontiers)
-      for (const FrontierEntry &E : F.entries())
-        if (ProgramSlot.emplace(E.Program, Programs.size()).second)
-          Programs.push_back(E.Program);
+/// One rewriter's cross-round memo: anchor term → (beam program →
+/// rewritten program), and the counters its lookups move.
+struct RewriteMemo {
+  const char *Hits;
+  const char *Misses;
+  std::unordered_map<ExprPtr, std::unordered_map<ExprPtr, ExprPtr>> ByAnchor;
+};
 
-    VersionTable VT;
-    std::vector<std::vector<VsId>> Closures;
-    int Steps = Params.RefactorSteps;
-    bool ClosureGaveUp = false;
-    for (;; --Steps) {
-      struct ShardSlot {
-        VsClosureShardPtr Shard;
-        bool Hit = false;       ///< served from the cache
-        bool Installed = false; ///< this attempt inserted it
-      };
-      std::vector<ShardSlot> Shards(Programs.size());
-      CancellationToken Cancel;
-      parallelFor(
-          Params.NumThreads, Programs.size(),
-          [&](size_t PI) {
-            obs::ScopedSpan ShardSpan("compress.closure.shard");
-            ShardSlot &S = Shards[PI];
-            if (Cache)
-              if ((S.Shard = Cache->lookup(Programs[PI], Steps))) {
-                S.Hit = true;
-                // A stale oversized entry (installed under a larger cap
-                // by an earlier phase) must trigger the same degrade a
-                // rebuild would — size is a pure property of the key.
-                if (S.Shard->nodes() > Params.MaxVersionNodes)
-                  Cancel.cancel();
-                return;
-              }
-            S.Shard = VsClosureShard::build(Programs[PI], Steps);
-            if (S.Shard->nodes() > Params.MaxVersionNodes) {
-              // An oversized shard means this Steps level is over budget
-              // no matter how the merge would have gone; stop the other
-              // workers early. Which shards got built is
-              // thread-dependent, but oversize is a pure property of
-              // (program, Steps), so only the (deterministic) overflow
-              // verdict survives — and oversized shards are never
-              // installed.
-              Cancel.cancel();
-              return;
-            }
-            if (Cache)
-              S.Installed = Cache->insert(S.Shard);
-          },
-          &Cancel);
-      bool Overflow = Cancel.cancelled();
-      if (!Overflow) {
-        obs::ScopedSpan MergeSpan("compress.closure.merge");
-        VT = VersionTable();
-        std::vector<VsId> Roots(Programs.size(), -1);
-        std::vector<VsId> Memo;
-        for (size_t PI = 0; PI < Programs.size() && !Overflow; ++PI) {
-          const VsClosureShard &S = *Shards[PI].Shard;
-          Memo.assign(S.Table.size(), -1);
-          Roots[PI] = VT.absorb(S.Table, S.Root, Memo);
-          Overflow = VT.size() > Params.MaxVersionNodes;
-        }
-        if (!Overflow) {
-          Closures.assign(NumFrontiers, {});
-          for (size_t X = 0; X < NumFrontiers; ++X)
-            for (const FrontierEntry &E :
-                 Result.RewrittenFrontiers[X].entries())
-              Closures[X].push_back(Roots[ProgramSlot[E.Program]]);
-        }
-      }
-      if (!Overflow)
-        break;
-      // Overflow-degrade contract: a degraded attempt takes back every
-      // shard it installed (plus any stale oversized hit) before retrying
-      // shallower, so near-cap shards never linger in the cache and the
-      // shallower retry — whose keys differ in Steps anyway — can never
-      // observe this attempt's entries.
-      if (Cache)
-        for (size_t PI = 0; PI < Shards.size(); ++PI)
-          if (Shards[PI].Installed ||
-              (Shards[PI].Hit &&
-               Shards[PI].Shard->nodes() > Params.MaxVersionNodes))
-            Cache->evict(Programs[PI], Steps);
-      if (Steps <= 1) {
-        // Even the shallowest inversion depth overflows: give up on this
-        // round entirely. The partially built table and closures must
-        // never reach proposal ranking (a short Closures row would be
-        // indexed out of bounds by the scoring loop below).
-        ClosureGaveUp = true;
-        break;
-      }
-      if (Params.Verbose)
-        std::fprintf(stderr,
-                     "compression: version table overflow at n=%d; "
-                     "retrying with n=%d\n",
-                     Steps, Steps - 1);
-    }
-    if (ClosureGaveUp)
-      break; // corpus too large for refactoring at any depth
-    if (Steps != RewriteMemoSteps) {
-      // Extractions depend on the inversion depth: the first round, and
-      // any round whose degrade ladder settled on a different depth,
-      // invalidates every memoized rewrite.
-      RewriteMemo.clear();
-      RewriteMemoSteps = Steps;
-    }
-#ifndef NDEBUG
-    for (size_t X = 0; X < NumFrontiers; ++X)
-      assert(Closures[X].size() ==
-                 Result.RewrittenFrontiers[X].entries().size() &&
-             "every beam entry needs exactly one closure root");
-#endif
-    if (obs::Telemetry::enabled()) {
-      obs::Tracer::global().end("compress.closure", ClosureStart);
-      obs::observe("compress.version_nodes",
-                   static_cast<double>(VT.size()));
-      obs::gaugeSet("compress.refactor_steps", Steps);
-    }
-    int64_t ProposeStart =
-        obs::Telemetry::enabled() ? obs::Tracer::global().begin() : 0;
+/// The cheapest member, before β-normalization, of entry I of frontier X
+/// (program P) under one candidate; nullptr when there is none.
+using MemberFn = std::function<ExprPtr(size_t X, size_t I, ExprPtr P)>;
 
-    // Count, for each version-space node, how many tasks' refactorings
-    // contain it. Frontiers fan out in chunks: each worker accumulates a
-    // chunk-private count vector (reachable() is a const read), and the
-    // partials fold in chunk order. Integer sums commute exactly, so the
-    // totals are identical at every thread count by construction.
-    std::vector<int> TasksCovering(VT.size(), 0);
-    {
-      const size_t CoverChunk = 64;
-      const size_t NumChunks =
-          (Closures.size() + CoverChunk - 1) / CoverChunk;
-      std::vector<std::vector<int>> Partials(NumChunks);
-      parallelFor(Params.NumThreads, NumChunks, [&](size_t CK) {
-        std::vector<int> &Counts = Partials[CK];
-        Counts.assign(VT.size(), 0);
-        std::vector<char> InThisTask(VT.size(), 0);
-        size_t End = std::min(Closures.size(), (CK + 1) * CoverChunk);
-        for (size_t X = CK * CoverChunk; X < End; ++X) {
-          std::fill(InThisTask.begin(), InThisTask.end(), 0);
-          for (VsId Root : Closures[X])
-            for (VsId V : VT.reachable(Root))
-              InThisTask[V] = 1;
-          for (size_t V = 0; V < InThisTask.size(); ++V)
-            Counts[V] += InThisTask[V];
-        }
-      });
-      for (const std::vector<int> &Counts : Partials)
-        for (size_t V = 0; V < Counts.size(); ++V)
-          TasksCovering[V] += Counts[V];
-    }
-
-    // Rank candidate spaces by coverage, then validate the top ones. Ties
-    // break toward the lower node id so the ranking (and hence which
-    // candidates survive the MaxCandidates cut) is a total order,
-    // independent of sort implementation details.
-    std::vector<std::pair<int, VsId>> Ranked;
-    for (size_t V = 0; V < TasksCovering.size(); ++V)
-      if (TasksCovering[V] >= Params.MinimumTasksCovered)
-        Ranked.push_back({TasksCovering[V], static_cast<VsId>(V)});
-    std::sort(Ranked.begin(), Ranked.end(),
-              [](const auto &A, const auto &B) {
-                return A.first != B.first ? A.first > B.first
-                                          : A.second < B.second;
-              });
-
-    // One candidate-independent extraction cache shared by the proposal
-    // scan and by out-of-cone nodes during per-candidate rewriting.
-    // Pre-warming it on every closure root up front makes it strictly
-    // read-only for everything that follows: proposal workers and scoring
-    // workers alike layer private overlays on top of it.
-    std::unordered_map<VsId, Extraction> SharedCache;
-    {
-      obs::ScopedSpan PrewarmSpan("compress.prewarm");
-      for (size_t X = 0; X < Closures.size(); ++X)
-        for (VsId Root : Closures[X])
-          VT.extractCheapest(Root, SharedCache);
-    }
-
-    // Validate the ranked spaces into concrete proposals. The pure,
-    // expensive part (extraction + β-normalization + free-variable
-    // closure) fans out per ranked space; admission — body dedup,
-    // anchoring via incorporate() (which mutates the table), and the
-    // MaxCandidates cut — replays serially in rank order, so the
-    // surviving candidate list is exactly the serial scan's. Chunking
-    // bounds the wasted fan-out after the cut to one chunk.
-    struct Proposal {
-      ExprPtr Term;          ///< normalized open term (null = rejected)
-      ExprPtr Body;          ///< λ-closed invention body
-      std::vector<int> Free; ///< free indices the body was closed over
-    };
-    std::vector<Candidate> Candidates;
-    std::set<ExprPtr> SeenBodies;
-    const size_t ScanChunk = std::max<size_t>(
-        32, 4 * static_cast<size_t>(
-                    ThreadPool::resolveThreadCount(Params.NumThreads)));
-    for (size_t ChunkStart = 0;
-         ChunkStart < Ranked.size() &&
-         static_cast<int>(Candidates.size()) < Params.MaxCandidates;
-         ChunkStart += ScanChunk) {
-      size_t ChunkEnd = std::min(Ranked.size(), ChunkStart + ScanChunk);
-      std::vector<Proposal> Proposals(ChunkEnd - ChunkStart);
-      parallelFor(Params.NumThreads, ChunkEnd - ChunkStart, [&](size_t K) {
-        VsId V = Ranked[ChunkStart + K].second;
-        std::unordered_map<VsId, Extraction> Overlay;
-        ExprPtr Term = VT.extractLayered(V, SharedCache, Overlay).Program;
-        if (!Term)
-          return;
-        // Normalize the invention (the OCaml system's
-        // normalize_invention): extracted members are refactorings and
-        // often carry β-redexes. A null return means the budget ran out
-        // mid-reduction — drop the candidate rather than anchor on a
-        // half-reduced term.
-        Term = Term->betaNormalForm(128);
-        if (!Term)
-          return;
-        // The term may be open — λ-abstract its free variables into the
-        // invention and apply the invention back to them at rewrite
-        // sites.
-        std::set<int> FreeSet;
-        detail::collectFreeIndices(Term, 0, FreeSet);
-        if (FreeSet.size() > 2)
-          return; // cap invention arity growth from free variables
-        std::vector<int> Free(FreeSet.begin(), FreeSet.end());
-        ExprPtr Body =
-            Free.empty() ? Term : detail::closeOverFreeIndices(Term, Free);
-        if (!detail::isUsefulInventionBody(Body, Result.NewGrammar))
-          return;
-        Proposals[K] = {Term, Body, std::move(Free)};
-      });
-      for (Proposal &P : Proposals) {
-        if (static_cast<int>(Candidates.size()) >= Params.MaxCandidates)
-          break;
-        if (!P.Term)
+/// Rewrites every beam entry under candidate \p CI, inside its scoring
+/// worker: a replay from \p Replay when the memo has the pair, else the
+/// member \p Member picks, β-normalized and kept only while it stays
+/// typeable. \p Member and its per-candidate memos die on return.
+void rewriteBeams(std::vector<Frontier> &Rewritten, MemberFn Member,
+                  std::unordered_map<ExprPtr, ExprPtr> *Replay,
+                  const RewriteMemo &Memo, size_t CI, std::string &Log,
+                  const CompressionParams &Params) {
+  for (size_t X = 0; X < Rewritten.size(); ++X) {
+    auto &Entries = Rewritten[X].entries();
+    for (size_t I = 0; I < Entries.size(); ++I) {
+      const ExprPtr Before = Entries[I].Program;
+      if (Replay) {
+        auto It = Replay->find(Before);
+        if (It != Replay->end()) {
+          // Identical to recomputing: the value is a pure function of
+          // (anchor term, beam program), and a beam the last adoption
+          // rewrote arrives here as a different program — a miss.
+          Entries[I].Program = It->second;
+          obs::countAdd(Memo.Hits);
           continue;
-        if (!SeenBodies.insert(P.Body).second)
-          continue; // distinct spaces can extract identical bodies
-        // Rewrites fire where the candidate node itself appears; anchor
-        // the candidate at the hash-consed singleton of the normalized
-        // (open) term, which every closure position exposing the idiom
-        // shares.
-        VsId Anchor = VT.incorporate(P.Term);
-        if (Anchor >= static_cast<VsId>(TasksCovering.size()) ||
-            TasksCovering[Anchor] < Params.MinimumTasksCovered)
-          continue; // the normal form itself is not exposed often enough
-        ExprPtr Invention = Expr::invented(P.Body);
-        ExprPtr Rewrite = Invention;
-        for (int I : P.Free)
-          Rewrite = Expr::application(Rewrite, Expr::index(I));
-        Candidates.push_back({Anchor, Invention, Rewrite, P.Term,
-                              TasksCovering[Anchor]});
+        }
+        obs::countAdd(Memo.Misses);
       }
+      // The member may be a refactoring with explicit β-redexes, e.g.
+      // ((λ (map $0 xs)) #invention); normalize so the grammar can score
+      // it. Inventions are atomic and survive. No member, or no normal
+      // form within the step budget, keeps the original entry.
+      ExprPtr After = Before;
+      if (ExprPtr M = Member(X, I, Before))
+        if (ExprPtr Normal = M->betaNormalForm(512)) {
+          if (Params.Verbose && Normal != Before && CI < 3)
+            appendf(Log, "    rewrite[%zu] %s => %s\n", CI,
+                    Before->show().c_str(), Normal->show().c_str());
+          if (Normal->inferType())
+            After = Normal;
+        }
+      Entries[I].Program = After;
+      if (Replay)
+        Replay->emplace(Before, After);
     }
-    if (Params.Verbose)
-      std::fprintf(stderr,
-                   "compression round %d: %zu ranked, %zu candidates, "
-                   "baseline %.2f\n",
-                   Round, Ranked.size(), Candidates.size(),
-                   Result.FinalScore);
-    if (obs::Telemetry::enabled()) {
-      obs::Tracer::global().end("compress.propose", ProposeStart);
-      obs::countAdd("compress.candidates_ranked",
-                    static_cast<long>(Ranked.size()));
-      obs::countAdd("compress.candidates_proposed",
-                    static_cast<long>(Candidates.size()));
-      for (const Candidate &C : Candidates)
-        obs::observe("compress.candidate_coverage", C.TasksCovered);
-    }
-    if (Candidates.empty())
-      break;
-
-    // Hand each candidate its rewrite-memo sub-map up front, serially:
-    // anchors are unique within a round (admission dedups bodies, and the
-    // body determines the anchor), so no two workers share a sub-map and
-    // the outer map never rehashes under the fan-out.
-    std::vector<std::unordered_map<ExprPtr, ExprPtr> *> Memos(
-        Candidates.size(), nullptr);
-    if (Params.UseVsCache)
-      for (size_t CI = 0; CI < Candidates.size(); ++CI)
-        Memos[CI] = &RewriteMemo[Candidates[CI].AnchorTerm];
-#ifndef NDEBUG
-    {
-      std::set<const void *> Distinct(Memos.begin(), Memos.end());
-      assert((!Params.UseVsCache || Distinct.size() == Memos.size()) &&
-             "candidate anchors must be unique within a round");
-    }
-#endif
-    // Package the candidates for the shared scoring round: the rewrite
-    // hook runs inside a scoring worker, against the read-only
-    // table/shared cache with a private overlay.
-    std::vector<RoundCandidate> RoundCands;
-    RoundCands.reserve(Candidates.size());
-    for (size_t CI = 0; CI < Candidates.size(); ++CI) {
-      const Candidate C = Candidates[CI];
-      std::unordered_map<ExprPtr, ExprPtr> *Memo = Memos[CI];
-      RoundCands.push_back(
-          {C.Invention, C.TasksCovered,
-           [C, Memo, &VT, &Closures, &SharedCache,
-            &Params](std::vector<Frontier> &Rewritten, size_t RoundCI,
-                     std::string &Log) {
-             std::vector<char> Cone = VT.coneAbove(C.Space);
-             std::unordered_map<VsId, Extraction> Overlay;
-             for (size_t X = 0; X < Rewritten.size(); ++X) {
-               auto &Entries = Rewritten[X].entries();
-               for (size_t I = 0; I < Entries.size(); ++I) {
-                 const ExprPtr Before = Entries[I].Program;
-                 if (Memo) {
-                   auto It = Memo->find(Before);
-                   if (It != Memo->end()) {
-                     // Replay from a previous round. Identical to
-                     // recomputing: the value is a pure function of
-                     // (anchor term, beam program, Steps), and a beam the
-                     // last adoption rewrote arrives here as a different
-                     // program — an automatic miss.
-                     Entries[I].Program = It->second;
-                     obs::countAdd("vs_cache.rewrite.hits");
-                     continue;
-                   }
-                   obs::countAdd("vs_cache.rewrite.misses");
-                 }
-                 // The extracted member may be a refactoring with
-                 // explicit β-redexes, e.g. ((λ (map $0 xs)) #invention);
-                 // normalize so the grammar can score it. Inventions are
-                 // atomic and survive. A null extraction or null normal
-                 // form (step budget exhausted) keeps the original entry.
-                 ExprPtr After = Before;
-                 Extraction E = VT.extractWithCandidate(
-                     Closures[X][I], C.Space, C.RewriteExpr, Cone,
-                     SharedCache, Overlay);
-                 if (E.Program) {
-                   ExprPtr Normal = E.Program->betaNormalForm(512);
-                   if (Normal) {
-                     if (Params.Verbose && Normal != Before && RoundCI < 3)
-                       appendf(Log, "    rewrite[%zu] %s => %s\n", RoundCI,
-                               Before->show().c_str(),
-                               Normal->show().c_str());
-                     if (Normal->inferType())
-                       After = Normal;
-                   }
-                 }
-                 Entries[I].Program = After;
-                 if (Memo)
-                   Memo->emplace(Before, After);
-               }
-             }
-           }});
-    }
-    if (!scoreAndAdoptBest(Result, RoundCands, Params))
-      break;
   }
 }
 
-/// The top-down backend's greedy rounds: corpus-guided proposal
-/// (vs/TopDown.cpp) feeding the identical scoring/adoption round. No
-/// version spaces are built; beams are rewritten by the extraction-cost
-/// DP over their syntax trees. The cross-round rewrite memo mirrors the
-/// version-space backend's, except it never needs invalidating: the DP
-/// has no inversion-depth dependence, so (anchor term, beam program)
-/// determines the rewritten entry outright.
-void runTopDownRounds(CompressionResult &Result,
-                      const CompressionParams &Params) {
-  std::unordered_map<ExprPtr, std::unordered_map<ExprPtr, ExprPtr>>
-      RewriteMemo;
+/// The half of a greedy round both backends share: rewrite every beam
+/// under each candidate, score D ∪ {invention} with libraryScore, and
+/// adopt the best improving candidate (ties toward the lowest candidate
+/// index, exactly the order a serial loop would visit). \p MemberFor makes
+/// candidate CI's member function inside CI's scoring worker, so it may
+/// own per-candidate memos; everything else (memo replay, normalization,
+/// the type check, logging) is the same whichever backend proposed.
+/// Candidates are independent: each worker copies the grammar and
+/// frontiers and writes score and rewrite into its own slot; verbose
+/// output is buffered per candidate and replayed in order. Returns true
+/// when a candidate was adopted into \p Result.
+bool scoreAndAdoptBest(CompressionResult &Result,
+                       const std::vector<CompressionCandidate> &Candidates,
+                       const std::function<MemberFn(size_t CI)> &MemberFor,
+                       RewriteMemo &Memo, const CompressionParams &Params) {
+  obs::ScopedSpan ScoreSpan("compress.score");
+  // Hand each candidate its memo sub-map up front, serially: anchors are
+  // unique within a round (proposers dedup bodies, and the body
+  // determines the anchor), so no two workers share a sub-map and the
+  // outer map never rehashes under the fan-out.
+  std::vector<std::unordered_map<ExprPtr, ExprPtr> *> Memos(
+      Candidates.size(), nullptr);
+  if (Params.UseVsCache)
+    for (size_t CI = 0; CI < Candidates.size(); ++CI)
+      Memos[CI] = &Memo.ByAnchor[Candidates[CI].AnchorTerm];
+#ifndef NDEBUG
+  {
+    std::set<const void *> Distinct(Memos.begin(), Memos.end());
+    assert((!Params.UseVsCache || Distinct.size() == Memos.size()) &&
+           "candidate anchors must be unique within a round");
+  }
+#endif
+
+  struct ScoredCandidate {
+    double Score = NegInf;
+    std::vector<Frontier> Rewritten;
+    Grammar Extended;
+    std::string VerboseLog;
+  };
+  std::vector<ScoredCandidate> Scored(Candidates.size());
+  CompressionParams InnerParams = Params;
+  InnerParams.NumThreads = 1; // summaries stay serial inside workers
+  parallelFor(Params.NumThreads, Candidates.size(), [&](size_t CI) {
+    obs::ScopedSpan CandidateSpan("compress.score.candidate");
+    const CompressionCandidate &C = Candidates[CI];
+    ScoredCandidate &S = Scored[CI];
+    S.Extended = Result.NewGrammar;
+    S.Extended.addProduction(C.Invention);
+    S.Rewritten = Result.RewrittenFrontiers;
+    rewriteBeams(S.Rewritten, MemberFor(CI), Memos[CI], Memo, CI,
+                 S.VerboseLog, Params);
+    S.Score = libraryScore(S.Extended, S.Rewritten, InnerParams);
+    obs::countAdd("compress.candidates_scored");
+    if (Params.Verbose && CI < 12)
+      appendf(S.VerboseLog, "  cand[%zu] %-40s cover=%d score=%.2f%s\n",
+              CI, C.Invention->show().c_str(), C.TasksCovered, S.Score,
+              S.Score > Result.FinalScore ? " (+)" : "");
+  });
+
+  // Deterministic reduction: best score, lowest candidate index on ties.
+  double BestScore = Result.FinalScore;
+  int BestIdx = -1;
+  for (size_t CI = 0; CI < Scored.size(); ++CI) {
+    if (Params.Verbose && !Scored[CI].VerboseLog.empty())
+      std::fputs(Scored[CI].VerboseLog.c_str(), stderr);
+    if (Scored[CI].Score > BestScore) {
+      BestScore = Scored[CI].Score;
+      BestIdx = static_cast<int>(CI);
+    }
+  }
+
+  if (BestIdx < 0)
+    return false; // no candidate improves the objective
+  if (Params.Verbose)
+    std::fprintf(stderr, "compression: +%s (score %.2f -> %.2f)\n",
+                 Candidates[BestIdx].Invention->show().c_str(),
+                 Result.FinalScore, BestScore);
+  Result.NewGrammar = std::move(Scored[BestIdx].Extended);
+  Result.RewrittenFrontiers = std::move(Scored[BestIdx].Rewritten);
+  Result.NewInventions.push_back(Candidates[BestIdx].Invention);
+  Result.FinalScore = BestScore;
+  obs::countAdd("compress.inventions_adopted");
+  return true;
+}
+
+/// What a version-space round's rewriter reads: the merged closure table,
+/// each beam entry's closure root in it, the pre-warmed candidate-free
+/// extraction memo, and each candidate's anchor node.
+struct VersionSpaceRound {
+  VersionTable Table;
+  std::vector<std::vector<VsId>> Roots; ///< [frontier][entry]
+  std::unordered_map<VsId, Extraction> Shared;
+  std::vector<VsId> Anchors; ///< [candidate]
+};
+
+/// Builds the β-closure of every *distinct* beam program at
+/// Params.RefactorSteps into \p VS. A closure shard — betaClosure in a
+/// fresh private table — is a pure function of (program, Steps), which
+/// makes it the unit of content-addressed caching: structurally identical
+/// beam entries reuse one shard across frontiers, rounds and sleep phases
+/// instead of rebuilding it. The master table absorbs the shards in
+/// first-occurrence order (frontier order, entry order), so it and
+/// everything downstream of it is a pure function of the frontiers —
+/// never of the thread count, and never of which lookups hit (a hit
+/// returns a table bit-identical to a rebuild). Returns false when a shard
+/// or the merged table exceeds MaxVersionNodes; the round then proposes
+/// top-down.
+bool buildClosureTable(const std::vector<Frontier> &Frontiers,
+                       const CompressionParams &Params,
+                       VersionSpaceRound &VS) {
+  obs::ScopedSpan ClosureSpan("compress.closure");
+  std::vector<ExprPtr> Programs;
+  std::unordered_map<ExprPtr, size_t> ProgramSlot;
+  for (const Frontier &F : Frontiers)
+    for (const FrontierEntry &E : F.entries())
+      if (ProgramSlot.emplace(E.Program, Programs.size()).second)
+        Programs.push_back(E.Program);
+
+  VersionSpaceCache *Cache =
+      Params.UseVsCache ? &VersionSpaceCache::global() : nullptr;
+  std::vector<VsClosureShardPtr> Shards(Programs.size());
+  CancellationToken Overflow;
+  parallelFor(
+      Params.NumThreads, Programs.size(),
+      [&](size_t PI) {
+        obs::ScopedSpan ShardSpan("compress.closure.shard");
+        VsClosureShardPtr Shard =
+            Cache ? Cache->lookup(Programs[PI], Params.RefactorSteps)
+                  : nullptr;
+        if (!Shard) {
+          Shard = VsClosureShard::build(Programs[PI], Params.RefactorSteps);
+          if (Cache && Shard->nodes() <= Params.MaxVersionNodes)
+            Cache->insert(Shard);
+        }
+        // Oversize is a pure property of (program, Steps), so a hit
+        // cached under a larger cap by an earlier call overflows exactly
+        // as a rebuild would. Which shards got built before the other
+        // workers stop is thread-dependent; only the verdict survives,
+        // and oversized shards are never installed.
+        if (Shard->nodes() > Params.MaxVersionNodes) {
+          Overflow.cancel();
+          return;
+        }
+        Shards[PI] = std::move(Shard);
+      },
+      &Overflow);
+  if (Overflow.cancelled())
+    return false;
+
+  std::vector<VsId> Roots(Programs.size(), -1);
+  {
+    obs::ScopedSpan MergeSpan("compress.closure.merge");
+    std::vector<VsId> Memo;
+    for (size_t PI = 0; PI < Programs.size(); ++PI) {
+      const VsClosureShard &S = *Shards[PI];
+      Memo.assign(S.Table.size(), -1);
+      Roots[PI] = VS.Table.absorb(S.Table, S.Root, Memo);
+      if (VS.Table.size() > Params.MaxVersionNodes)
+        return false;
+    }
+  }
+  VS.Roots.assign(Frontiers.size(), {});
+  for (size_t X = 0; X < Frontiers.size(); ++X)
+    for (const FrontierEntry &E : Frontiers[X].entries())
+      VS.Roots[X].push_back(Roots[ProgramSlot[E.Program]]);
+  obs::observe("compress.version_nodes",
+               static_cast<double>(VS.Table.size()));
+  return true;
+}
+
+/// The version-space proposer: ranks closure nodes by how many tasks'
+/// refactorings contain them, then extracts and finalizes the top ones.
+/// Fills \p VS's shared extraction memo and candidate anchors.
+std::vector<CompressionCandidate>
+proposeFromClosures(const CompressionResult &Result,
+                    const CompressionParams &Params, int Round,
+                    VersionSpaceRound &VS) {
+  obs::ScopedSpan ProposeSpan("compress.propose");
+  VersionTable &VT = VS.Table;
+
+  // Count, for each version-space node, how many tasks' refactorings
+  // contain it. Frontiers fan out in chunks: each worker accumulates a
+  // chunk-private count vector (reachable() is a const read), and the
+  // partials fold in chunk order. Integer sums commute exactly, so the
+  // totals are identical at every thread count by construction.
+  std::vector<int> TasksCovering(VT.size(), 0);
+  {
+    const size_t CoverChunk = 64;
+    const size_t NumChunks = (VS.Roots.size() + CoverChunk - 1) / CoverChunk;
+    std::vector<std::vector<int>> Partials(NumChunks);
+    parallelFor(Params.NumThreads, NumChunks, [&](size_t CK) {
+      std::vector<int> &Counts = Partials[CK];
+      Counts.assign(VT.size(), 0);
+      std::vector<char> InThisTask(VT.size(), 0);
+      size_t End = std::min(VS.Roots.size(), (CK + 1) * CoverChunk);
+      for (size_t X = CK * CoverChunk; X < End; ++X) {
+        std::fill(InThisTask.begin(), InThisTask.end(), 0);
+        for (VsId Root : VS.Roots[X])
+          for (VsId V : VT.reachable(Root))
+            InThisTask[V] = 1;
+        for (size_t V = 0; V < InThisTask.size(); ++V)
+          Counts[V] += InThisTask[V];
+      }
+    });
+    for (const std::vector<int> &Counts : Partials)
+      for (size_t V = 0; V < Counts.size(); ++V)
+        TasksCovering[V] += Counts[V];
+  }
+
+  // Rank candidate spaces by coverage, then validate the top ones. Ties
+  // break toward the lower node id so the ranking (and hence which
+  // candidates survive the MaxCandidates cut) is a total order,
+  // independent of sort implementation details.
+  std::vector<std::pair<int, VsId>> Ranked;
+  for (size_t V = 0; V < TasksCovering.size(); ++V)
+    if (TasksCovering[V] >= Params.MinimumTasksCovered)
+      Ranked.push_back({TasksCovering[V], static_cast<VsId>(V)});
+  std::sort(Ranked.begin(), Ranked.end(), [](const auto &A, const auto &B) {
+    return A.first != B.first ? A.first > B.first : A.second < B.second;
+  });
+
+  // One candidate-free extraction memo shared by the proposal scan and by
+  // out-of-cone nodes during per-candidate rewriting. Pre-warming it on
+  // every closure root up front makes it strictly read-only for
+  // everything that follows: proposal workers and scoring workers alike
+  // layer private memos on top of it.
+  {
+    obs::ScopedSpan PrewarmSpan("compress.prewarm");
+    for (const std::vector<VsId> &Roots : VS.Roots)
+      for (VsId Root : Roots)
+        VT.extractMinimal(Root, {}, VS.Shared);
+  }
+
+  // Validate the ranked spaces into concrete proposals. The pure,
+  // expensive part (extraction and finalization) fans out per ranked
+  // space; admission — body dedup, anchoring via incorporate() (which
+  // mutates the table), and the MaxCandidates cut — replays serially in
+  // rank order, so the surviving candidate list is exactly the serial
+  // scan's. Chunking bounds the wasted fan-out after the cut to one chunk.
+  std::vector<CompressionCandidate> Candidates;
+  std::set<ExprPtr> SeenBodies;
+  const size_t ScanChunk = std::max<size_t>(
+      32, 4 * static_cast<size_t>(
+                  ThreadPool::resolveThreadCount(Params.NumThreads)));
+  for (size_t ChunkStart = 0;
+       ChunkStart < Ranked.size() &&
+       static_cast<int>(Candidates.size()) < Params.MaxCandidates;
+       ChunkStart += ScanChunk) {
+    size_t ChunkEnd = std::min(Ranked.size(), ChunkStart + ScanChunk);
+    std::vector<detail::ProposedTerm> Proposals(ChunkEnd - ChunkStart);
+    parallelFor(Params.NumThreads, ChunkEnd - ChunkStart, [&](size_t K) {
+      std::unordered_map<VsId, Extraction> Overlay;
+      ExprPtr Term =
+          VT.extractMinimal(Ranked[ChunkStart + K].second,
+                            {.Shared = &VS.Shared}, Overlay)
+              .Program;
+      if (Term)
+        Proposals[K] = detail::finalizeProposal(Term, Result.NewGrammar);
+    });
+    for (const detail::ProposedTerm &P : Proposals) {
+      if (static_cast<int>(Candidates.size()) >= Params.MaxCandidates)
+        break;
+      if (!P.Term)
+        continue;
+      if (!SeenBodies.insert(P.Body).second)
+        continue; // distinct spaces can extract identical bodies
+      // Rewrites fire where the candidate node itself appears; anchor the
+      // candidate at the hash-consed singleton of the normalized (open)
+      // term, which every closure position exposing the idiom shares.
+      VsId Anchor = VT.incorporate(P.Term);
+      if (Anchor >= static_cast<VsId>(TasksCovering.size()) ||
+          TasksCovering[Anchor] < Params.MinimumTasksCovered)
+        continue; // the normal form itself is not exposed often enough
+      Candidates.push_back(detail::makeCandidate(P, TasksCovering[Anchor]));
+      VS.Anchors.push_back(Anchor);
+    }
+  }
+  if (Params.Verbose)
+    std::fprintf(stderr,
+                 "compression round %d: %zu ranked, %zu candidates, "
+                 "baseline %.2f\n",
+                 Round, Ranked.size(), Candidates.size(), Result.FinalScore);
+  if (obs::Telemetry::enabled()) {
+    obs::countAdd("compress.candidates_ranked",
+                  static_cast<long>(Ranked.size()));
+    obs::countAdd("compress.candidates_proposed",
+                  static_cast<long>(Candidates.size()));
+    for (const CompressionCandidate &C : Candidates)
+      obs::observe("compress.candidate_coverage", C.TasksCovered);
+  }
+  return Candidates;
+}
+
+/// The top-down proposer (vs/TopDown.cpp) with its round telemetry.
+std::vector<CompressionCandidate>
+proposeFromCorpus(const CompressionResult &Result,
+                  const CompressionParams &Params, int Round) {
+  obs::ScopedSpan ProposeSpan("topdown.propose");
+  TopDownStats Stats;
+  std::vector<CompressionCandidate> Candidates = proposeTopDown(
+      Result.NewGrammar, Result.RewrittenFrontiers, Params, &Stats);
+  if (obs::Telemetry::enabled()) {
+    obs::countAdd("topdown.subtree_sites", Stats.SubtreeSites);
+    obs::countAdd("topdown.states_expanded", Stats.StatesExpanded);
+    obs::countAdd("topdown.states_pruned", Stats.StatesPruned);
+    obs::countAdd("topdown.completions", Stats.Completions);
+    obs::countAdd("topdown.candidates_proposed", Stats.CandidatesProposed);
+    if (Stats.BudgetExhausted)
+      obs::countAdd("topdown.budget_exhausted");
+    obs::countAdd("compress.candidates_proposed",
+                  static_cast<long>(Candidates.size()));
+    for (const CompressionCandidate &C : Candidates)
+      obs::observe("compress.candidate_coverage", C.TasksCovered);
+  }
+  if (Params.Verbose)
+    std::fprintf(stderr,
+                 "compression round %d (top-down): %ld sites, "
+                 "%ld states, %zu candidates, baseline %.2f\n",
+                 Round, Stats.SubtreeSites, Stats.StatesExpanded,
+                 Candidates.size(), Result.FinalScore);
+  return Candidates;
+}
+
+/// The greedy rounds of one sleep phase, for either backend. A
+/// version-space round whose closure table overflows MaxVersionNodes
+/// proposes and rewrites top-down; since the overflow verdict is a pure
+/// function of (programs, RefactorSteps, cap), so is the choice.
+void runRounds(CompressionResult &Result, const CompressionParams &Params) {
+  // The cross-round rewrite memos (UseVsCache). Scoring's dominant cost
+  // is rewriting every beam under every candidate, and the outcome for
+  // one pair is a pure function of (anchor term, beam program): extraction
+  // breaks ties by term content (vs/VersionSpace.cpp) at the phase's one
+  // inversion depth, and the top-down DP has no depth at all. After an
+  // adoption only the pairs whose beam the new invention rewrote, or
+  // whose candidate is new, miss. The two rewriters can disagree on a
+  // pair (DESIGN.md §10), so each keeps its own memo.
+  RewriteMemo VersionSpaceMemo{"vs_cache.rewrite.hits",
+                               "vs_cache.rewrite.misses", {}};
+  RewriteMemo TopDownMemo{"topdown.rewrite.hits", "topdown.rewrite.misses",
+                          {}};
 
   for (int Round = 0; Round < Params.MaxNewInventions; ++Round) {
     obs::countAdd("compress.rounds");
-    int64_t ProposeStart =
-        obs::Telemetry::enabled() ? obs::Tracer::global().begin() : 0;
-    TopDownStats Stats;
-    std::vector<TopDownCandidate> Candidates = proposeTopDown(
-        Result.NewGrammar, Result.RewrittenFrontiers, Params, &Stats);
-    if (obs::Telemetry::enabled()) {
-      obs::Tracer::global().end("topdown.propose", ProposeStart);
-      obs::countAdd("topdown.subtree_sites", Stats.SubtreeSites);
-      obs::countAdd("topdown.states_expanded", Stats.StatesExpanded);
-      obs::countAdd("topdown.states_pruned", Stats.StatesPruned);
-      obs::countAdd("topdown.completions", Stats.Completions);
-      obs::countAdd("topdown.candidates_proposed",
-                    Stats.CandidatesProposed);
-      if (Stats.BudgetExhausted)
-        obs::countAdd("topdown.budget_exhausted");
-      obs::countAdd("compress.candidates_proposed",
-                    static_cast<long>(Candidates.size()));
-      for (const TopDownCandidate &C : Candidates)
-        obs::observe("compress.candidate_coverage", C.TasksCovered);
+    VersionSpaceRound VS;
+    bool UseClosures = Params.Backend == CompressionBackend::VersionSpace;
+    if (UseClosures &&
+        !buildClosureTable(Result.RewrittenFrontiers, Params, VS)) {
+      UseClosures = false;
+      obs::countAdd("compress.overflow_fallbacks");
+      if (Params.Verbose)
+        std::fprintf(stderr,
+                     "compression round %d: version table over %zu nodes; "
+                     "proposing top-down\n",
+                     Round, Params.MaxVersionNodes);
     }
-    if (Params.Verbose)
-      std::fprintf(stderr,
-                   "compression round %d (top-down): %ld sites, "
-                   "%ld states, %zu candidates, baseline %.2f\n",
-                   Round, Stats.SubtreeSites, Stats.StatesExpanded,
-                   Candidates.size(), Result.FinalScore);
+    std::vector<CompressionCandidate> Candidates =
+        UseClosures ? proposeFromClosures(Result, Params, Round, VS)
+                    : proposeFromCorpus(Result, Params, Round);
     if (Candidates.empty())
       break;
 
-    // Same per-candidate memo discipline as the version-space round:
-    // surviving candidates have distinct bodies, distinct bodies have
-    // distinct anchors, so the sub-maps are worker-exclusive.
-    std::vector<std::unordered_map<ExprPtr, ExprPtr> *> Memos(
-        Candidates.size(), nullptr);
-    if (Params.UseVsCache)
-      for (size_t CI = 0; CI < Candidates.size(); ++CI)
-        Memos[CI] = &RewriteMemo[Candidates[CI].AnchorTerm];
-#ifndef NDEBUG
-    {
-      std::set<const void *> Distinct(Memos.begin(), Memos.end());
-      assert((!Params.UseVsCache || Distinct.size() == Memos.size()) &&
-             "candidate anchors must be unique within a round");
-    }
-#endif
-    std::vector<RoundCandidate> RoundCands;
-    RoundCands.reserve(Candidates.size());
-    for (size_t CI = 0; CI < Candidates.size(); ++CI) {
-      const TopDownCandidate C = Candidates[CI];
-      std::unordered_map<ExprPtr, ExprPtr> *Memo = Memos[CI];
-      RoundCands.push_back(
-          {C.Invention, C.TasksCovered,
-           [C, Memo, &Params](std::vector<Frontier> &Rewritten,
-                              size_t RoundCI, std::string &Log) {
-             // Node-level DP memo, shared across the beams of this
-             // candidate (costs are depth-independent).
-             std::unordered_map<ExprPtr, TopDownRewrite> NodeMemo;
-             for (Frontier &F : Rewritten) {
-               auto &Entries = F.entries();
-               for (size_t I = 0; I < Entries.size(); ++I) {
-                 const ExprPtr Before = Entries[I].Program;
-                 if (Memo) {
-                   auto It = Memo->find(Before);
-                   if (It != Memo->end()) {
-                     Entries[I].Program = It->second;
-                     obs::countAdd("topdown.rewrite.hits");
-                     continue;
-                   }
-                   obs::countAdd("topdown.rewrite.misses");
-                 }
-                 // Identical post-processing to the version-space
-                 // rewrite: β-normalize the member, keep it only if it
-                 // stays typeable, fall back to the original otherwise.
-                 ExprPtr After = Before;
-                 TopDownRewrite R =
-                     topDownRewriteMember(Before, C, NodeMemo);
-                 if (R.Member) {
-                   ExprPtr Normal = R.Member->betaNormalForm(512);
-                   if (Normal) {
-                     if (Params.Verbose && Normal != Before && RoundCI < 3)
-                       appendf(Log, "    rewrite[%zu] %s => %s\n", RoundCI,
-                               Before->show().c_str(),
-                               Normal->show().c_str());
-                     if (Normal->inferType())
-                       After = Normal;
-                   }
-                 }
-                 Entries[I].Program = After;
-                 if (Memo)
-                   Memo->emplace(Before, After);
-               }
-             }
-           }});
-    }
-    if (!scoreAndAdoptBest(Result, RoundCands, Params))
+    // Each candidate's member function: extraction from the beam's
+    // closure with the candidate in scope (a private cone and memo over
+    // the read-only table and shared memo), or the top-down DP over the
+    // beam's syntax.
+    std::function<MemberFn(size_t)> MemberFor;
+    if (UseClosures)
+      MemberFor = [&](size_t CI) -> MemberFn {
+        VsId Anchor = VS.Anchors[CI];
+        ExprPtr Rewrite = Candidates[CI].RewriteExpr;
+        return [&VS, Anchor, Rewrite, Cone = VS.Table.coneAbove(Anchor),
+                Memo = std::unordered_map<VsId, Extraction>()](
+                   size_t X, size_t I, ExprPtr) mutable {
+          return VS.Table
+              .extractMinimal(VS.Roots[X][I],
+                              {Anchor, Rewrite, &Cone, &VS.Shared}, Memo)
+              .Program;
+        };
+      };
+    else
+      MemberFor = [&](size_t CI) -> MemberFn {
+        return [&C = Candidates[CI],
+                Memo = std::unordered_map<ExprPtr, Extraction>()](
+                   size_t, size_t, ExprPtr P) mutable {
+          return topDownRewriteMember(P, C, Memo).Program;
+        };
+      };
+    if (!scoreAndAdoptBest(Result, Candidates, MemberFor,
+                           UseClosures ? VersionSpaceMemo : TopDownMemo,
+                           Params))
       break;
   }
 }
@@ -848,10 +733,7 @@ dc::compressLibrary(const Grammar &G, const std::vector<Frontier> &Frontiers,
   obs::gaugeSet("compress.backend",
                 Params.Backend == CompressionBackend::TopDown ? 1 : 0);
 
-  if (Params.Backend == CompressionBackend::TopDown)
-    runTopDownRounds(Result, Params);
-  else
-    runVersionSpaceRounds(Result, Params);
+  runRounds(Result, Params);
 
   obs::gaugeSet("compress.score_final", Result.FinalScore);
 

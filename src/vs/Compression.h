@@ -12,11 +12,18 @@
 ///   log P[D] + Σ_x log Σ_{ρ∈B_x} P[x|ρ] · max_{ρ' →β* ρ} P[ρ'|D,θ]
 ///            + log P[θ|D] − |θ|₀
 ///
-/// Candidate routines are proposed from the version spaces of all ≤n-step
-/// refactorings of the beam programs (vs/VersionSpace.h); each candidate is
-/// scored by rewriting every beam program to its minimal form under the
-/// extended library, refitting θ, and evaluating the objective. The best
-/// candidate is adopted greedily until no candidate improves the score.
+/// Each greedy round proposes candidate routines, rewrites every beam
+/// program to its cheapest member under each candidate (paper Fig 5A),
+/// refits θ, and adopts the candidate that most improves the objective,
+/// until no candidate does. One round loop serves both backends; a
+/// backend only supplies the round's candidates and the cheapest member of
+/// a beam program under one of them:
+///
+///  * VersionSpace proposes from the version spaces of all ≤n-step
+///    refactorings of the beam programs (vs/VersionSpace.h) and extracts
+///    members from them. A round whose closure table would exceed
+///    MaxVersionNodes proposes and rewrites with TopDown instead.
+///  * TopDown proposes from the beam syntax directly (vs/TopDown.h).
 ///
 /// Setting refactoring steps to 0 recovers the EC baseline (subtree
 /// proposals only); see WakeSleep's baseline modes.
@@ -41,8 +48,8 @@ namespace dc {
 ///
 ///  * VersionSpace — materialize the ≤n-step β-inversion closure of every
 ///    beam program (paper §4) and rank its nodes. Complete up to the
-///    inversion depth, but the closure is exactly what the
-///    MaxVersionNodes degrade ladder exists to contain.
+///    inversion depth; a round whose closure exceeds MaxVersionNodes
+///    falls back to TopDown.
 ///  * TopDown — grow candidate patterns hole-by-hole over the beam syntax
 ///    (corpus-guided, à la "Top-Down Synthesis for Library Learning",
 ///    Bowers et al., POPL 2023), never building version spaces. Orders of
@@ -61,7 +68,9 @@ struct CompressionParams {
   int MaxNewInventions = 12;  ///< cap on routines added per sleep phase
   /// Candidates must occur in the refactorings of at least this many beams.
   int MinimumTasksCovered = 2;
-  /// Safety valve: skip version spaces larger than this many nodes.
+  /// Safety valve: a round whose β-closure shard or merged closure table
+  /// exceeds this many nodes proposes and rewrites with the TopDown
+  /// backend instead of version spaces.
   size_t MaxVersionNodes = 4000000;
   /// Worker threads for the three compression fan-outs (per-program
   /// β-closure shards, candidate scoring, likelihood summaries): 0 = one
@@ -73,8 +82,9 @@ struct CompressionParams {
   /// only skip recomputing pure values, so results are bit-identical with
   /// caching on or off — bench_vs_cache gates this at 1/4/8 threads.
   bool UseVsCache = true;
-  /// TopDown backend only: cap on pattern states expanded per proposal
-  /// round before the proposer stops refining (branch-and-bound still
+  /// TopDown rounds (the TopDown backend, and VersionSpace rounds that
+  /// overflow MaxVersionNodes): cap on pattern states expanded per
+  /// proposal round before the proposer stops refining (branch-and-bound still
   /// prunes below the cap). Literal-subtree candidates are enumerated
   /// outside this budget, so exhaustion degrades recall of capture
   /// patterns, never of common subtrees.
@@ -105,7 +115,39 @@ CompressionResult compressLibrary(const Grammar &G,
 double libraryScore(Grammar &G, const std::vector<Frontier> &Frontiers,
                     const CompressionParams &Params = {});
 
+/// One proposed library routine, whichever backend proposed it.
+struct CompressionCandidate {
+  /// The normalized open term occurrences rewrite at: the candidate's
+  /// content-stable identity. Invention and RewriteExpr are pure functions
+  /// of it, so the cross-round rewrite memos key on it.
+  ExprPtr AnchorTerm = nullptr;
+  ExprPtr Invention = nullptr; ///< closed #(...) routine added to D
+  /// What an occurrence of AnchorTerm becomes: the invention applied to
+  /// the anchor's free indices, e.g. (#(λ (+ $0 $0)) $1).
+  ExprPtr RewriteExpr = nullptr;
+  /// 0 ∈ free(AnchorTerm): the top-down rewriter also matches capture
+  /// sites S == AnchorTerm[$0 := a].
+  bool CapturesArgument = false;
+  int TasksCovered = 0;
+};
+
 namespace detail {
+
+/// A term that passed the proposal finalizer.
+struct ProposedTerm {
+  ExprPtr Term = nullptr; ///< β-normal anchor term (may be open)
+  ExprPtr Body = nullptr; ///< Term λ-closed over its free indices
+};
+
+/// Both backends' proposal finalizer (the original system's
+/// normalize_invention plus admission): β-normal form within 128 steps,
+/// at most two free indices, closeOverFreeIndices, isUsefulInventionBody.
+/// Returns nulls when \p Term is rejected.
+ProposedTerm finalizeProposal(ExprPtr Term, const Grammar &G);
+
+/// The candidate for a finalized term: the invention of its body, applied
+/// back to the term's free indices at rewrite sites.
+CompressionCandidate makeCandidate(const ProposedTerm &P, int TasksCovered);
 
 /// Rewrites \p Term so that free index Free[J] becomes the (K-J)-th
 /// innermost of K fresh enclosing lambdas, then wraps the lambdas — the
@@ -117,15 +159,12 @@ namespace detail {
 ExprPtr closeOverFreeIndices(ExprPtr Term, const std::vector<int> &Free);
 
 /// Collects the distinct free de Bruijn indices of \p E relative to its
-/// root (\p Depth binders already crossed), ascending. Shared by both
-/// proposal backends so a term closes over the same variable set either
-/// way.
+/// root (\p Depth binders already crossed), ascending.
 void collectFreeIndices(ExprPtr E, int Depth, std::set<int> &Out);
 
-/// The shared "nontrivial routine" admission test (see Compression.cpp):
-/// closed, well-typed, ≥2 primitives (or one plus a duplicated variable),
-/// and not already a production of \p G. Both backends must apply the
-/// identical filter or their candidate sets drift apart.
+/// The "nontrivial routine" admission test (see Compression.cpp): closed,
+/// well-typed, ≥2 primitives (or one plus a duplicated variable), and not
+/// already a production of \p G.
 bool isUsefulInventionBody(ExprPtr Body, const Grammar &G);
 
 } // namespace detail

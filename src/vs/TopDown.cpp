@@ -59,9 +59,9 @@ ExprPtr dc::detail::matchCapture(ExprPtr Anchor, ExprPtr Subject) {
   return Walk(Anchor, Subject, 0) ? Arg : nullptr;
 }
 
-TopDownRewrite
-dc::topDownRewriteMember(ExprPtr Program, const TopDownCandidate &C,
-                         std::unordered_map<ExprPtr, TopDownRewrite> &Memo) {
+Extraction
+dc::topDownRewriteMember(ExprPtr Program, const CompressionCandidate &C,
+                         std::unordered_map<ExprPtr, Extraction> &Memo) {
   auto It = Memo.find(Program);
   if (It != Memo.end())
     return It->second;
@@ -69,7 +69,7 @@ dc::topDownRewriteMember(ExprPtr Program, const TopDownCandidate &C,
   // Structural baseline: rewrite the children, keep this node. With
   // hash-consed expressions an unchanged subtree rebuilds to the same
   // pointer, so a fire-free program comes back as itself.
-  TopDownRewrite Best;
+  Extraction Best;
   switch (Program->kind()) {
   case ExprKind::Index:
   case ExprKind::Primitive:
@@ -77,15 +77,15 @@ dc::topDownRewriteMember(ExprPtr Program, const TopDownCandidate &C,
     Best = {1.0, Program};
     break;
   case ExprKind::Abstraction: {
-    TopDownRewrite B = topDownRewriteMember(Program->body(), C, Memo);
-    Best = {ExtractionEpsilonCost + B.Cost, Expr::abstraction(B.Member)};
+    Extraction B = topDownRewriteMember(Program->body(), C, Memo);
+    Best = {ExtractionEpsilonCost + B.Cost, Expr::abstraction(B.Program)};
     break;
   }
   case ExprKind::Application: {
-    TopDownRewrite Fn = topDownRewriteMember(Program->fn(), C, Memo);
-    TopDownRewrite Arg = topDownRewriteMember(Program->arg(), C, Memo);
+    Extraction Fn = topDownRewriteMember(Program->fn(), C, Memo);
+    Extraction Arg = topDownRewriteMember(Program->arg(), C, Memo);
     Best = {ExtractionEpsilonCost + Fn.Cost + Arg.Cost,
-            Expr::application(Fn.Member, Arg.Member)};
+            Expr::application(Fn.Program, Arg.Program)};
     break;
   }
   }
@@ -94,13 +94,13 @@ dc::topDownRewriteMember(ExprPtr Program, const TopDownCandidate &C,
   // strictly cheaper wins, exact-cost ties break by exprCompare.
   auto Improve = [&](double Cost, ExprPtr Member) {
     if (Cost != Best.Cost ? Cost < Best.Cost
-                          : exprCompare(Member, Best.Member) < 0)
+                          : exprCompare(Member, Best.Program) < 0)
       Best = {Cost, Member};
   };
 
   // A literal anchor occurrence costs exactly 1, like any other leaf —
-  // the extractWithCandidate rule that makes inventions pay for
-  // themselves through the description length they save.
+  // the extraction rule for the candidate node that makes inventions pay
+  // for themselves through the description length they save.
   if (Program == C.AnchorTerm)
     Improve(1.0, C.RewriteExpr);
 
@@ -110,10 +110,10 @@ dc::topDownRewriteMember(ExprPtr Program, const TopDownCandidate &C,
   // occurrence (1), and the argument's own best rewrite.
   if (C.CapturesArgument)
     if (ExprPtr A = detail::matchCapture(C.AnchorTerm, Program)) {
-      TopDownRewrite Ra = topDownRewriteMember(A, C, Memo);
+      Extraction Ra = topDownRewriteMember(A, C, Memo);
       Improve(1.0 + 2 * ExtractionEpsilonCost + Ra.Cost,
               Expr::application(Expr::abstraction(C.RewriteExpr),
-                                Ra.Member));
+                                Ra.Program));
     }
 
   Memo.emplace(Program, Best);
@@ -259,7 +259,7 @@ int coverage(const std::vector<SiteMatch> &Matches,
 
 } // namespace
 
-std::vector<TopDownCandidate>
+std::vector<CompressionCandidate>
 dc::proposeTopDown(const Grammar &G, const std::vector<Frontier> &Frontiers,
                    const CompressionParams &Params, TopDownStats *Stats) {
   TopDownStats Local;
@@ -276,32 +276,16 @@ dc::proposeTopDown(const Grammar &G, const std::vector<Frontier> &Frontiers,
   St.SubtreeSites = static_cast<long>(Index.Sites.size());
 
   struct Finalized {
-    ExprPtr Term;
-    ExprPtr Body;
-    std::vector<int> Free;
+    detail::ProposedTerm Proposal;
     int Coverage = 0;
   };
   std::vector<Finalized> Candidates;
-
-  // Shared finalization: exactly the version-space proposal scan's
-  // post-processing, so a term admitted here is a term that path would
-  // admit (normalize, arity cap, λ-closure, usefulness).
   auto finalize = [&](ExprPtr Term, int Cov) {
     if (Cov < Params.MinimumTasksCovered)
       return;
-    Term = Term->betaNormalForm(128);
-    if (!Term)
-      return;
-    std::set<int> FreeSet;
-    detail::collectFreeIndices(Term, 0, FreeSet);
-    if (FreeSet.size() > 2)
-      return; // cap invention arity growth from free variables
-    std::vector<int> Free(FreeSet.begin(), FreeSet.end());
-    ExprPtr Body =
-        Free.empty() ? Term : detail::closeOverFreeIndices(Term, Free);
-    if (!detail::isUsefulInventionBody(Body, G))
-      return;
-    Candidates.push_back({Term, Body, std::move(Free), Cov});
+    detail::ProposedTerm P = detail::finalizeProposal(Term, G);
+    if (P.Term)
+      Candidates.push_back({P, Cov});
   };
 
   // Family 1: literal common subtrees — complete, one pass, no search.
@@ -524,21 +508,16 @@ dc::proposeTopDown(const Grammar &G, const std::vector<Frontier> &Frontiers,
                    [](const Finalized &A, const Finalized &B) {
                      if (A.Coverage != B.Coverage)
                        return A.Coverage > B.Coverage;
-                     return exprCompare(A.Term, B.Term) < 0;
+                     return exprCompare(A.Proposal.Term, B.Proposal.Term) <
+                            0;
                    });
-  std::vector<TopDownCandidate> Out;
+  std::vector<CompressionCandidate> Out;
   std::set<ExprPtr> SeenBodies;
   for (const Finalized &F : Candidates) {
     if (static_cast<int>(Out.size()) >= Params.MaxCandidates)
       break;
-    if (!SeenBodies.insert(F.Body).second)
-      continue;
-    ExprPtr Invention = Expr::invented(F.Body);
-    ExprPtr Rewrite = Invention;
-    for (int I : F.Free)
-      Rewrite = Expr::application(Rewrite, Expr::index(I));
-    bool Captures = !F.Free.empty() && F.Free.front() == 0;
-    Out.push_back({F.Term, Invention, Rewrite, Captures, F.Coverage});
+    if (SeenBodies.insert(F.Proposal.Body).second)
+      Out.push_back(detail::makeCandidate(F.Proposal, F.Coverage));
   }
   St.CandidatesProposed = static_cast<long>(Out.size());
   return Out;

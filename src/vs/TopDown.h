@@ -24,10 +24,11 @@
 ///    refinement) drives branch-and-bound against the current top-K
 ///    completions, and TopDownExpansionBudget caps total states.
 ///
-/// A completed pattern becomes the same Candidate shape the version-space
-/// path produces — a normalized open anchor term, a λ-closed invention
-/// body, and the invention applied back to the anchor's free variables —
-/// and feeds the *shared* libraryScore/adoption round in Compression.cpp.
+/// A completed pattern passes the same finalizer as a version-space
+/// proposal and becomes the same CompressionCandidate (vs/Compression.h),
+/// which the one greedy-round loop in Compression.cpp scores and adopts.
+/// That loop also uses this proposer and rewriter for any version-space
+/// round whose closure table would exceed MaxVersionNodes.
 ///
 /// Rewriting a beam under a candidate replays the version-space extraction
 /// cost calculus directly on the syntax tree (topDownRewriteMember): a
@@ -46,26 +47,12 @@
 #define DC_VS_TOPDOWN_H
 
 #include "vs/Compression.h"
+#include "vs/VersionSpace.h"
 
 #include <unordered_map>
 #include <vector>
 
 namespace dc {
-
-/// One proposed routine from the top-down proposer — the same data the
-/// version-space path's Candidate carries, minus the table-local VsId
-/// (rewrites anchor on the term itself).
-struct TopDownCandidate {
-  /// Normalized open term occurrences rewrite at. Free index 0 (when
-  /// present) is additionally matched by capture: any site S with
-  /// S == AnchorTerm[$0 := a] rewrites to ((λ RewriteExpr) a).
-  ExprPtr AnchorTerm = nullptr;
-  ExprPtr Invention = nullptr;   ///< closed #(...) routine added to D
-  ExprPtr RewriteExpr = nullptr; ///< Invention applied to the free indices
-  /// Precomputed: 0 ∈ free(AnchorTerm), i.e. capture matching applies.
-  bool CapturesArgument = false;
-  int TasksCovered = 0;
-};
 
 /// Proposal-round telemetry (also exported as topdown.* counters).
 struct TopDownStats {
@@ -83,25 +70,19 @@ struct TopDownStats {
 /// version-space path, capped at Params.MaxCandidates. Deterministic and
 /// single-threaded by construction — proposal is the cheap phase; scoring
 /// fans out in the shared round.
-std::vector<TopDownCandidate>
+std::vector<CompressionCandidate>
 proposeTopDown(const Grammar &G, const std::vector<Frontier> &Frontiers,
                const CompressionParams &Params,
                TopDownStats *Stats = nullptr);
 
-/// Cost-tagged rewrite member (mirrors vs Extraction).
-struct TopDownRewrite {
-  double Cost = 0;
-  ExprPtr Member = nullptr;
-};
-
 /// The minimal-cost member of \p Program's rewrite space under candidate
-/// \p C, before β-normalization — the top-down equivalent of
-/// VersionTable::extractWithCandidate on the beam's closure. \p Memo is
-/// keyed by subterm (costs are depth-independent) and may be reused
-/// across beams for the same candidate.
-TopDownRewrite
-topDownRewriteMember(ExprPtr Program, const TopDownCandidate &C,
-                     std::unordered_map<ExprPtr, TopDownRewrite> &Memo);
+/// \p C, before β-normalization — the top-down equivalent of extracting
+/// from the beam's closure with the candidate in scope
+/// (VersionTable::extractMinimal). \p Memo is keyed by subterm (costs are
+/// depth-independent) and may be reused across beams for the same
+/// candidate.
+Extraction topDownRewriteMember(ExprPtr Program, const CompressionCandidate &C,
+                                std::unordered_map<ExprPtr, Extraction> &Memo);
 
 namespace detail {
 

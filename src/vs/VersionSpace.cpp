@@ -603,15 +603,23 @@ VsId VersionTable::betaClosure(ExprPtr E, int N) {
 // Extraction
 //===----------------------------------------------------------------------===//
 
-Extraction VersionTable::extractMinimal(
-    VsId V, VsId Candidate, ExprPtr CandidateExpr,
-    std::unordered_map<VsId, Extraction> &Cache) const {
-  if (V == Candidate) {
-    assert(CandidateExpr && "candidate requires its invention expression");
-    return {1.0, CandidateExpr};
+Extraction
+VersionTable::extractMinimal(VsId V, const ExtractionScope &Scope,
+                             std::unordered_map<VsId, Extraction> &Memo) const {
+  if (V == Scope.Candidate) {
+    // Cost 1 is already minimal: no sibling member can beat the invention.
+    assert(Scope.CandidateExpr && "candidate requires its invention");
+    return {1.0, Scope.CandidateExpr};
   }
-  auto It = Cache.find(V);
-  if (It != Cache.end())
+  // Outside the cone the candidate cannot matter, so the candidate-free
+  // shared memo answers; children of such a node are outside it too.
+  if (Scope.Shared && !(Scope.Cone && (*Scope.Cone)[V])) {
+    auto It = Scope.Shared->find(V);
+    if (It != Scope.Shared->end())
+      return It->second;
+  }
+  auto It = Memo.find(V);
+  if (It != Memo.end())
     return It->second;
 
   // Extraction never interns, so Nodes cannot reallocate underneath us.
@@ -628,16 +636,16 @@ Extraction VersionTable::extractMinimal(
     Result = {1.0, N.Leaf};
     break;
   case VsKind::Abstraction: {
-    Extraction Body = extractMinimal(N.Body, Candidate, CandidateExpr, Cache);
+    Extraction Body = extractMinimal(N.Body, Scope, Memo);
     if (Body.Program)
       Result = {EpsilonCost + Body.Cost, Expr::abstraction(Body.Program)};
     break;
   }
   case VsKind::Application: {
-    Extraction Fn = extractMinimal(N.Fn, Candidate, CandidateExpr, Cache);
+    Extraction Fn = extractMinimal(N.Fn, Scope, Memo);
     if (!Fn.Program)
       break;
-    Extraction Arg = extractMinimal(N.Arg, Candidate, CandidateExpr, Cache);
+    Extraction Arg = extractMinimal(N.Arg, Scope, Memo);
     if (!Arg.Program)
       break;
     Result = {EpsilonCost + Fn.Cost + Arg.Cost,
@@ -646,75 +654,19 @@ Extraction VersionTable::extractMinimal(
   }
   case VsKind::Union:
     for (VsId M : N.Members) {
-      Extraction E = extractMinimal(M, Candidate, CandidateExpr, Cache);
+      Extraction E = extractMinimal(M, Scope, Memo);
       if (extractionImproves(E, Result))
         Result = E;
     }
     break;
   }
-  Cache.emplace(V, Result);
+  Memo.emplace(V, Result);
   return Result;
 }
 
 ExprPtr VersionTable::extractCheapest(VsId V) const {
-  std::unordered_map<VsId, Extraction> Cache;
-  return extractMinimal(V, -1, nullptr, Cache).Program;
-}
-
-ExprPtr VersionTable::extractCheapest(
-    VsId V, std::unordered_map<VsId, Extraction> &Cache) const {
-  return extractMinimal(V, -1, nullptr, Cache).Program;
-}
-
-Extraction VersionTable::extractLayered(
-    VsId V, const std::unordered_map<VsId, Extraction> &Shared,
-    std::unordered_map<VsId, Extraction> &Overlay) const {
-  auto SIt = Shared.find(V);
-  if (SIt != Shared.end())
-    return SIt->second;
-  auto OIt = Overlay.find(V);
-  if (OIt != Overlay.end())
-    return OIt->second;
-
-  const VsNode &N = Nodes[V];
-  Extraction Result{Infinity, nullptr};
-  switch (N.Kind) {
-  case VsKind::Void:
-  case VsKind::Universe:
-    break; // inextractable
-  case VsKind::Index:
-    Result = {1.0, Expr::index(N.Index)};
-    break;
-  case VsKind::Terminal:
-    Result = {1.0, N.Leaf};
-    break;
-  case VsKind::Abstraction: {
-    Extraction Body = extractLayered(N.Body, Shared, Overlay);
-    if (Body.Program)
-      Result = {EpsilonCost + Body.Cost, Expr::abstraction(Body.Program)};
-    break;
-  }
-  case VsKind::Application: {
-    Extraction Fn = extractLayered(N.Fn, Shared, Overlay);
-    if (!Fn.Program)
-      break;
-    Extraction Arg = extractLayered(N.Arg, Shared, Overlay);
-    if (!Arg.Program)
-      break;
-    Result = {EpsilonCost + Fn.Cost + Arg.Cost,
-              Expr::application(Fn.Program, Arg.Program)};
-    break;
-  }
-  case VsKind::Union:
-    for (VsId M : N.Members) {
-      Extraction E = extractLayered(M, Shared, Overlay);
-      if (extractionImproves(E, Result))
-        Result = E;
-    }
-    break;
-  }
-  Overlay.emplace(V, Result);
-  return Result;
+  std::unordered_map<VsId, Extraction> Memo;
+  return extractMinimal(V, {}, Memo).Program;
 }
 
 std::vector<char> VersionTable::coneAbove(VsId Candidate) const {
@@ -745,60 +697,4 @@ std::vector<char> VersionTable::coneAbove(VsId Candidate) const {
     }
   }
   return Cone;
-}
-
-Extraction VersionTable::extractWithCandidate(
-    VsId V, VsId Candidate, ExprPtr CandidateExpr,
-    const std::vector<char> &Cone,
-    const std::unordered_map<VsId, Extraction> &SharedCache,
-    std::unordered_map<VsId, Extraction> &OverlayCache) const {
-  if (!Cone[V])
-    return extractLayered(V, SharedCache, OverlayCache);
-  if (V == Candidate) {
-    // The candidate itself extracts as the invention, but some sibling
-    // member may still be cheaper elsewhere — cost 1 is already minimal.
-    return {1.0, CandidateExpr};
-  }
-  auto It = OverlayCache.find(V);
-  if (It != OverlayCache.end())
-    return It->second;
-
-  const VsNode &N = Nodes[V];
-  Extraction Result{Infinity, nullptr};
-  switch (N.Kind) {
-  case VsKind::Void:
-  case VsKind::Universe:
-  case VsKind::Index:
-  case VsKind::Terminal:
-    // Leaves are never in a cone except the candidate itself.
-    Result = extractLayered(V, SharedCache, OverlayCache);
-    break;
-  case VsKind::Abstraction: {
-    Extraction Body = extractWithCandidate(N.Body, Candidate, CandidateExpr,
-                                           Cone, SharedCache, OverlayCache);
-    if (Body.Program)
-      Result = {EpsilonCost + Body.Cost, Expr::abstraction(Body.Program)};
-    break;
-  }
-  case VsKind::Application: {
-    Extraction Fn = extractWithCandidate(N.Fn, Candidate, CandidateExpr,
-                                         Cone, SharedCache, OverlayCache);
-    Extraction Arg = extractWithCandidate(N.Arg, Candidate, CandidateExpr,
-                                          Cone, SharedCache, OverlayCache);
-    if (Fn.Program && Arg.Program)
-      Result = {EpsilonCost + Fn.Cost + Arg.Cost,
-                Expr::application(Fn.Program, Arg.Program)};
-    break;
-  }
-  case VsKind::Union:
-    for (VsId M : N.Members) {
-      Extraction E = extractWithCandidate(M, Candidate, CandidateExpr, Cone,
-                                          SharedCache, OverlayCache);
-      if (extractionImproves(E, Result))
-        Result = E;
-    }
-    break;
-  }
-  OverlayCache.emplace(V, Result);
-  return Result;
 }

@@ -68,6 +68,21 @@ struct Extraction {
   ExprPtr Program = nullptr;
 };
 
+/// How one extraction layers its memos (VersionTable::extractMinimal).
+/// The default scope extracts without a candidate from one private memo.
+struct ExtractionScope {
+  /// A subspace that costs 1 and extracts as CandidateExpr (the freshly
+  /// invented routine), or -1 for none.
+  VsId Candidate = -1;
+  ExprPtr CandidateExpr = nullptr;
+  /// coneAbove(Candidate): the nodes whose extraction the candidate can
+  /// change. Required whenever both Candidate and Shared are set.
+  const std::vector<char> *Cone = nullptr;
+  /// A read-only candidate-free memo, consulted for every node outside
+  /// the cone before the private memo.
+  const std::unordered_map<VsId, Extraction> *Shared = nullptr;
+};
+
 /// Arena of hash-consed version spaces with memoized refactoring operators.
 class VersionTable {
 public:
@@ -152,44 +167,21 @@ public:
   /// the chosen program depends only on the DAG's structure, never on the
   /// node-id assignment of the particular table it lives in — the property
   /// the closure-shard cache and rewrite memo are built on (DESIGN.md §8).
-  /// When \p Candidate >= 0, that subspace costs 1 and extracts as
-  /// \p CandidateExpr (the freshly invented library routine). The memo
-  /// \p Cache must be reused only for the same (Candidate, CandidateExpr).
-  Extraction extractMinimal(VsId V, VsId Candidate, ExprPtr CandidateExpr,
-                            std::unordered_map<VsId, Extraction> &Cache) const;
+  /// Hits come from \p Scope's shared memo (outside the candidate's cone)
+  /// or from \p Memo; misses are stored in \p Memo only, which must be
+  /// specific to the scope's candidate. The table and the shared memo are
+  /// only read, so many threads may extract concurrently, each with its
+  /// own \p Memo.
+  Extraction extractMinimal(VsId V, const ExtractionScope &Scope,
+                            std::unordered_map<VsId, Extraction> &Memo) const;
 
-  /// Convenience wrapper without a candidate.
+  /// Candidate-free extraction from a fresh memo.
   ExprPtr extractCheapest(VsId V) const;
-
-  /// Like extractCheapest but reusing an external memo across calls (the
-  /// candidate-proposal loop extracts thousands of spaces from one table).
-  ExprPtr extractCheapest(VsId V,
-                          std::unordered_map<VsId, Extraction> &Cache) const;
-
-  /// Candidate-free extraction against a read-only shared memo: hits are
-  /// served from \p Shared, misses are computed and stored in \p Overlay
-  /// only. Safe to call concurrently from many threads as long as each has
-  /// its own \p Overlay and nobody mutates \p Shared or the table.
-  Extraction
-  extractLayered(VsId V, const std::unordered_map<VsId, Extraction> &Shared,
-                 std::unordered_map<VsId, Extraction> &Overlay) const;
 
   /// Marks every node from whose structure \p Candidate is reachable —
   /// the "cone" of nodes whose minimal extraction can change when the
   /// candidate becomes a unit-cost invention. Indexed by VsId.
   std::vector<char> coneAbove(VsId Candidate) const;
-
-  /// Candidate-aware extraction that only recomputes inside the cone;
-  /// nodes outside it reuse \p SharedCache (candidate-independent,
-  /// read-only — misses land in \p OverlayCache instead, so many
-  /// candidates can be scored concurrently against one pre-warmed shared
-  /// cache). \p OverlayCache must be specific to (Candidate,
-  /// CandidateExpr).
-  Extraction
-  extractWithCandidate(VsId V, VsId Candidate, ExprPtr CandidateExpr,
-                       const std::vector<char> &Cone,
-                       const std::unordered_map<VsId, Extraction> &SharedCache,
-                       std::unordered_map<VsId, Extraction> &OverlayCache) const;
 
 private:
   VsId intern(VsNode N);

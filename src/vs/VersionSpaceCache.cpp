@@ -53,19 +53,6 @@ bool VersionSpaceCache::insert(const VsClosureShardPtr &Shard) {
   return true;
 }
 
-bool VersionSpaceCache::evict(ExprPtr Program, int Steps) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Map.find({Program, Steps});
-  if (It == Map.end())
-    return false;
-  Nodes -= It->second.Shard->nodes();
-  Map.erase(It);
-  ++Evictions;
-  obs::countAdd("vs_cache.shard.evictions");
-  obs::gaugeSet("vs_cache.shard.nodes", static_cast<double>(Nodes));
-  return true;
-}
-
 void VersionSpaceCache::clear() {
   std::lock_guard<std::mutex> Lock(Mutex);
   Map.clear();

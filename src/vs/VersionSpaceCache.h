@@ -20,13 +20,12 @@
 /// produced, which is why cached and uncached compression results are
 /// byte-for-byte identical (gated by bench_vs_cache at 1/4/8 threads).
 ///
-/// Eviction is LRU over a total-node budget. The overflow-degrade
-/// contract (DESIGN.md §8): an attempt that overflows MaxVersionNodes
-/// must evict every shard it installed before retrying at a shallower
-/// inversion depth, so a degraded sleep never parks near-cap shards in
-/// the cache; compressLibrary drives that via evict().
+/// Eviction is LRU over a total-node budget. compressLibrary never
+/// installs a shard larger than its MaxVersionNodes cap, and treats a hit
+/// larger than the current cap (cached under a larger one) as the same
+/// overflow a rebuild would be (DESIGN.md §8).
 ///
-/// Thread safety: lookup/insert/evict take the cache mutex; the shards
+/// Thread safety: lookup/insert take the cache mutex; the shards
 /// themselves are immutable after construction and handed out as
 /// shared_ptr<const VsClosureShard>, so any number of workers can absorb
 /// from a hit concurrently with other lookups.
@@ -90,10 +89,6 @@ public:
   /// entries to fit the node budget. Returns false when the shard was not
   /// cached (already present, or alone larger than the whole budget).
   bool insert(const VsClosureShardPtr &Shard);
-
-  /// Drops one key; returns true when something was evicted. This is how
-  /// an overflowed degrade attempt takes back the shards it installed.
-  bool evict(ExprPtr Program, int Steps);
 
   /// Drops everything and zeroes the LRU clock (tests, benchmarks).
   void clear();

@@ -553,6 +553,35 @@ TEST_F(EnumerationTest, GenerousDeadlineKeepsResultsBitIdentical) {
             searchFingerprint({FTimed}, Timed));
 }
 
+TEST_F(EnumerationTest, HugeDeadlineMeansNoDeadline) {
+  // A timeout past the end of the steady clock's range saturates to "no
+  // deadline": converted to clock ticks unchecked, it would overflow into a
+  // deadline in the past and stop every search at once.
+  TaskPtr T = listTask("double", [](const std::vector<long> &In) {
+    std::vector<long> Out;
+    for (long V : In)
+      Out.push_back(2 * V);
+    return Out;
+  });
+  Grammar Focused = focusedGrammar();
+  EnumerationParams Params;
+  Params.MaxBudget = 16;
+  Params.NodeBudget = 2000000;
+
+  EnumerationStats Plain;
+  Frontier FPlain = solveTask(Focused, T, Params, &Plain);
+  ASSERT_FALSE(FPlain.empty());
+  for (double Huge : {1e13, 9.2e9, 1e300}) {
+    SCOPED_TRACE(Huge);
+    Params.WallTimeoutSeconds = Huge;
+    EnumerationStats Timed;
+    Frontier FTimed = solveTask(Focused, T, Params, &Timed);
+    EXPECT_FALSE(Timed.Interrupted);
+    EXPECT_EQ(searchFingerprint({FPlain}, Plain),
+              searchFingerprint({FTimed}, Timed));
+  }
+}
+
 TEST_F(EnumerationTest, CancellationTokenStopsSearch) {
   CancellationToken Cancel;
   Cancel.cancel(); // already cancelled: the first poll must end the search

@@ -767,8 +767,10 @@ std::string unsolvableRequest(const char *Id, long TimeoutMs) {
          R"(,"node_budget":100000000}})";
 }
 
-/// An identity solve with an explicit id and optional "domain" route.
-std::string identityRequest(const char *Id, const char *Domain = nullptr) {
+/// An identity solve with an explicit id, optional "domain" route and
+/// deadline.
+std::string identityRequest(const char *Id, const char *Domain = nullptr,
+                            long TimeoutMs = 60000) {
   std::string R = std::string(R"({"id":")") + Id +
                   R"(","method":"solve","params":{)";
   if (Domain)
@@ -776,7 +778,8 @@ std::string identityRequest(const char *Id, const char *Domain = nullptr) {
   R += R"json("request":"list(int) -> list(int)",)json"
        R"json("examples":[{"inputs":[[1,2,3]],"output":[1,2,3]},)json"
        R"json({"inputs":[[4]],"output":[4]}],)json"
-       R"json("timeout_ms":60000,"node_budget":50000}})json";
+       R"json("timeout_ms":)json" +
+       std::to_string(TimeoutMs) + R"json(,"node_budget":50000}})json";
   return R;
 }
 
@@ -1031,6 +1034,27 @@ TEST(ServeServerTest, EndToEndSolveHealthStats) {
   EXPECT_EQ((ES[{"list", 1ul}].Solved), 2);
   EXPECT_EQ((ES[{"list", 1ul}].Timeout), 1);
   expectTotalsAreEpochSums(*Srv);
+}
+
+TEST(ServeServerTest, HugeTimeoutMeansNoDeadline) {
+  // A timeout_ms past the end of the steady clock's range saturates to no
+  // deadline: converted to clock ticks unchecked, it would overflow into a
+  // deadline in the past and the identity task would answer "timeout".
+  ServiceRegistry Reg;
+  ASSERT_TRUE(Reg.install(makeListService()));
+  std::string Err;
+  std::unique_ptr<Server> Srv = Server::start(Reg, ServerConfig(), &Err);
+  ASSERT_TRUE(Srv) << Err;
+  TestClient C(Srv->port());
+  ASSERT_TRUE(C.connected());
+  for (long TimeoutMs : {10000000000000L, 9000000000000000000L}) {
+    SCOPED_TRACE(TimeoutMs);
+    Json Solve = C.roundTrip(identityRequest("big", nullptr, TimeoutMs));
+    ASSERT_TRUE(at(Solve, {"ok"}).asBool()) << Solve.dump();
+    EXPECT_EQ(at(Solve, {"result", "status"}).asString(), "solved");
+  }
+  Srv->requestShutdown();
+  Srv->waitForShutdown();
 }
 
 TEST(ServeServerTest, OverloadRejectionAndGracefulDrain) {

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
 using namespace dc;
 
 namespace {
@@ -54,6 +57,26 @@ protected:
     };
   }
 
+  /// The paper's Fig 2 corpus: recursive list maps whose only shared
+  /// structure is exposed by refactoring, as frontiers over \p Base.
+  std::vector<Frontier> figureTwoCorpus(const Grammar &Base) {
+    TypePtr Req = Type::arrow(tList(tInt()), tList(tInt()));
+    std::vector<Frontier> Fs;
+    for (const char *Body : {"(+ (car $0) (car $0))", "(- (car $0) 1)",
+                             "(+ (car $0) 1)"}) {
+      std::string Src = std::string("(lambda (fix (lambda (lambda (if "
+                                    "(is-nil $0) nil (cons ") +
+                        Body + " ($1 (cdr $0)))))) $0))";
+      ExprPtr P = parseProgram(Src);
+      EXPECT_NE(P, nullptr) << Src;
+      auto T = std::make_shared<Task>(Src, Req, std::vector<Example>{});
+      Frontier F(T);
+      F.record({P, Base.logLikelihood(Req, P), 0.0});
+      Fs.push_back(F);
+    }
+    return Fs;
+  }
+
   Grammar G;
 };
 
@@ -88,6 +111,14 @@ void expectIdenticalResults(const CompressionResult &A,
       EXPECT_EQ(EA[I].LogLikelihood, EB[I].LogLikelihood);
     }
   }
+}
+
+uint64_t fnv1a(const std::string &S, uint64_t H) {
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ULL;
+  }
+  return H;
 }
 
 } // namespace
@@ -361,35 +392,29 @@ TEST_F(CompressionTest, CloseOverFreeIndicesRejectsIncompleteSets) {
 }
 
 TEST_F(CompressionTest, OverflowDegradeNeverLeaksPartialClosures) {
-  // Regression: when even the shallowest inversion depth overflows the
-  // node cap, the old loop could exit with partially built closures whose
-  // short rows were then indexed out of bounds by candidate scoring. The
-  // hardened loop abandons the round, so compression degrades to a clean
-  // pass-through: same grammar, same beams, no inventions.
+  // A round whose closure table overflows MaxVersionNodes proposes and
+  // rewrites top-down, and no partially built closure may reach candidate
+  // scoring. At caps 1 and 8 every round overflows, so the version-space
+  // backend must reproduce the top-down backend bit for bit.
   std::vector<Frontier> Fs = idiomCorpus();
   for (size_t Cap : {size_t(1), size_t(8)}) {
-    SCOPED_TRACE("cap=" + std::to_string(Cap));
     for (int Steps : {0, 3}) {
       CompressionParams Params;
       Params.RefactorSteps = Steps;
       Params.MaxVersionNodes = Cap;
-      CompressionResult R = compressLibrary(G, Fs, Params);
-      EXPECT_TRUE(R.NewInventions.empty());
-      ASSERT_EQ(R.RewrittenFrontiers.size(), Fs.size());
-      for (size_t X = 0; X < Fs.size(); ++X) {
-        ASSERT_EQ(R.RewrittenFrontiers[X].entries().size(),
-                  Fs[X].entries().size());
-        for (size_t I = 0; I < Fs[X].entries().size(); ++I)
-          EXPECT_EQ(R.RewrittenFrontiers[X].entries()[I].Program,
-                    Fs[X].entries()[I].Program);
-      }
+      Params.Backend = CompressionBackend::TopDown;
+      CompressionResult TD = compressLibrary(G, Fs, Params);
+      ASSERT_FALSE(TD.NewInventions.empty());
+      Params.Backend = CompressionBackend::VersionSpace;
+      expectIdenticalResults(TD, compressLibrary(G, Fs, Params),
+                             "cap=" + std::to_string(Cap) +
+                                 " steps=" + std::to_string(Steps));
     }
   }
-  // Caps large enough for shallow inversion depths but (possibly) not
-  // n=3 exercise the degrade ladder's surviving levels: closures must
-  // still be complete (the in-loop assert) and the result well formed.
+  // Caps that fit some closures but not others mix version-space and
+  // top-down rounds; the result must stay well formed.
   for (size_t Cap : {size_t(40), size_t(3000)}) {
-    SCOPED_TRACE("degrade cap=" + std::to_string(Cap));
+    SCOPED_TRACE("mixed cap=" + std::to_string(Cap));
     CompressionParams Params;
     Params.StructurePenalty = 0.5;
     Params.MaxVersionNodes = Cap;
@@ -408,4 +433,54 @@ TEST_F(CompressionTest, EmptyFrontiersPassThrough) {
   CompressionResult R = compressLibrary(G, Fs);
   EXPECT_TRUE(R.NewInventions.empty());
   EXPECT_TRUE(R.RewrittenFrontiers[0].empty());
+}
+
+TEST_F(CompressionTest, CompressedLibraryMatchesGolden) {
+  // Pins compressLibrary's observable output across builds, not just
+  // across thread counts or backends: the adopted inventions, every refit
+  // weight and both scores bit for bit, and every rewritten beam. Four
+  // cases — the idiom corpus under both backends, the Fig 2 corpus under
+  // version spaces, and the EC baseline (no refactoring) — each at 1 and
+  // 4 threads. Any change to proposal, extraction, rewriting, scoring or
+  // adoption changes the literal.
+  struct Case {
+    Grammar Base;
+    std::vector<Frontier> Frontiers;
+    CompressionBackend Backend;
+    int RefactorSteps;
+  };
+  Grammar Lisp = Grammar::uniform(prims::mcCarthy1959());
+  std::vector<Case> Cases = {
+      {G, idiomCorpus(), CompressionBackend::VersionSpace, 3},
+      {G, idiomCorpus(), CompressionBackend::TopDown, 3},
+      {Lisp, figureTwoCorpus(Lisp), CompressionBackend::VersionSpace, 3},
+      {G, idiomCorpus(), CompressionBackend::VersionSpace, 0},
+  };
+  uint64_t H = 1469598103934665603ULL;
+  char Buf[128];
+  for (const Case &C : Cases)
+    for (int Threads : {1, 4}) {
+      CompressionParams Params;
+      Params.StructurePenalty = 0.5;
+      Params.Backend = C.Backend;
+      Params.RefactorSteps = C.RefactorSteps;
+      Params.NumThreads = Threads;
+      CompressionResult R = compressLibrary(C.Base, C.Frontiers, Params);
+      for (ExprPtr Inv : R.NewInventions)
+        H = fnv1a(Inv->show() + "\n", H);
+      for (const Production &P : R.NewGrammar.productions()) {
+        std::snprintf(Buf, sizeof(Buf), " %a\n", P.LogWeight);
+        H = fnv1a(Buf, H);
+      }
+      std::snprintf(Buf, sizeof(Buf), "%a %a %a\n",
+                    R.NewGrammar.logVariable(), R.InitialScore,
+                    R.FinalScore);
+      H = fnv1a(Buf, H);
+      for (const Frontier &F : R.RewrittenFrontiers)
+        for (const FrontierEntry &E : F.entries())
+          H = fnv1a(E.Program->show() + "\n", H);
+    }
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(H));
+  EXPECT_STREQ(Buf, "0d9649ca13d9c7bb");
 }

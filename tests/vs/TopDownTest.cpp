@@ -5,8 +5,8 @@
 // top-down backend's adopted library, rewritten frontiers, refit weights,
 // and scores must be bit-identical to the version-space backend's — at
 // 1, 4, and 8 threads, with the caches on or off. On an overflow-shaped
-// corpus (the MaxVersionNodes degrade ladder gives up), top-down must
-// still propose and adopt the planted abstraction.
+// corpus (no closure fits MaxVersionNodes), both backends must propose
+// and adopt the planted abstraction top-down.
 //
 //===----------------------------------------------------------------------===//
 
@@ -213,22 +213,17 @@ TEST_F(TopDownTest, MatchCaptureShiftsOuterFreeIndices) {
 
 namespace {
 
-TopDownCandidate makeCandidate(const std::string &Anchor) {
-  TopDownCandidate C;
-  C.AnchorTerm = parseProgram(Anchor);
-  EXPECT_NE(C.AnchorTerm, nullptr) << Anchor;
+/// The candidate anchored at \p Anchor, built without the usefulness
+/// filter so that unit tests can price any anchor.
+CompressionCandidate makeCandidate(const std::string &Anchor) {
+  ExprPtr Term = parseProgram(Anchor);
+  EXPECT_NE(Term, nullptr) << Anchor;
   std::set<int> FreeSet;
-  detail::collectFreeIndices(C.AnchorTerm, 0, FreeSet);
+  detail::collectFreeIndices(Term, 0, FreeSet);
   std::vector<int> Free(FreeSet.begin(), FreeSet.end());
-  ExprPtr Body = Free.empty()
-                     ? C.AnchorTerm
-                     : detail::closeOverFreeIndices(C.AnchorTerm, Free);
-  C.Invention = Expr::invented(Body);
-  C.RewriteExpr = C.Invention;
-  for (int I : Free)
-    C.RewriteExpr = Expr::application(C.RewriteExpr, Expr::index(I));
-  C.CapturesArgument = !Free.empty() && Free.front() == 0;
-  return C;
+  ExprPtr Body =
+      Free.empty() ? Term : detail::closeOverFreeIndices(Term, Free);
+  return detail::makeCandidate({Term, Body}, 0);
 }
 
 } // namespace
@@ -236,13 +231,13 @@ TopDownCandidate makeCandidate(const std::string &Anchor) {
 TEST_F(TopDownTest, RewriteFiresOnLiteralAnchors) {
   // A literal anchor occurrence costs 1.0 — strictly cheaper than its
   // structure — so the member replaces it with the rewrite expression.
-  TopDownCandidate C = makeCandidate("(+ $0 $0)");
-  std::unordered_map<ExprPtr, TopDownRewrite> Memo;
+  CompressionCandidate C = makeCandidate("(+ $0 $0)");
+  std::unordered_map<ExprPtr, Extraction> Memo;
   ExprPtr Beam = parseProgram("(lambda (map (lambda (+ $0 $0)) $0))");
-  TopDownRewrite R = topDownRewriteMember(Beam, C, Memo);
-  ASSERT_NE(R.Member, nullptr);
-  EXPECT_NE(R.Member, Beam) << "the anchor occurrence must fire";
-  ExprPtr Normal = R.Member->betaNormalForm(512);
+  Extraction R = topDownRewriteMember(Beam, C, Memo);
+  ASSERT_NE(R.Program, nullptr);
+  EXPECT_NE(R.Program, Beam) << "the anchor occurrence must fire";
+  ExprPtr Normal = R.Program->betaNormalForm(512);
   ASSERT_NE(Normal, nullptr);
   // The normalized rewrite applies the invention to the bound variable.
   EXPECT_NE(Normal->show().find(C.Invention->show()), std::string::npos);
@@ -253,12 +248,12 @@ TEST_F(TopDownTest, CaptureDoesNotPayForSingleUseArguments) {
   // (length $0) via capture costs 1 + 2ε + cost(x), which always loses to
   // the structural 1 + ε + cost(x) of a unary application. Single-use
   // unary captures never fire — the DP must agree or the backends drift.
-  TopDownCandidate C = makeCandidate("(length $0)");
+  CompressionCandidate C = makeCandidate("(length $0)");
   ASSERT_TRUE(C.CapturesArgument);
-  std::unordered_map<ExprPtr, TopDownRewrite> Memo;
+  std::unordered_map<ExprPtr, Extraction> Memo;
   ExprPtr Beam = parseProgram("(lambda (length (cdr $0)))");
-  TopDownRewrite R = topDownRewriteMember(Beam, C, Memo);
-  EXPECT_EQ(R.Member, Beam) << R.Member->show();
+  Extraction R = topDownRewriteMember(Beam, C, Memo);
+  EXPECT_EQ(R.Program, Beam) << R.Program->show();
 }
 
 TEST_F(TopDownTest, CapturePaysForDuplicatedArguments) {
@@ -267,13 +262,13 @@ TEST_F(TopDownTest, CapturePaysForDuplicatedArguments) {
   // 1 + ε + 2·cost(x) whenever x is not a leaf... and for leaf x the
   // RewriteExpr applied at the literal-match rule handles it. Either
   // way the beam rewrites.
-  TopDownCandidate C = makeCandidate("(+ $0 $0)");
-  std::unordered_map<ExprPtr, TopDownRewrite> Memo;
+  CompressionCandidate C = makeCandidate("(+ $0 $0)");
+  std::unordered_map<ExprPtr, Extraction> Memo;
   ExprPtr Beam = parseProgram("(+ (car $0) (car $0))");
-  TopDownRewrite R = topDownRewriteMember(Beam, C, Memo);
-  ASSERT_NE(R.Member, nullptr);
-  EXPECT_NE(R.Member, Beam) << "duplicated-argument capture must fire";
-  ExprPtr Normal = R.Member->betaNormalForm(512);
+  Extraction R = topDownRewriteMember(Beam, C, Memo);
+  ASSERT_NE(R.Program, nullptr);
+  EXPECT_NE(R.Program, Beam) << "duplicated-argument capture must fire";
+  ExprPtr Normal = R.Program->betaNormalForm(512);
   ASSERT_NE(Normal, nullptr);
   EXPECT_EQ(Normal,
             Expr::application(C.Invention, parseProgram("(car $0)")));
@@ -294,7 +289,7 @@ TEST_F(TopDownTest, ProposerFindsLiteralAndCapturePatterns) {
   };
   CompressionParams Params;
   TopDownStats Stats;
-  std::vector<TopDownCandidate> Cands =
+  std::vector<CompressionCandidate> Cands =
       proposeTopDown(G, Fs, Params, &Stats);
   ASSERT_FALSE(Cands.empty());
   EXPECT_GT(Stats.SubtreeSites, 0);
@@ -305,7 +300,7 @@ TEST_F(TopDownTest, ProposerFindsLiteralAndCapturePatterns) {
   // count the capture-only site (+ (car $0) (car $0)) — 3 tasks, not 2.
   ExprPtr DoubleBody = parseProgram("(lambda (+ $0 $0))");
   bool Found = false;
-  for (const TopDownCandidate &C : Cands)
+  for (const CompressionCandidate &C : Cands)
     if (C.Invention->body() == DoubleBody) {
       Found = true;
       EXPECT_EQ(C.TasksCovered, 3);
@@ -330,7 +325,7 @@ TEST_F(TopDownTest, ProposerRespectsTheExpansionBudget) {
   CompressionParams Tight;
   Tight.TopDownExpansionBudget = 4;
   TopDownStats Stats;
-  std::vector<TopDownCandidate> Capped =
+  std::vector<CompressionCandidate> Capped =
       proposeTopDown(G, Fs, Tight, &Stats);
   EXPECT_TRUE(Stats.BudgetExhausted);
   EXPECT_LE(Stats.StatesExpanded, 4);
@@ -339,7 +334,7 @@ TEST_F(TopDownTest, ProposerRespectsTheExpansionBudget) {
   // found even with no capture search to speak of.
   ExprPtr DoubleBody = parseProgram("(lambda (+ $0 $0))");
   bool Found = false;
-  for (const TopDownCandidate &C : Capped)
+  for (const CompressionCandidate &C : Capped)
     Found = Found || C.Invention->body() == DoubleBody;
   EXPECT_TRUE(Found);
 }
@@ -351,8 +346,8 @@ TEST_F(TopDownTest, ProposalIsDeterministic) {
     SCOPED_TRACE(Name);
     CompressionParams Params;
     TopDownStats S1, S2;
-    std::vector<TopDownCandidate> A = proposeTopDown(G, Fs, Params, &S1);
-    std::vector<TopDownCandidate> B = proposeTopDown(G, Fs, Params, &S2);
+    std::vector<CompressionCandidate> A = proposeTopDown(G, Fs, Params, &S1);
+    std::vector<CompressionCandidate> B = proposeTopDown(G, Fs, Params, &S2);
     ASSERT_EQ(A.size(), B.size());
     for (size_t I = 0; I < A.size(); ++I) {
       EXPECT_EQ(A[I].AnchorTerm, B[I].AnchorTerm);
@@ -415,10 +410,10 @@ TEST_F(TopDownTest, DifferentialHoldsWithRewriteMemoOff) {
 }
 
 TEST_F(TopDownTest, OverflowCorpusStillYieldsThePlantedAbstraction) {
-  // An overflow-shaped corpus: MaxVersionNodes so small that the
-  // version-space degrade ladder gives up at every depth and adopts
-  // nothing. The top-down backend never builds version spaces, so the
-  // same parameters must still surface the planted idiom.
+  // An overflow-shaped corpus: MaxVersionNodes so small that no closure
+  // fits. The top-down backend never builds version spaces, and the
+  // version-space backend falls back to top-down in every such round, so
+  // both must surface the planted idiom — with identical results.
   TypePtr Req = Type::arrow(tList(tInt()), tList(tInt()));
   std::vector<Frontier> Fs = {
       solvedFrontier("double", "(lambda (map (lambda (+ $0 $0)) $0))", Req),
@@ -433,23 +428,23 @@ TEST_F(TopDownTest, OverflowCorpusStillYieldsThePlantedAbstraction) {
   Params.StructurePenalty = 0.5;
   Params.MaxVersionNodes = 8; // even one-step closures overflow
 
-  Params.Backend = CompressionBackend::VersionSpace;
-  CompressionResult VS = compressLibrary(G, Fs, Params);
-  EXPECT_TRUE(VS.NewInventions.empty())
-      << "fixture must actually trigger the give-up path";
-
   Params.Backend = CompressionBackend::TopDown;
   CompressionResult TD = compressLibrary(G, Fs, Params);
-  ASSERT_FALSE(TD.NewInventions.empty());
-  // The planted idiom surfaces either as the bare double body or as the
-  // whole map-double pipeline stage (a literal common subtree covering
-  // every beam — an even stronger compression).
-  bool Planted = false;
-  for (ExprPtr Inv : TD.NewInventions)
-    Planted = Planted ||
-              Inv->show().find("(+ $0 $0)") != std::string::npos;
-  EXPECT_TRUE(Planted) << TD.NewInventions.front()->show();
-  EXPECT_GT(TD.FinalScore, TD.InitialScore);
+  Params.Backend = CompressionBackend::VersionSpace;
+  CompressionResult VS = compressLibrary(G, Fs, Params);
+  for (const CompressionResult *R : {&TD, &VS}) {
+    ASSERT_FALSE(R->NewInventions.empty());
+    // The planted idiom surfaces either as the bare double body or as the
+    // whole map-double pipeline stage (a literal common subtree covering
+    // every beam — an even stronger compression).
+    bool Planted = false;
+    for (ExprPtr Inv : R->NewInventions)
+      Planted = Planted ||
+                Inv->show().find("(+ $0 $0)") != std::string::npos;
+    EXPECT_TRUE(Planted) << R->NewInventions.front()->show();
+    EXPECT_GT(R->FinalScore, R->InitialScore);
+  }
+  expectIdenticalResults(TD, VS, "version-space backend, every round over");
 }
 
 TEST_F(TopDownTest, TopDownRewritesPreserveSemantics) {

@@ -41,7 +41,7 @@ protected:
   }
 
   /// The CompressionTest idiom corpus: several beams share the "double"
-  /// idiom, rich enough for adoption and for the degrade ladder.
+  /// idiom, rich enough for adoption and for overflowing rounds.
   std::vector<Frontier> idiomCorpus() {
     TypePtr Req = Type::arrow(tList(tInt()), tList(tInt()));
     return {
@@ -184,24 +184,13 @@ TEST_F(VersionSpaceCacheTest, InsertRejectsOversizedAndDuplicates) {
   EXPECT_EQ(Cache.stats().Entries, 1u);
 }
 
-TEST_F(VersionSpaceCacheTest, ExplicitEvictDropsOneKey) {
-  ExprPtr P = parse("(lambda (map (lambda (+ $0 $0)) $0))");
-  VersionSpaceCache Cache;
-  EXPECT_FALSE(Cache.evict(P, 3)); // nothing there yet
-  EXPECT_TRUE(Cache.insert(VsClosureShard::build(P, 3)));
-  EXPECT_TRUE(Cache.insert(VsClosureShard::build(P, 2)));
-  EXPECT_TRUE(Cache.evict(P, 3));
-  EXPECT_EQ(Cache.lookup(P, 3), nullptr);
-  EXPECT_NE(Cache.lookup(P, 2), nullptr); // other depth untouched
-  EXPECT_EQ(Cache.stats().Entries, 1u);
-}
-
-TEST_F(VersionSpaceCacheTest, OverflowedAttemptEvictsEveryShardItInstalled) {
-  // The overflow-degrade contract (DESIGN.md §8): pick a node cap between
-  // the smallest and largest per-program shard at n=3, so the n=3 attempt
-  // installs the small shards, hits the oversized one, cancels — and must
-  // then take back everything it installed before retrying shallower. No
-  // n=3 key may linger in the cache afterwards.
+TEST_F(VersionSpaceCacheTest, DegradeLadderMatchesUncachedAtEveryCap) {
+  // The caps of CompressionTest.OverflowDegradeNeverLeaksPartialClosures
+  // — every round overflowing (1, 8), version-space rounds mixed with
+  // top-down ones (40, 3000) — plus one between the smallest and largest
+  // n=3 shard, so a round installs small shards before an oversized one
+  // overflows it. Cached and uncached must agree everywhere, cold and
+  // warm, at every thread count, and no shard above the cap may be cached.
   std::vector<Frontier> Fs = idiomCorpus();
   std::vector<ExprPtr> Programs = distinctPrograms(Fs);
   size_t MinNodes = SIZE_MAX, MaxNodes = 0;
@@ -211,66 +200,44 @@ TEST_F(VersionSpaceCacheTest, OverflowedAttemptEvictsEveryShardItInstalled) {
     MaxNodes = std::max(MaxNodes, N);
   }
   ASSERT_LT(MinNodes, MaxNodes) << "corpus must mix shard sizes";
-  const size_t Cap = (MinNodes + MaxNodes) / 2;
+  for (size_t Cap : {size_t(1), size_t(8), size_t(40), size_t(3000),
+                     (MinNodes + MaxNodes) / 2}) {
+    for (int Threads : {1, 4, 8}) {
+      SCOPED_TRACE("cap=" + std::to_string(Cap) +
+                   " threads=" + std::to_string(Threads));
+      CompressionParams Params;
+      Params.StructurePenalty = 0.5;
+      Params.MaxVersionNodes = Cap;
+      Params.NumThreads = Threads;
+      Params.UseVsCache = false;
+      CompressionResult Uncached = compressLibrary(G, Fs, Params);
 
-  VersionSpaceCache &Cache = VersionSpaceCache::global();
-  Cache.clear();
-  Cache.resetStats();
-  CompressionParams Params;
-  Params.StructurePenalty = 0.5;
-  Params.MaxVersionNodes = Cap;
-  CompressionResult Cached = compressLibrary(G, Fs, Params);
-  EXPECT_GT(Cache.stats().Evictions, 0) << "the n=3 attempt must have "
-                                           "installed and reclaimed shards";
-  for (ExprPtr P : Programs)
-    EXPECT_EQ(Cache.lookup(P, Params.RefactorSteps), nullptr)
-        << "stale shard from the overflowed n=3 attempt: " << P->show();
-
-  // The shallower retry observed no stale entries: the cached run equals
-  // the uncached run, cold and warm.
-  Params.UseVsCache = false;
-  CompressionResult Uncached = compressLibrary(G, Fs, Params);
-  expectIdenticalResults(Uncached, Cached, "degrade, cold cache");
-  Params.UseVsCache = true;
-  expectIdenticalResults(Uncached, compressLibrary(G, Fs, Params),
-                         "degrade, warm cache");
-}
-
-TEST_F(VersionSpaceCacheTest, DegradeLadderMatchesUncachedAtEveryCap) {
-  // Same caps as CompressionTest.OverflowDegradeNeverLeaksPartialClosures:
-  // full give-up (1, 8) and surviving shallow depths (40, 3000). Cached
-  // and uncached must agree everywhere, and a full give-up must leave the
-  // cache empty — every installed shard reclaimed.
-  std::vector<Frontier> Fs = idiomCorpus();
-  for (size_t Cap : {size_t(1), size_t(8), size_t(40), size_t(3000)}) {
-    SCOPED_TRACE("cap=" + std::to_string(Cap));
-    CompressionParams Params;
-    Params.StructurePenalty = 0.5;
-    Params.MaxVersionNodes = Cap;
-    Params.UseVsCache = false;
-    CompressionResult Uncached = compressLibrary(G, Fs, Params);
-
-    VersionSpaceCache::global().clear();
-    Params.UseVsCache = true;
-    expectIdenticalResults(Uncached, compressLibrary(G, Fs, Params),
-                           "cold");
-    expectIdenticalResults(Uncached, compressLibrary(G, Fs, Params),
-                           "warm");
-    if (Cap <= 8) {
-      EXPECT_EQ(VersionSpaceCache::global().stats().Entries, 0u)
-          << "a fully overflowed sleep must not park shards";
+      VersionSpaceCache::global().clear();
+      Params.UseVsCache = true;
+      expectIdenticalResults(Uncached, compressLibrary(G, Fs, Params),
+                             "cold");
+      expectIdenticalResults(Uncached, compressLibrary(G, Fs, Params),
+                             "warm");
+      for (ExprPtr P : Programs) {
+        if (VsClosureShardPtr S =
+                VersionSpaceCache::global().lookup(P, Params.RefactorSteps)) {
+          EXPECT_LE(S->nodes(), Cap) << P->show();
+        }
+      }
+      if (Cap <= 8) {
+        EXPECT_EQ(VersionSpaceCache::global().stats().Entries, 0u)
+            << "a fully overflowed sleep must not park shards";
+      }
     }
   }
 }
 
 TEST_F(VersionSpaceCacheTest, DegradeLadderRecoversTheUncappedLibrary) {
-  // Regression for the MaxVersionNodes degrade ladder on a realistic
-  // overflow corpus: pipeline-shaped beams whose n=3 closures blow past
-  // the cap while the shallower depths still fit. The capped sleep must
-  // (a) reclaim every partial shard its overflowed attempts installed,
-  // and (b) still land on the same final library as the uncapped sleep —
-  // the winning idioms here are one-step inversions, so shallower
-  // refactoring depth loses nothing.
+  // A realistic overflow corpus: pipeline-shaped beams whose n=3 closures
+  // blow past the cap. The capped sleep proposes top-down while the
+  // closure table overflows and must still land on the same final
+  // library as the uncapped sleep — the winning idioms here are literal
+  // subtrees and one-step captures, which top-down proposes too.
   std::vector<Frontier> Fs = idiomCorpus();
   TypePtr Req = Type::arrow(tList(tInt()), tList(tInt()));
   Fs.push_back(solvedFrontier("compose",
@@ -280,17 +247,15 @@ TEST_F(VersionSpaceCacheTest, DegradeLadderRecoversTheUncappedLibrary) {
   Fs.push_back(solvedFrontier(
       "clamp", "(lambda (map (lambda (if (> $0 0) $0 0)) $0))", Req));
 
-  // Pick the cap from measured shard sizes: at least the total n=2
-  // footprint (the merged n=2 table can never exceed the shard sum, so
-  // the degraded retry always fits) and below the largest n=3 shard (so
-  // the n=3 attempt always cancels on an oversized shard).
+  // Pick the cap from measured shard sizes: the total n=2 footprint,
+  // below the largest n=3 shard, so the first round always overflows.
   std::vector<ExprPtr> Programs = distinctPrograms(Fs);
   size_t Sum2 = 0, Max3 = 0;
   for (ExprPtr P : Programs) {
     Sum2 += VsClosureShard::build(P, 2)->nodes();
     Max3 = std::max(Max3, VsClosureShard::build(P, 3)->nodes());
   }
-  ASSERT_LT(Sum2, Max3) << "corpus must overflow at n=3 yet fit at n=2";
+  ASSERT_LT(Sum2, Max3) << "corpus must overflow at n=3";
   const size_t Cap = Sum2;
 
   CompressionParams Params;
@@ -301,32 +266,27 @@ TEST_F(VersionSpaceCacheTest, DegradeLadderRecoversTheUncappedLibrary) {
   ASSERT_FALSE(Uncapped.NewInventions.empty());
 
   Cache.clear();
-  Cache.resetStats();
   Params.MaxVersionNodes = Cap;
   CompressionResult Capped = compressLibrary(G, Fs, Params);
-  VersionSpaceCache::Stats S = Cache.stats();
-  EXPECT_GT(S.Evictions, 0)
-      << "the overflowed n=3 attempts must reclaim installed shards";
-  // No program whose n=3 shard exceeds the cap may keep an n=3 key:
-  // those entries can only be leftovers of a cancelled attempt. (Smaller
-  // programs may legitimately acquire n=3 keys in later rounds, once the
-  // adopted inventions have compressed the corpus under the cap.)
+  // Oversized shards are never installed. (Smaller programs may hold n=3
+  // keys, including those of later rounds, once the adopted inventions
+  // have compressed the corpus under the cap.)
   for (ExprPtr P : Programs) {
     if (VsClosureShard::build(P, 3)->nodes() > Cap) {
       EXPECT_EQ(Cache.lookup(P, 3), nullptr)
-          << "stale overflowed shard: " << P->show();
+          << "oversized shard cached: " << P->show();
     }
   }
 
-  // (b) same final library as the uncapped run.
+  // Same final library as the uncapped run.
   ASSERT_EQ(Capped.NewInventions.size(), Uncapped.NewInventions.size());
   for (size_t I = 0; I < Capped.NewInventions.size(); ++I)
     EXPECT_EQ(Capped.NewInventions[I], Uncapped.NewInventions[I])
         << Capped.NewInventions[I]->show() << " vs "
         << Uncapped.NewInventions[I]->show();
 
-  // And the degrade path leaks nothing into the cache: the capped cached
-  // run is bit-identical to the capped uncached run.
+  // And the fallback leaks nothing into the cache: the capped cached run
+  // is bit-identical to the capped uncached run.
   Params.UseVsCache = false;
   expectIdenticalResults(compressLibrary(G, Fs, Params), Capped,
                          "capped, cached vs uncached");

@@ -207,9 +207,8 @@ TEST_F(VersionSpaceTest, ExtractMinimalPrefersCandidate) {
   ExprPtr Rewrite = Expr::application(Invention, Expr::index(0));
   std::vector<char> Cone = VT.coneAbove(Anchor);
   std::unordered_map<VsId, Extraction> Shared, Overlay;
-  Extraction E =
-      VT.extractWithCandidate(Closure, Anchor, Rewrite, Cone, Shared,
-                              Overlay);
+  Extraction E = VT.extractMinimal(Closure, {Anchor, Rewrite, &Cone, &Shared},
+                                   Overlay);
   ASSERT_NE(E.Program, nullptr);
   ExprPtr Normal = E.Program->betaNormalForm(128);
   EXPECT_EQ(Normal->show(),

@@ -100,6 +100,21 @@ UNSOLVABLE = {
         {"inputs": [1], "output": 3},
     ],
 }
+# HOLD is unsolvable the same way, but routed to the origami domain, whose
+# 19-nat search bound takes far longer to exhaust than a few seconds (a
+# list search gives up at 15 nats, about 1.3M nodes for UNSOLVABLE). With
+# a node budget of 10^8 it ends at its deadline, not by exhausting its
+# space, so it holds a worker for as long as the deadline says however
+# fast the search runs.
+HOLD = {
+    "name": "hold",
+    "domain": "origami",
+    "request": "list(int) -> list(int)",
+    "examples": [
+        {"inputs": [[1]], "output": [2]},
+        {"inputs": [[1]], "output": [3]},
+    ],
+}
 
 
 def solve_params(task, timeout_ms=None, node_budget=None):
@@ -277,19 +292,24 @@ def smoke(args):
 
     # --- Scenario 2: admission control + graceful shutdown mid-load ------
     # One worker, queue bound 1: a slow request occupies the worker, a
-    # second fills the queue, a third must be rejected as overloaded.
+    # second fills the queue, a third must be rejected as overloaded. The
+    # slow requests are HOLD searches on a second, origami domain group.
     # Telemetry is on so shutdown also proves it flushes metrics + trace.
     metrics_path = tempfile.mktemp(prefix="dc_serve_metrics_", suffix=".json")
     trace_path = tempfile.mktemp(prefix="dc_serve_trace_", suffix=".json")
     srv = ServerProcess(
         args.server,
         common
-        + ["--workers", "1", "--queue", "1", "--default-timeout-ms", "3000",
+        + ["--domain", "origami", "--max-node-budget", "100000000",
+           "--workers", "1", "--queue", "1", "--default-timeout-ms", "3000",
            "--metrics-out", metrics_path, "--trace-out", trace_path],
     )
     try:
         stats_conn = srv.connect()
-        slow = solve_params(UNSOLVABLE, timeout_ms=1000, node_budget=100000000)
+        # The drain checks need request D sent while A still holds the
+        # worker, so A's deadline leaves the client seconds, not
+        # milliseconds, for the steps in between.
+        slow = solve_params(HOLD, timeout_ms=3000, node_budget=100000000)
 
         conn_a = srv.connect()
         conn_a.send("solve", slow, req_id="slow-a")

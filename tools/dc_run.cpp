@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Flags.h"
 #include "core/Serialization.h"
 #include "core/WakeSleep.h"
 #include "obs/Metrics.h"
@@ -26,6 +27,7 @@
 #include "domains/TextDomain.h"
 #include "domains/TowerDomain.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -134,22 +136,38 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    auto NextInt = [&](long long Min, long long Max) {
+      std::optional<long long> V = flags::parseInt(Next(), Min, Max);
+      if (!V) {
+        usage(Argv[0]);
+        std::exit(2);
+      }
+      return *V;
+    };
+    auto NextSeconds = [&] {
+      std::optional<double> V = flags::parseSeconds(Next());
+      if (!V) {
+        usage(Argv[0]);
+        std::exit(2);
+      }
+      return *V;
+    };
     if (!std::strcmp(Argv[I], "--domain"))
       DomainName = Next();
     else if (!std::strcmp(Argv[I], "--variant"))
       VariantName = Next();
     else if (!std::strcmp(Argv[I], "--iterations"))
-      Config.Iterations = std::atoi(Next());
+      Config.Iterations = NextInt(0, INT_MAX);
     else if (!std::strcmp(Argv[I], "--minibatch"))
-      Config.MinibatchSize = std::atoi(Next());
+      Config.MinibatchSize = NextInt(0, INT_MAX);
     else if (!std::strcmp(Argv[I], "--seed"))
-      Seed = static_cast<unsigned>(std::atoi(Next()));
+      Seed = NextInt(0, UINT_MAX);
     else if (!std::strcmp(Argv[I], "--node-budget"))
-      NodeBudget = std::atol(Next());
+      NodeBudget = NextInt(0, LONG_MAX);
     else if (!std::strcmp(Argv[I], "--threads"))
-      Config.NumThreads = std::atoi(Next());
+      Config.NumThreads = NextInt(0, INT_MAX);
     else if (!std::strcmp(Argv[I], "--wake-timeout"))
-      Config.WakeTimeoutSeconds = std::atof(Next());
+      Config.WakeTimeoutSeconds = NextSeconds();
     else if (!std::strcmp(Argv[I], "--checkpoint"))
       CheckpointPath = Next();
     else if (!std::strcmp(Argv[I], "--resume"))

@@ -21,12 +21,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Flags.h"
 #include "obs/Metrics.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "serve/Server.h"
 
-#include <charconv>
 #include <climits>
 #include <csignal>
 #include <cstdio>
@@ -79,22 +79,6 @@ void usage(const char *Argv0) {
       Argv0);
 }
 
-/// A strict integer flag value: the whole token must be a decimal number
-/// in [Min, Max], else the usage is printed and the process exits 2.
-/// Whether a value in range makes sense (a port above 65535, an empty
-/// queue) is Server::start's check.
-long long parseInt(const char *Argv0, const char *Text, long long Min,
-                   long long Max) {
-  const char *End = Text + std::strlen(Text);
-  long long V = 0;
-  auto [Ptr, Ec] = std::from_chars(Text, End, V);
-  if (Ec != std::errc() || Ptr != End || V < Min || V > Max) {
-    usage(Argv0);
-    std::exit(2);
-  }
-  return V;
-}
-
 /// Signal handling via the self-pipe trick: the handler only write()s (one
 /// of the few async-signal-safe calls); a watcher thread does the real
 /// work — reload on 'H', shutdown on 'T' — in normal thread context.
@@ -144,8 +128,15 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    // Whether a value in range makes sense (a port above 65535, an empty
+    // queue) is Server::start's check.
     auto NextInt = [&](long long Min, long long Max) {
-      return parseInt(Argv[0], Next(), Min, Max);
+      std::optional<long long> V = flags::parseInt(Next(), Min, Max);
+      if (!V) {
+        usage(Argv[0]);
+        std::exit(2);
+      }
+      return *V;
     };
     if (!std::strcmp(Argv[I], "--domain")) {
       Domains.emplace_back();

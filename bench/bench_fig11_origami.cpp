@@ -21,6 +21,9 @@
 #include "core/ProgramParser.h"
 #include "core/WakeSleep.h"
 #include "domains/OrigamiDomain.h"
+#include "obs/Metrics.h"
+#include "obs/Telemetry.h"
+#include "obs/Trace.h"
 
 #include <set>
 
@@ -129,7 +132,18 @@ int main() {
     CompressionParams CP;
     CP.StructurePenalty = 0.5;
     CP.RefactorSteps = V == SystemVariant::Ec ? 0 : 3;
+    // Telemetry on around this stage only, to read how many rounds
+    // overflowed MaxVersionNodes and fell back to top-down proposals: a
+    // silent fallback would change the learned library. (Telemetry is
+    // write-only: it changes what is recorded, never what is computed.)
+    obs::Telemetry::setEnabled(true);
+    obs::MetricsRegistry::global().reset();
     CompressionResult CR = compressLibrary(G, Corpus, CP);
+    const long Fallbacks = obs::MetricsRegistry::global()
+                               .counter("compress.overflow_fallbacks")
+                               .value();
+    obs::Telemetry::setEnabled(false);
+    obs::Tracer::global().clear();
 
     const char *Label =
         V == SystemVariant::Ec ? "EC (no refactoring)" : "DreamCoder";
@@ -140,6 +154,8 @@ int main() {
         static_cast<double>(countHigherOrder(CR.NewGrammar)));
     row("library depth",
         static_cast<double>(CR.NewGrammar.libraryDepth()));
+    row("rounds falling back to top-down (version table overflow)",
+        static_cast<double>(Fallbacks));
     for (const Production &P : CR.NewGrammar.productions())
       if (P.Program->isInvented())
         note("  " + P.Program->show() + " : " + P.Ty->show());

@@ -132,8 +132,9 @@ int main() {
     std::string Sig;
     ContextualGrammar CG = Model.predict(T);
     char W[64];
-    for (const Production &P : CG.slot(ParentStart, 0).productions()) {
-      std::snprintf(W, sizeof(W), "%.17g;", P.LogWeight);
+    const double *Start = CG.row(CG.slotIndex(ParentStart, 0));
+    for (size_t I = 0; I < CG.productions().size(); ++I) {
+      std::snprintf(W, sizeof(W), "%.17g;", Start[I]);
       Sig += W;
     }
     return Sig;

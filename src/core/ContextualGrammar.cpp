@@ -6,37 +6,36 @@
 
 using namespace dc;
 
-ContextualGrammar::ContextualGrammar(const Grammar &Base) : Start(Base),
-                                                            Variable(Base) {
-  PerParent.reserve(Base.productions().size());
-  for (const Production &P : Base.productions()) {
-    int Arity = std::max(1, functionArity(P.Ty));
-    PerParent.emplace_back(static_cast<size_t>(Arity), Base);
+ContextualGrammar::ContextualGrammar(const Grammar &Base)
+    : Prods(Base.productions()) {
+  for (const Production &P : Prods)
+    MaxArity = std::max(MaxArity, functionArity(P.Ty));
+  int Slot = 1 + MaxArity; // start, then the applied variable's arguments
+  FirstSlot.reserve(Prods.size() + 1);
+  for (const Production &P : Prods) {
+    FirstSlot.push_back(Slot);
+    Slot += std::max(1, functionArity(P.Ty));
+  }
+  FirstSlot.push_back(Slot);
+
+  Weights.resize(static_cast<size_t>(slotCount()) * childCount());
+  for (int S = 0; S < slotCount(); ++S) {
+    double *Row = row(S);
+    for (size_t I = 0; I < Prods.size(); ++I)
+      Row[I] = Prods[I].LogWeight;
+    Row[Prods.size()] = Base.logVariable();
   }
 }
 
-int ContextualGrammar::maxArity() const {
-  int A = 1;
-  for (const auto &Slots : PerParent)
-    A = std::max(A, static_cast<int>(Slots.size()));
-  return A;
-}
-
-Grammar &ContextualGrammar::slot(int ParentIdx, int ArgIdx) {
+int ContextualGrammar::slotIndex(int ParentIdx, int ArgIdx) const {
   if (ParentIdx == ParentStart)
-    return Start;
+    return 0;
   if (ParentIdx == ParentVariable)
-    return Variable;
-  assert(ParentIdx >= 0 &&
-         ParentIdx < static_cast<int>(PerParent.size()) &&
+    return 1 + std::clamp(ArgIdx, 0, MaxArity - 1);
+  assert(ParentIdx >= 0 && ParentIdx < static_cast<int>(Prods.size()) &&
          "parent production out of range");
-  auto &Slots = PerParent[ParentIdx];
-  int Clamped = std::clamp(ArgIdx, 0, static_cast<int>(Slots.size()) - 1);
-  return Slots[Clamped];
-}
-
-const Grammar &ContextualGrammar::slot(int ParentIdx, int ArgIdx) const {
-  return const_cast<ContextualGrammar *>(this)->slot(ParentIdx, ArgIdx);
+  int First = FirstSlot[ParentIdx];
+  return First + std::clamp(ArgIdx, 0, FirstSlot[ParentIdx + 1] - First - 1);
 }
 
 std::vector<GrammarCandidate>
@@ -44,6 +43,7 @@ ContextualGrammar::candidates(int ParentIdx, int ArgIdx,
                               const TypePtr &Request,
                               const std::vector<TypePtr> &Environment,
                               const TypeContext &Ctx) const {
-  return slot(ParentIdx, ArgIdx).candidates(ParentIdx, ArgIdx, Request,
-                                            Environment, Ctx);
+  const double *Row = row(slotIndex(ParentIdx, ArgIdx));
+  return holeCandidates(Prods, Row, Row[Prods.size()], Request, Environment,
+                        Ctx);
 }

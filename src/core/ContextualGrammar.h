@@ -22,34 +22,39 @@
 
 namespace dc {
 
-/// A family of unigram grammars indexed by syntactic slot. All slots share
-/// the same production list (the library); only weights differ.
+/// One production list (the library) and one row of log weights per
+/// syntactic slot, childCount() wide: one weight per production, then the
+/// variable's. The slots are laid out as the recognition head's rows (the
+/// head is sized from this layout): the start slot, then one slot per
+/// argument of an applied variable (maxArity() of them), then one per
+/// argument of each production (at least one each).
 class ContextualGrammar : public EnumerationSource {
 public:
-  ContextualGrammar() = default;
-
-  /// Builds a contextual grammar whose every slot equals \p Base.
+  /// Builds a contextual grammar whose every slot carries \p Base's weights.
   explicit ContextualGrammar(const Grammar &Base);
 
-  /// The underlying library (productions shared by every slot).
-  const std::vector<Production> &productions() const {
-    return Start.productions();
+  /// The library, shared by every slot.
+  const std::vector<Production> &productions() const { return Prods; }
+
+  int slotCount() const { return FirstSlot.back(); }
+  int childCount() const { return static_cast<int>(Prods.size()) + 1; }
+
+  /// Largest argument count of any production (at least 1): the number of
+  /// slots an applied variable's arguments have.
+  int maxArity() const { return MaxArity; }
+
+  /// The slot filled by argument \p ArgIdx of \p ParentIdx (a production
+  /// index, ParentStart, or ParentVariable); \p ArgIdx is clamped to the
+  /// parent's slots.
+  int slotIndex(int ParentIdx, int ArgIdx) const;
+
+  /// The childCount() log weights of slot \p Slot.
+  double *row(int Slot) {
+    return Weights.data() + static_cast<size_t>(Slot) * childCount();
   }
-
-  /// Number of distinct parent slots: one per production plus start and
-  /// variable parents.
-  int parentCount() const {
-    return static_cast<int>(Start.productions().size()) + 2;
+  const double *row(int Slot) const {
+    return Weights.data() + static_cast<size_t>(Slot) * childCount();
   }
-
-  /// Largest argument count of any production (slots exist per argument).
-  int maxArity() const;
-
-  /// Mutable access to the grammar governing one slot. \p ParentIdx is a
-  /// production index, ParentStart, or ParentVariable; \p ArgIdx is clamped
-  /// to the production's arity.
-  Grammar &slot(int ParentIdx, int ArgIdx);
-  const Grammar &slot(int ParentIdx, int ArgIdx) const;
 
   std::vector<GrammarCandidate>
   candidates(int ParentIdx, int ArgIdx, const TypePtr &Request,
@@ -57,9 +62,12 @@ public:
              const TypeContext &Ctx) const override;
 
 private:
-  Grammar Start;                      ///< root slot
-  Grammar Variable;                   ///< arguments of applied variables
-  std::vector<std::vector<Grammar>> PerParent; ///< [production][argIdx]
+  std::vector<Production> Prods;
+  int MaxArity = 1;
+  /// First slot of each production's arguments; the last entry is
+  /// slotCount().
+  std::vector<int> FirstSlot;
+  std::vector<double> Weights; ///< slotCount() rows of childCount()
 };
 
 } // namespace dc

@@ -224,6 +224,84 @@ void searchWindow(const EnumerationSource &Src, TypePtr Request,
   Flush();
 }
 
+/// The one window loop behind every search: iterative deepening over
+/// description-length windows for the tasks Tasks[I], I in \p Group, which
+/// share one request type, under \p Src with one node budget and one
+/// deadline. Stops once every task of the group is solved and
+/// ExtraWindowsAfterSolution more windows are searched, or when a budget
+/// runs out. Fills Out[I] and Effort[I] for the group's tasks only (so
+/// groups may run concurrently) and returns the group's counters.
+EnumerationStats searchGroup(const EnumerationSource &Src,
+                             const std::vector<TaskPtr> &Tasks,
+                             const std::vector<size_t> &Group,
+                             const EnumerationParams &Params,
+                             std::chrono::steady_clock::time_point Deadline,
+                             std::vector<Frontier> &Out,
+                             std::vector<long> &Effort) {
+  long Nodes = Params.NodeBudget;
+  long Seen = 0;
+  double Lower = 0;
+  double Upper = Params.InitialBudget;
+  int Windows = 0;
+  int WindowsSinceAllSolved = -1;
+  bool Interrupted = false;
+  const std::function<bool()> ShouldStop =
+      makeShouldStop(Params, Deadline, Interrupted);
+
+  // Folds one candidate (with its per-task likelihood row) into the
+  // group's frontiers, in enumeration order.
+  auto Fold = [&](ExprPtr P, double LogPrior, const double *Row) {
+    ++Seen;
+    for (size_t K = 0; K < Group.size(); ++K) {
+      size_t I = Group[K];
+      if (Row[K] == NegInf)
+        continue;
+      if (Out[I].empty() && Effort[I] < 0)
+        Effort[I] = Seen;
+      Out[I].record({P, LogPrior, Row[K]}, Params.FrontierSize);
+    }
+  };
+
+  while (Lower < Params.MaxBudget && Nodes > 0 && !Interrupted) {
+    ++Windows;
+    searchWindow(
+        Src, Tasks[Group.front()]->request(), Lower, Upper, Nodes, ShouldStop,
+        Params.NumThreads, Group.size(),
+        [&](size_t K, ExprPtr P) { return Tasks[Group[K]]->logLikelihood(P); },
+        Fold);
+    if (std::all_of(Group.begin(), Group.end(),
+                    [&](size_t I) { return !Out[I].empty(); })) {
+      if (WindowsSinceAllSolved < 0)
+        WindowsSinceAllSolved = 0;
+      else
+        ++WindowsSinceAllSolved;
+      if (WindowsSinceAllSolved >= Params.ExtraWindowsAfterSolution)
+        break;
+    }
+    Lower = Upper;
+    Upper += Params.BudgetStep;
+  }
+
+  EnumerationStats Stats;
+  Stats.NodesExpanded = Params.NodeBudget - Nodes;
+  Stats.ProgramsEnumerated = Seen;
+  Stats.BudgetReached = Upper;
+  Stats.Interrupted = Interrupted;
+  recordSearchMetrics(Stats.NodesExpanded, Seen,
+                      Seen * static_cast<long>(Group.size()), Windows, Upper);
+  if (obs::Telemetry::enabled()) {
+    obs::countAdd("enum.tasks_searched", static_cast<long>(Group.size()));
+    if (Interrupted)
+      obs::countAdd("enum.searches_interrupted");
+    for (size_t I : Group)
+      if (Effort[I] >= 0) {
+        obs::countAdd("enum.tasks_solved");
+        obs::observe("enum.effort_to_solve", static_cast<double>(Effort[I]));
+      }
+  }
+  return Stats;
+}
+
 } // namespace
 
 void dc::enumerateWindow(const EnumerationSource &Src, const TypePtr &Request,
@@ -254,66 +332,14 @@ Frontier dc::solveTask(const EnumerationSource &Src, const TaskPtr &T,
                        const EnumerationParams &Params,
                        EnumerationStats *Stats) {
   obs::ScopedSpan Span("enum.solveTask");
-  Frontier F(T);
-  long Nodes = Params.NodeBudget;
-  long Seen = 0;
-  long EffortAtSolve = -1;
-  int Windows = 0;
-  int WindowsSinceSolved = -1;
-  double Lower = 0;
-  double Upper = Params.InitialBudget;
-  bool Interrupted = false;
-  const std::function<bool()> ShouldStop =
-      makeShouldStop(Params, deadlineFor(Params), Interrupted);
-
-  // Candidates arrive in enumeration order with their likelihood already
-  // computed.
-  auto Fold = [&](ExprPtr P, double LogPrior, const double *LL) {
-    ++Seen;
-    if (*LL == NegInf)
-      return;
-    if (F.empty() && EffortAtSolve < 0)
-      EffortAtSolve = Seen;
-    F.record({P, LogPrior, *LL}, Params.FrontierSize);
-  };
-
-  while (Lower < Params.MaxBudget && Nodes > 0 && !Interrupted) {
-    ++Windows;
-    searchWindow(
-        Src, T->request(), Lower, Upper, Nodes, ShouldStop, Params.NumThreads,
-        1, [&](size_t, ExprPtr P) { return T->logLikelihood(P); }, Fold);
-    if (!F.empty()) {
-      if (WindowsSinceSolved < 0)
-        WindowsSinceSolved = 0;
-      else
-        ++WindowsSinceSolved;
-      if (WindowsSinceSolved >= Params.ExtraWindowsAfterSolution)
-        break;
-    }
-    Lower = Upper;
-    Upper += Params.BudgetStep;
-  }
-
-  if (Stats) {
-    Stats->NodesExpanded += Params.NodeBudget - Nodes;
-    Stats->ProgramsEnumerated += Seen;
-    Stats->BudgetReached = std::max(Stats->BudgetReached, Upper);
-    Stats->EffortToSolve.push_back(EffortAtSolve);
-    Stats->Interrupted = Stats->Interrupted || Interrupted;
-  }
-  recordSearchMetrics(Params.NodeBudget - Nodes, Seen, Seen, Windows,
-                      Upper);
-  if (obs::Telemetry::enabled()) {
-    obs::countAdd("enum.tasks_searched");
-    if (Interrupted)
-      obs::countAdd("enum.searches_interrupted");
-    if (!F.empty()) {
-      obs::countAdd("enum.tasks_solved");
-      obs::observe("enum.effort_to_solve",
-                   static_cast<double>(EffortAtSolve));
-    }
-  }
-  return F;
+  std::vector<Frontier> Out{Frontier(T)};
+  std::vector<long> Effort{-1};
+  EnumerationStats Total = searchGroup(Src, {T}, {0}, Params,
+                                       deadlineFor(Params), Out, Effort);
+  Total.EffortToSolve = std::move(Effort);
+  if (Stats)
+    Stats->merge(Total);
+  return std::move(Out.front());
 }
 
 std::vector<Frontier> dc::solveTasks(const Grammar &G,
@@ -328,112 +354,38 @@ std::vector<Frontier> dc::solveTasks(const Grammar &G,
   // Group tasks by request type so each distinct type is enumerated once.
   // The map's sorted iteration fixes the group order once; everything
   // below is indexed, never appended, by worker threads.
-  std::map<std::string, std::vector<size_t>> Groups;
+  std::map<std::string, std::vector<size_t>> ByType;
   for (size_t I = 0; I < Tasks.size(); ++I)
-    Groups[canonicalize(Tasks[I]->request())->show()].push_back(I);
-  std::vector<std::vector<size_t>> GroupIndices;
-  GroupIndices.reserve(Groups.size());
-  for (auto &[TypeKey, Indices] : Groups) {
+    ByType[canonicalize(Tasks[I]->request())->show()].push_back(I);
+  std::vector<std::vector<size_t>> Groups;
+  Groups.reserve(ByType.size());
+  for (auto &[TypeKey, Indices] : ByType) {
     (void)TypeKey;
-    GroupIndices.push_back(std::move(Indices));
+    Groups.push_back(std::move(Indices));
   }
 
-  std::vector<long> Efforts(Tasks.size(), -1);
-  std::vector<EnumerationStats> GroupStats(GroupIndices.size());
+  std::vector<long> Effort(Tasks.size(), -1);
+  std::vector<EnumerationStats> GroupStats(Groups.size());
   // All groups share one wall-clock deadline anchored at entry (they run
   // concurrently, so a per-group anchor would overshoot the caller's
   // budget when groups outnumber workers).
-  const std::chrono::steady_clock::time_point Deadline =
-      deadlineFor(Params);
-
-  // One request-type group: its own node budget, its own effort counter.
-  // Workers only ever touch the frontier/effort slots of their group's
-  // task indices, which are disjoint across groups.
-  auto SolveGroup = [&](size_t GI) {
-    obs::ScopedSpan Span("enum.group");
-    const std::vector<size_t> &Indices = GroupIndices[GI];
-    const TypePtr &Request = Tasks[Indices.front()]->request();
-    long Nodes = Params.NodeBudget;
-    long Seen = 0;
-    double Lower = 0;
-    double Upper = Params.InitialBudget;
-    int Windows = 0;
-    int WindowsSinceAllSolved = -1;
-    bool Interrupted = false;
-    const std::function<bool()> ShouldStop =
-        makeShouldStop(Params, Deadline, Interrupted);
-
-    // Folds one candidate (with its per-task likelihood row) into the
-    // group's frontiers, in enumeration order.
-    auto Fold = [&](ExprPtr P, double LogPrior, const double *Row) {
-      ++Seen;
-      for (size_t K = 0; K < Indices.size(); ++K) {
-        size_t I = Indices[K];
-        if (Row[K] == NegInf)
-          continue;
-        if (Out[I].empty() && Efforts[I] < 0)
-          Efforts[I] = Seen;
-        Out[I].record({P, LogPrior, Row[K]}, Params.FrontierSize);
-      }
-    };
-
-    while (Lower < Params.MaxBudget && Nodes > 0 && !Interrupted) {
-      ++Windows;
-      searchWindow(
-          G, Request, Lower, Upper, Nodes, ShouldStop, Params.NumThreads,
-          Indices.size(),
-          [&](size_t K, ExprPtr P) {
-            return Tasks[Indices[K]]->logLikelihood(P);
-          },
-          Fold);
-      bool AllSolved = true;
-      for (size_t I : Indices)
-        AllSolved = AllSolved && !Out[I].empty();
-      if (AllSolved) {
-        if (WindowsSinceAllSolved < 0)
-          WindowsSinceAllSolved = 0;
-        else
-          ++WindowsSinceAllSolved;
-        if (WindowsSinceAllSolved >= Params.ExtraWindowsAfterSolution)
-          break;
-      }
-      Lower = Upper;
-      Upper += Params.BudgetStep;
-    }
-
-    GroupStats[GI].NodesExpanded = Params.NodeBudget - Nodes;
-    GroupStats[GI].ProgramsEnumerated = Seen;
-    GroupStats[GI].BudgetReached = Upper;
-    GroupStats[GI].Interrupted = Interrupted;
-    recordSearchMetrics(Params.NodeBudget - Nodes, Seen,
-                        Seen * static_cast<long>(Indices.size()), Windows,
-                        Upper);
-  };
-
+  const std::chrono::steady_clock::time_point Deadline = deadlineFor(Params);
   // Distinct request types search independently in parallel; the group
   // bodies nest further candidate-testing parallelism inside.
-  parallelFor(Params.NumThreads, GroupIndices.size(), SolveGroup);
+  parallelFor(Params.NumThreads, Groups.size(), [&](size_t GI) {
+    obs::ScopedSpan Span("enum.group");
+    GroupStats[GI] =
+        searchGroup(G, Tasks, Groups[GI], Params, Deadline, Out, Effort);
+  });
 
-  if (Stats) {
-    // Merge in fixed group order, then append efforts in task order —
-    // worker completion order never leaks into the aggregate (the
-    // EffortToSolve/Tasks alignment regression in EnumerationTest).
-    for (const EnumerationStats &GS : GroupStats) {
-      Stats->NodesExpanded += GS.NodesExpanded;
-      Stats->ProgramsEnumerated += GS.ProgramsEnumerated;
-      Stats->BudgetReached = std::max(Stats->BudgetReached, GS.BudgetReached);
-      Stats->Interrupted = Stats->Interrupted || GS.Interrupted;
-    }
-    for (long E : Efforts)
-      Stats->EffortToSolve.push_back(E);
-  }
-  if (obs::Telemetry::enabled()) {
-    obs::countAdd("enum.tasks_searched", static_cast<long>(Tasks.size()));
-    for (long E : Efforts)
-      if (E >= 0) {
-        obs::countAdd("enum.tasks_solved");
-        obs::observe("enum.effort_to_solve", static_cast<double>(E));
-      }
-  }
+  // Counters merge in fixed group order and efforts stay in task order,
+  // so worker completion order never shows (the EffortToSolve/Tasks
+  // alignment regression in EnumerationTest).
+  EnumerationStats Total;
+  for (const EnumerationStats &GS : GroupStats)
+    Total.merge(GS);
+  Total.EffortToSolve = std::move(Effort);
+  if (Stats)
+    Stats->merge(Total);
   return Out;
 }

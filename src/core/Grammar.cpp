@@ -83,6 +83,14 @@ std::vector<GrammarCandidate>
 Grammar::candidates(int /*ParentIdx*/, int /*ArgIdx*/, const TypePtr &Request,
                     const std::vector<TypePtr> &Environment,
                     const TypeContext &Ctx) const {
+  return holeCandidates(Prods, nullptr, LogVar, Request, Environment, Ctx);
+}
+
+std::vector<GrammarCandidate>
+dc::holeCandidates(const std::vector<Production> &Prods, const double *Row,
+                   double LogVariable, const TypePtr &Request,
+                   const std::vector<TypePtr> &Environment,
+                   const TypeContext &Ctx) {
   std::vector<GrammarCandidate> Out;
 
   // Library productions whose (full-arity) return type unifies with the
@@ -100,8 +108,8 @@ Grammar::candidates(int /*ParentIdx*/, int /*ArgIdx*/, const TypePtr &Request,
       continue;
     // Inst is stored unapplied; consumers resolve argument types lazily
     // through the candidate's context.
-    Out.push_back({Prods[I].Program, Prods[I].LogWeight, std::move(Inst),
-                   std::move(Local), static_cast<int>(I)});
+    Out.push_back({Prods[I].Program, Row ? Row[I] : Prods[I].LogWeight,
+                   std::move(Inst), std::move(Local), static_cast<int>(I)});
   }
 
   // In-scope variables. Each matching variable splits the variable mass.
@@ -113,7 +121,7 @@ Grammar::candidates(int /*ParentIdx*/, int /*ArgIdx*/, const TypePtr &Request,
     TypePtr VarTy = Local.apply(Environment[I]);
     if (!Local.unify(functionReturn(VarTy), Request))
       continue;
-    Vars.push_back({Expr::index(DeBruijn), LogVar, Local.apply(VarTy),
+    Vars.push_back({Expr::index(DeBruijn), LogVariable, Local.apply(VarTy),
                     std::move(Local), -1});
   }
   if (!Vars.empty()) {

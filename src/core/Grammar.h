@@ -70,6 +70,17 @@ public:
              const TypeContext &Ctx) const = 0;
 };
 
+/// The choices at one hole, the body of both sources' candidates(): every
+/// production whose return type unifies with \p Request, then every
+/// in-scope variable that does (splitting \p LogVariable evenly), all
+/// normalized. Production I weighs \p Row[I], or its own LogWeight when
+/// \p Row is null.
+std::vector<GrammarCandidate>
+holeCandidates(const std::vector<Production> &Prods, const double *Row,
+               double LogVariable, const TypePtr &Request,
+               const std::vector<TypePtr> &Environment,
+               const TypeContext &Ctx);
+
 /// One grammar decision observed while replaying a program: at the slot
 /// (ParentIdx, ArgIdx), Chosen was selected among All.
 using DecisionCallback =

@@ -15,45 +15,23 @@
 
 using namespace dc;
 
+namespace {
+
+/// Examples per optimizer step (EC2-style minibatch accumulation); the
+/// update uses the batch-mean gradient, and a train() call takes
+/// ceil(TrainingSteps / TrainBatchSize) Adam steps.
+constexpr int TrainBatchSize = 8;
+constexpr float AdamLearningRate = 5e-3f;
+
+} // namespace
+
 RecognitionModel::RecognitionModel(const Grammar &G, const TaskFeaturizer &F,
                                    const RecognitionParams &P)
-    : Base(G), Structure(G), Featurizer(F), Params(P), Rng(P.Seed) {
-  NumChildren = static_cast<int>(G.productions().size()) + 1;
-
-  // Slot layout: [start][variable-parent args][production 0 args]...
-  // In unigram mode everything collapses onto the start slot.
-  SlotOffset.assign(G.productions().size() + 2, 0);
-  int Offset = 0;
-  SlotOffset[0] = Offset; // start
-  Offset += 1;
-  int MaxA = Structure.maxArity();
-  SlotOffset[1] = Offset; // variable parent
-  Offset += MaxA;
-  for (size_t I = 0; I < G.productions().size(); ++I) {
-    SlotOffset[2 + I] = Offset;
-    Offset += std::max(1, functionArity(G.productions()[I].Ty));
-  }
-  NumSlots = Params.Bigram ? Offset : 1;
-
+    : Base(G), Prior(G), Featurizer(F), Params(P), Rng(P.Seed) {
+  NumChildren = Prior.childCount();
+  NumSlots = Params.Bigram ? Prior.slotCount() : 1;
   Net = nn::Mlp(Featurizer.dimension(), Params.HiddenDim,
                 NumSlots * NumChildren, Rng);
-}
-
-int RecognitionModel::slotIndex(int ParentIdx, int ArgIdx) const {
-  if (!Params.Bigram)
-    return 0;
-  int Slot;
-  if (ParentIdx == ParentStart)
-    Slot = SlotOffset[0];
-  else if (ParentIdx == ParentVariable)
-    Slot = SlotOffset[1] + std::clamp(ArgIdx, 0, Structure.maxArity() - 1);
-  else {
-    int Arity =
-        std::max(1, functionArity(Base.productions()[ParentIdx].Ty));
-    Slot = SlotOffset[2 + ParentIdx] + std::clamp(ArgIdx, 0, Arity - 1);
-  }
-  assert(Slot >= 0 && Slot < NumSlots && "slot out of range");
-  return Slot;
 }
 
 double RecognitionModel::lossAndDLogits(const std::vector<float> &Logits,
@@ -66,11 +44,11 @@ double RecognitionModel::lossAndDLogits(const std::vector<float> &Logits,
   int Decisions = 0;
 
   bool Ok = walkProgramDecisions(
-      Structure, Request, Program,
+      Base, Request, Program,
       [&](int ParentIdx, int ArgIdx, const GrammarCandidate &Chosen,
           const std::vector<GrammarCandidate> &All) {
-        int Slot = slotIndex(ParentIdx, ArgIdx);
-        int BaseIdx = Slot * NumChildren;
+        int BaseIdx =
+            headRow(Prior.slotIndex(ParentIdx, ArgIdx)) * NumChildren;
         // Candidate child classes at this hole (variable = last index).
         std::vector<int> Active;
         bool VarActive = false;
@@ -140,9 +118,9 @@ void RecognitionModel::trainOnPairs(const std::vector<Fantasy> &Pairs) {
     Features[I] = Featurizer.featurize(*Pairs[I].T);
   });
 
-  nn::Adam Optimizer(Net, Params.LearningRate);
+  nn::Adam Optimizer(Net, AdamLearningRate);
   std::uniform_int_distribution<size_t> Pick(0, Pairs.size() - 1);
-  const int Batch = std::max(1, Params.BatchSize);
+  const int Batch = TrainBatchSize;
   const int Steps = (std::max(1, Params.TrainingSteps) + Batch - 1) / Batch;
   const float Scale = 1.0f / static_cast<float>(Batch);
 
@@ -284,42 +262,22 @@ void RecognitionModel::train(const std::vector<Frontier> &Replays,
   trainOnPairs(Pairs);
 }
 
-void RecognitionModel::fillGrammarWeights(const std::vector<float> &Logits,
-                                          ContextualGrammar &CG) const {
-  auto Clamp = [&](float L) {
-    return std::clamp(L, -Params.LogitClamp, Params.LogitClamp);
-  };
+ContextualGrammar RecognitionModel::predict(const Task &T) const {
+  nn::Workspace WS; // per-call activations: concurrent predicts never share
+  const std::vector<float> &Logits =
+      Net.forward(Featurizer.featurize(T), WS);
   // The network predicts residual corrections to the generative weights:
   // an untrained Q (logits near zero) then guides search exactly like the
   // generative model, and training only ever adds information. (The paper
   // parameterizes Q absolutely but trains it to convergence on much more
   // dream data; the residual form keeps reduced-scale runs stable.)
-  auto FillSlot = [&](Grammar &G, int Slot) {
-    int BaseIdx = Slot * NumChildren;
-    for (size_t I = 0; I < G.productions().size(); ++I)
-      G.productions()[I].LogWeight =
-          Base.productions()[I].LogWeight + Clamp(Logits[BaseIdx + I]);
-    G.setLogVariable(Base.logVariable() +
-                     Clamp(Logits[BaseIdx + NumChildren - 1]));
-  };
-
-  FillSlot(CG.slot(ParentStart, 0), slotIndex(ParentStart, 0));
-  for (int A = 0; A < Structure.maxArity(); ++A)
-    FillSlot(CG.slot(ParentVariable, A), slotIndex(ParentVariable, A));
-  for (size_t P = 0; P < Base.productions().size(); ++P) {
-    int Arity = std::max(1, functionArity(Base.productions()[P].Ty));
-    for (int A = 0; A < Arity; ++A)
-      FillSlot(CG.slot(static_cast<int>(P), A),
-               slotIndex(static_cast<int>(P), A));
+  ContextualGrammar CG = Prior;
+  for (int S = 0; S < CG.slotCount(); ++S) {
+    const float *Head = Logits.data() + headRow(S) * NumChildren;
+    double *Row = CG.row(S);
+    for (int C = 0; C < NumChildren; ++C)
+      Row[C] += std::clamp(Head[C], -Params.LogitClamp, Params.LogitClamp);
   }
-}
-
-ContextualGrammar RecognitionModel::predict(const Task &T) const {
-  nn::Workspace WS; // per-call activations: concurrent predicts never share
-  const std::vector<float> &Logits =
-      Net.forward(Featurizer.featurize(T), WS);
-  ContextualGrammar CG(Base);
-  fillGrammarWeights(Logits, CG);
   return CG;
 }
 
@@ -328,14 +286,14 @@ Grammar RecognitionModel::predictUnigram(const Task &T) const {
   const std::vector<float> &Logits =
       Net.forward(Featurizer.featurize(T), WS);
   Grammar G = Base;
-  int BaseIdx = slotIndex(ParentStart, 0) * NumChildren;
+  const float *Head =
+      Logits.data() + headRow(Prior.slotIndex(ParentStart, 0)) * NumChildren;
   for (size_t I = 0; I < G.productions().size(); ++I)
     G.productions()[I].LogWeight +=
-        std::clamp(Logits[BaseIdx + static_cast<int>(I)],
-                   -Params.LogitClamp, Params.LogitClamp);
+        std::clamp(Head[I], -Params.LogitClamp, Params.LogitClamp);
   G.setLogVariable(G.logVariable() +
-                   std::clamp(Logits[BaseIdx + NumChildren - 1],
-                              -Params.LogitClamp, Params.LogitClamp));
+                   std::clamp(Head[NumChildren - 1], -Params.LogitClamp,
+                              Params.LogitClamp));
   return G;
 }
 

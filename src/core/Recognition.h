@@ -47,14 +47,9 @@ namespace dc {
 /// Dream-phase training configuration.
 struct RecognitionParams {
   int HiddenDim = 64;
-  /// Total example presentations per train() call; the number of Adam
-  /// steps is ceil(TrainingSteps / BatchSize), so the gradient work is
-  /// independent of the batch size.
+  /// Total example presentations per train() call, taken in minibatches
+  /// of 8 (one Adam step on each batch-mean gradient).
   int TrainingSteps = 3000;
-  /// Examples per optimizer step (EC2-style minibatch accumulation); the
-  /// update uses the batch-mean gradient.
-  int BatchSize = 8;
-  float LearningRate = 5e-3f;
   int FantasyCount = 150;       ///< dreams per training cycle
   bool Bigram = true;           ///< bigram vs unigram parameterization
   bool MapObjective = true;     ///< L^MAP vs L^post
@@ -77,6 +72,11 @@ public:
   /// the recognition model each dream phase because the library changed.
   RecognitionModel(const Grammar &G, const TaskFeaturizer &F,
                    const RecognitionParams &Params = {});
+  /// The model keeps references to both: temporaries would dangle.
+  RecognitionModel(const Grammar &&, const TaskFeaturizer &,
+                   const RecognitionParams & = {}) = delete;
+  RecognitionModel(const Grammar &, const TaskFeaturizer &&,
+                   const RecognitionParams & = {}) = delete;
 
   /// Trains on replays + fantasies. Fantasies are drawn internally from
   /// \p G using the seeds of \p ReplayTasks (paper: inputs are sampled
@@ -131,9 +131,9 @@ public:
   const RecognitionParams &params() const { return Params; }
 
 private:
-  int slotIndex(int ParentIdx, int ArgIdx) const;
-  void fillGrammarWeights(const std::vector<float> &Logits,
-                          ContextualGrammar &CG) const;
+  /// The head row trained and read at a slot of Prior: the slot itself
+  /// (bigram) or the single row (unigram).
+  int headRow(int Slot) const { return Params.Bigram ? Slot : 0; }
   /// Cross-entropy loss and dL/dlogits for one (task, program) pair:
   /// fills \p DLogits (zeroed first; re-zeroed and loss 0 when the
   /// program falls outside the grammar's support, with \p HadDecisions
@@ -145,12 +145,13 @@ private:
                         bool *HadDecisions) const;
 
   const Grammar &Base;
-  ContextualGrammar Structure; ///< uniform copy used for support queries
+  /// Every slot at the generative weights: the head's slot layout, and
+  /// the grammar each prediction adds its logits to.
+  ContextualGrammar Prior;
   const TaskFeaturizer &Featurizer;
   RecognitionParams Params;
-  int NumSlots = 0;
+  int NumSlots = 0;    ///< head rows: Prior's slots, or 1 when unigram
   int NumChildren = 0; ///< productions + 1 (variable pseudo-child)
-  std::vector<int> SlotOffset; ///< per parent (start, var, productions...)
   nn::Mlp Net;
   std::mt19937 Rng;
   double LastLoss = 0;
@@ -175,6 +176,12 @@ void saveRecognitionModel(const RecognitionModel &M, std::ostream &Out);
 std::unique_ptr<RecognitionModel>
 loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
                      std::istream &In, std::string *ErrorOut = nullptr);
+std::unique_ptr<RecognitionModel>
+loadRecognitionModel(const Grammar &&, const TaskFeaturizer &, std::istream &,
+                     std::string * = nullptr) = delete;
+std::unique_ptr<RecognitionModel>
+loadRecognitionModel(const Grammar &, const TaskFeaturizer &&, std::istream &,
+                     std::string * = nullptr) = delete;
 
 } // namespace dc
 

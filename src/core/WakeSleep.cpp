@@ -115,71 +115,56 @@ Grammar memorizeSolutions(const Grammar &G,
 
 namespace {
 
-/// Recognition-era search: the task-conditioned bigram grammar drives a
-/// per-task enumeration with half the node budget; tasks it leaves
-/// unsolved fall back to a shared generative-grammar enumeration with the
-/// other half. (The paper gives the recognition model the full per-task
-/// timeout on a cluster; at this reproduction's reduced training scale a
-/// noisy Q would otherwise forfeit the shared-stream advantage of
-/// same-type tasks — see DESIGN.md.)
-std::vector<Frontier> hybridSolve(const Grammar &G,
-                                  const RecognitionModel &Model,
-                                  const std::vector<TaskPtr> &Tasks,
-                                  const EnumerationParams &Search,
-                                  EnumerationStats *Stats) {
+/// The wake search over \p Tasks. Without a model, one shared enumeration
+/// under \p G per request type. With one, recognition-era search: the
+/// task-conditioned bigram grammar drives a per-task enumeration with half
+/// the node budget; tasks it leaves unsolved fall back to a shared
+/// generative-grammar enumeration with the other half. (The paper gives the
+/// recognition model the full per-task timeout on a cluster; at this
+/// reproduction's reduced training scale a noisy Q would otherwise forfeit
+/// the shared-stream advantage of same-type tasks — see DESIGN.md.)
+/// \p Stats gets the counters, EffortToSolve aligned with \p Tasks.
+std::vector<Frontier> wakeSearch(const Grammar &G,
+                                 const RecognitionModel *Model,
+                                 const std::vector<TaskPtr> &Tasks,
+                                 const EnumerationParams &Search,
+                                 EnumerationStats &Stats) {
+  if (!Model)
+    return solveTasks(G, Tasks, Search, &Stats);
   EnumerationParams Half = Search;
   Half.NodeBudget = std::max<long>(1, Search.NodeBudget / 2);
-  const size_t N = Tasks.size();
 
   // Guided searches are independent per task; each worker predicts its
   // own guide (predict() is const and thread-safe — activations live in a
-  // per-call workspace) and writes only its own Out/Locals/GuidedEffort
-  // slot. Stats are merged in task order below so worker completion order
-  // never shows.
-  std::vector<Frontier> Out;
-  Out.reserve(N);
-  for (const TaskPtr &T : Tasks)
-    Out.emplace_back(T);
-  std::vector<EnumerationStats> Locals(N);
-  std::vector<long> GuidedEffort(N, -1);
-  parallelFor(Search.NumThreads, N, [&](size_t I) {
-    ContextualGrammar Guide = Model.predict(*Tasks[I]);
-    Out[I] = solveTask(Guide, Tasks[I], Half, &Locals[I]);
-    GuidedEffort[I] = Locals[I].EffortToSolve.empty()
-                          ? -1
-                          : Locals[I].EffortToSolve.front();
+  // per-call workspace) and writes only its own Out/Guided slot. Stats
+  // merge in task order below so worker completion order never shows.
+  std::vector<Frontier> Out(Tasks.size());
+  std::vector<EnumerationStats> Guided(Tasks.size());
+  parallelFor(Search.NumThreads, Tasks.size(), [&](size_t I) {
+    Out[I] = solveTask(Model->predict(*Tasks[I]), Tasks[I], Half, &Guided[I]);
   });
+  EnumerationStats Total;
+  for (const EnumerationStats &S : Guided)
+    Total.merge(S);
 
   std::vector<TaskPtr> Unsolved;
   std::vector<size_t> UnsolvedIdx;
-  for (size_t I = 0; I < N; ++I) {
-    if (Stats) {
-      Stats->NodesExpanded += Locals[I].NodesExpanded;
-      Stats->ProgramsEnumerated += Locals[I].ProgramsEnumerated;
-      Stats->Interrupted = Stats->Interrupted || Locals[I].Interrupted;
-    }
+  for (size_t I = 0; I < Tasks.size(); ++I)
     if (Out[I].empty()) {
       Unsolved.push_back(Tasks[I]);
       UnsolvedIdx.push_back(I);
     }
-  }
   if (!Unsolved.empty()) {
     EnumerationStats Fallback;
     std::vector<Frontier> Fs = solveTasks(G, Unsolved, Half, &Fallback);
     for (size_t K = 0; K < UnsolvedIdx.size(); ++K) {
-      Out[UnsolvedIdx[K]] = Fs[K];
-      if (!Fs[K].empty() && K < Fallback.EffortToSolve.size())
-        GuidedEffort[UnsolvedIdx[K]] = Fallback.EffortToSolve[K];
+      Out[UnsolvedIdx[K]] = std::move(Fs[K]);
+      Total.EffortToSolve[UnsolvedIdx[K]] = Fallback.EffortToSolve[K];
     }
-    if (Stats) {
-      Stats->NodesExpanded += Fallback.NodesExpanded;
-      Stats->ProgramsEnumerated += Fallback.ProgramsEnumerated;
-      Stats->Interrupted = Stats->Interrupted || Fallback.Interrupted;
-    }
+    Fallback.EffortToSolve.clear(); // already placed at their tasks
+    Total.merge(Fallback);
   }
-  if (Stats)
-    for (long E : GuidedEffort)
-      Stats->EffortToSolve.push_back(E);
+  Stats.merge(Total);
   return Out;
 }
 
@@ -189,17 +174,9 @@ std::pair<int, std::vector<long>>
 dc::evaluateTasks(const Grammar &G, const RecognitionModel *Model,
                   const std::vector<TaskPtr> &Tasks,
                   const EnumerationParams &Search) {
-  int Solved = 0;
-  if (Model) {
-    EnumerationStats Stats;
-    std::vector<Frontier> Fs = hybridSolve(G, *Model, Tasks, Search, &Stats);
-    for (const Frontier &F : Fs)
-      Solved += !F.empty();
-    return {Solved, Stats.EffortToSolve};
-  }
   EnumerationStats Stats;
-  std::vector<Frontier> Fs = solveTasks(G, Tasks, Search, &Stats);
-  for (const Frontier &F : Fs)
+  int Solved = 0;
+  for (const Frontier &F : wakeSearch(G, Model, Tasks, Search, Stats))
     Solved += !F.empty();
   return {Solved, Stats.EffortToSolve};
 }
@@ -214,6 +191,8 @@ WakeSleepResult dc::runWakeSleep(const DomainSpec &Domain,
     Result.TrainFrontiers.emplace_back(T);
 
   std::mt19937 Rng(Config.Seed);
+  // Trained by dreaming, so only variants that use recognition get one;
+  // wake and test evaluation search under it once it exists.
   std::unique_ptr<RecognitionModel> Model;
   EnumerationParams Search = Domain.Search;
   Search.NumThreads = Config.NumThreads;
@@ -239,38 +218,28 @@ WakeSleepResult dc::runWakeSleep(const DomainSpec &Domain,
                            : Order.size();
     std::vector<size_t> Batch(Order.begin(), Order.begin() + BatchSize);
 
-    if (Model && usesRecognition(Config.Variant)) {
-      std::vector<TaskPtr> Tasks;
-      for (size_t I : Batch)
-        Tasks.push_back(Domain.TrainTasks[I]);
-      EnumerationStats Stats;
-      std::vector<Frontier> Fs =
-          hybridSolve(Result.FinalGrammar, *Model, Tasks, Search, &Stats);
-      Metrics.WakeNodesExpanded += Stats.NodesExpanded;
-      Metrics.SolveEffort = Stats.EffortToSolve;
-      for (size_t B = 0; B < Batch.size(); ++B)
-        for (const FrontierEntry &E : Fs[B].entries()) {
-          // Store the generative-prior score, not the recognition score,
-          // so compression sees P[ρ|D,θ].
-          double Prior = Result.FinalGrammar.logLikelihood(
-              Domain.TrainTasks[Batch[B]]->request(), E.Program);
-          if (Prior > -1e17)
-            Result.TrainFrontiers[Batch[B]].record(
-                {E.Program, Prior, E.LogLikelihood});
-        }
-    } else {
-      std::vector<TaskPtr> Tasks;
-      for (size_t I : Batch)
-        Tasks.push_back(Domain.TrainTasks[I]);
-      EnumerationStats Stats;
-      std::vector<Frontier> Fs =
-          solveTasks(Result.FinalGrammar, Tasks, Search, &Stats);
-      Metrics.WakeNodesExpanded += Stats.NodesExpanded;
-      Metrics.SolveEffort = Stats.EffortToSolve;
-      for (size_t B = 0; B < Batch.size(); ++B)
-        for (const FrontierEntry &E : Fs[B].entries())
+    std::vector<TaskPtr> Tasks;
+    for (size_t I : Batch)
+      Tasks.push_back(Domain.TrainTasks[I]);
+    EnumerationStats Stats;
+    std::vector<Frontier> Fs =
+        wakeSearch(Result.FinalGrammar, Model.get(), Tasks, Search, Stats);
+    Metrics.WakeNodesExpanded += Stats.NodesExpanded;
+    Metrics.SolveEffort = Stats.EffortToSolve;
+    for (size_t B = 0; B < Batch.size(); ++B)
+      for (const FrontierEntry &E : Fs[B].entries()) {
+        if (!Model) {
           Result.TrainFrontiers[Batch[B]].record(E);
-    }
+          continue;
+        }
+        // Store the generative-prior score, not the recognition score, so
+        // compression sees P[ρ|D,θ].
+        double Prior =
+            Result.FinalGrammar.logLikelihood(Tasks[B]->request(), E.Program);
+        if (Prior > -1e17)
+          Result.TrainFrontiers[Batch[B]].record(
+              {E.Program, Prior, E.LogLikelihood});
+      }
 
     // ---- Sleep: abstraction ---------------------------------------------
     Phase.emplace("abstraction", Cycle);
@@ -333,11 +302,8 @@ WakeSleepResult dc::runWakeSleep(const DomainSpec &Domain,
     bool LastCycle = Cycle + 1 == Config.Iterations;
     if ((Config.EvaluateTestEachCycle || LastCycle) &&
         !Domain.TestTasks.empty()) {
-      auto [Solved, Efforts] =
-          evaluateTasks(Result.FinalGrammar,
-                        usesRecognition(Config.Variant) ? Model.get()
-                                                        : nullptr,
-                        Domain.TestTasks, Search);
+      auto [Solved, Efforts] = evaluateTasks(
+          Result.FinalGrammar, Model.get(), Domain.TestTasks, Search);
       Metrics.TestSolved = Solved;
       if (LastCycle) {
         Result.FinalTestSolved = Solved;

@@ -250,13 +250,6 @@ void Matrix::addColumnSumsTo(std::vector<float> &Y) const {
   }
 }
 
-void dc::nn::axpy(std::vector<float> &Y, const std::vector<float> &X,
-                  float A) {
-  assert(Y.size() == X.size() && "axpy dimension mismatch");
-  for (size_t I = 0; I < Y.size(); ++I)
-    Y[I] += A * X[I];
-}
-
 float dc::nn::dot(const std::vector<float> &A, const std::vector<float> &B) {
   assert(A.size() == B.size() && "dot dimension mismatch");
   float S = 0;

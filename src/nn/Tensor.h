@@ -113,7 +113,6 @@ private:
 };
 
 /// Elementwise helpers over plain vectors (activations live in Layers.h).
-void axpy(std::vector<float> &Y, const std::vector<float> &X, float A);
 float dot(const std::vector<float> &A, const std::vector<float> &B);
 
 /// Numerically stable log-softmax restricted to \p Active indices; entries

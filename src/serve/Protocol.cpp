@@ -3,6 +3,7 @@
 #include "serve/Protocol.h"
 
 #include <cctype>
+#include <climits>
 #include <cstdlib>
 
 using namespace dc;
@@ -272,19 +273,22 @@ std::optional<Request> dc::serve::parseRequestLine(const std::string &Line,
 
 namespace {
 
-/// Reads an optional non-negative integer member; false + error when the
-/// member exists but is not a non-negative integer.
-bool readBudget(const Json &Params, const char *Key, long &Out,
-                std::string *ErrorOut) {
+/// Reads an optional integer member into \p Out (left alone when absent);
+/// false + error when the member is not an integer in [0, \p Max], so no
+/// value wraps when stored in its field's type.
+bool readCount(const Json &Params, const char *Key, long long Max,
+               long long &Out, std::string *ErrorOut) {
   const Json *J = Params.find(Key);
   if (!J)
     return true;
-  if (!J->isNumber() || !J->isInteger() || J->asInteger() < 0) {
+  if (!J->isNumber() || !J->isInteger() || J->asInteger() < 0 ||
+      J->asInteger() > Max) {
     setError(ErrorOut, std::string("'") + Key +
-                           "' must be a non-negative integer");
+                           "' must be an integer in [0, " +
+                           std::to_string(Max) + "]");
     return false;
   }
-  Out = static_cast<long>(J->asInteger());
+  Out = J->asInteger();
   return true;
 }
 
@@ -372,19 +376,13 @@ dc::serve::parseSolveParams(const Json &Params, std::string *ErrorOut) {
     if (!SP.InlineTask)
       return std::nullopt;
   }
-  long TimeoutMs = -1, NodeBudget = 0, FrontierSize = 0;
-  if (const Json *J = Params.find("timeout_ms")) {
-    if (!J->isNumber() || !J->isInteger() || J->asInteger() < 0) {
-      setError(ErrorOut, "'timeout_ms' must be a non-negative integer");
-      return std::nullopt;
-    }
-    TimeoutMs = static_cast<long>(J->asInteger());
-  }
-  if (!readBudget(Params, "node_budget", NodeBudget, ErrorOut) ||
-      !readBudget(Params, "frontier_size", FrontierSize, ErrorOut))
+  long long TimeoutMs = -1, NodeBudget = 0, FrontierSize = 0;
+  if (!readCount(Params, "timeout_ms", LONG_MAX, TimeoutMs, ErrorOut) ||
+      !readCount(Params, "node_budget", LONG_MAX, NodeBudget, ErrorOut) ||
+      !readCount(Params, "frontier_size", INT_MAX, FrontierSize, ErrorOut))
     return std::nullopt;
-  SP.TimeoutMs = TimeoutMs;
-  SP.NodeBudget = NodeBudget;
+  SP.TimeoutMs = static_cast<long>(TimeoutMs);
+  SP.NodeBudget = static_cast<long>(NodeBudget);
   SP.FrontierSize = static_cast<int>(FrontierSize);
   return SP;
 }
@@ -421,13 +419,11 @@ dc::serve::parseReloadParams(const Json &Params, std::string *ErrorOut) {
   if (!ReadString("checkpoint", /*AllowEmpty=*/true, RP.Checkpoint) ||
       !ReadString("model", /*AllowEmpty=*/true, RP.Model))
     return std::nullopt;
-  if (const Json *Seed = Params.find("seed")) {
-    if (!Seed->isNumber() || !Seed->isInteger() || Seed->asInteger() < 0) {
-      setError(ErrorOut, "'seed' must be a non-negative integer");
-      return std::nullopt;
-    }
-    RP.Seed = static_cast<unsigned>(Seed->asInteger());
-  }
+  long long Seed = -1;
+  if (!readCount(Params, "seed", UINT_MAX, Seed, ErrorOut))
+    return std::nullopt;
+  if (Seed >= 0)
+    RP.Seed = static_cast<unsigned>(Seed);
   return RP;
 }
 

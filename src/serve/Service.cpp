@@ -157,17 +157,12 @@ Outcome Service::solve(const TaskPtr &T, double RemainingSeconds,
     Params.NodeBudget = Config.MaxNodeBudget;
   Params.FrontierSize = FrontierSize > 0 ? FrontierSize : DefaultFrontierSize;
 
+  std::optional<ContextualGrammar> Predicted;
+  const EnumerationSource *Src = &Lib;
+  if (Model) // predict() is thread-safe by contract
+    Src = Guide ? Guide : &Predicted.emplace(Model->predict(*T));
   EnumerationStats Stats;
-  if (Model) {
-    if (Guide) {
-      Out.Beam = solveTask(*Guide, T, Params, &Stats);
-    } else {
-      ContextualGrammar CG = Model->predict(*T); // thread-safe by contract
-      Out.Beam = solveTask(CG, T, Params, &Stats);
-    }
-  } else {
-    Out.Beam = solveTask(Lib, T, Params, &Stats);
-  }
+  Out.Beam = solveTask(*Src, T, Params, &Stats);
   Out.NodesExpanded = Stats.NodesExpanded;
   Out.ProgramsEnumerated = Stats.ProgramsEnumerated;
   Out.DeadlineExpired = Stats.Interrupted;

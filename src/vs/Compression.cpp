@@ -24,6 +24,9 @@ using namespace dc;
 namespace {
 
 constexpr double NegInf = -std::numeric_limits<double>::infinity();
+constexpr double AicWeight = 0.5;    ///< weight of the |θ|₀ model-size penalty
+constexpr double PseudoCounts = 0.3; ///< Dirichlet smoothing when refitting θ
+constexpr int MaxNewInventions = 12; ///< cap on routines added per sleep phase
 
 double logSumExp(const std::vector<double> &Xs) {
   double M = NegInf;
@@ -228,12 +231,11 @@ double dc::libraryScore(Grammar &G, const std::vector<Frontier> &Frontiers,
       if (Joint[I] > NegInf)
         Counts.add(Summaries[X][I], std::exp(Joint[I] - Z));
   }
-  refitGrammar(G, Counts, Params.PseudoCounts);
+  refitGrammar(G, Counts, PseudoCounts);
 
   // Eq. 4 under the refit weights.
   double Score = -Params.StructurePenalty * G.structureSize() -
-                 Params.AicWeight *
-                     (static_cast<double>(G.productions().size()) + 1);
+                 AicWeight * (static_cast<double>(G.productions().size()) + 1);
   for (size_t X = 0; X < Frontiers.size(); ++X) {
     const auto &Entries = Frontiers[X].entries();
     if (Entries.empty())
@@ -538,7 +540,7 @@ proposeFromClosures(const CompressionResult &Result,
   // independent of sort implementation details.
   std::vector<std::pair<int, VsId>> Ranked;
   for (size_t V = 0; V < TasksCovering.size(); ++V)
-    if (TasksCovering[V] >= Params.MinimumTasksCovered)
+    if (TasksCovering[V] >= MinimumTasksCovered)
       Ranked.push_back({TasksCovering[V], static_cast<VsId>(V)});
   std::sort(Ranked.begin(), Ranked.end(), [](const auto &A, const auto &B) {
     return A.first != B.first ? A.first > B.first : A.second < B.second;
@@ -594,7 +596,7 @@ proposeFromClosures(const CompressionResult &Result,
       // term, which every closure position exposing the idiom shares.
       VsId Anchor = VT.incorporate(P.Term);
       if (Anchor >= static_cast<VsId>(TasksCovering.size()) ||
-          TasksCovering[Anchor] < Params.MinimumTasksCovered)
+          TasksCovering[Anchor] < MinimumTasksCovered)
         continue; // the normal form itself is not exposed often enough
       Candidates.push_back(detail::makeCandidate(P, TasksCovering[Anchor]));
       VS.Anchors.push_back(Anchor);
@@ -664,7 +666,7 @@ void runRounds(CompressionResult &Result, const CompressionParams &Params) {
   RewriteMemo TopDownMemo{"topdown.rewrite.hits", "topdown.rewrite.misses",
                           {}};
 
-  for (int Round = 0; Round < Params.MaxNewInventions; ++Round) {
+  for (int Round = 0; Round < MaxNewInventions; ++Round) {
     obs::countAdd("compress.rounds");
     VersionSpaceRound VS;
     bool UseClosures = Params.Backend == CompressionBackend::VersionSpace;

@@ -62,12 +62,7 @@ struct CompressionParams {
   CompressionBackend Backend = CompressionBackend::VersionSpace;
   int RefactorSteps = 3;      ///< n in Iβn (paper uses 3); 0 = EC baseline
   double StructurePenalty = 0.5; ///< λ in log P[D] ∝ -λ Σ size(routine)
-  double AicWeight = 0.5;     ///< weight of the |θ|₀ model-size penalty
-  double PseudoCounts = 0.3;  ///< Dirichlet smoothing when refitting θ
   int MaxCandidates = 150;    ///< candidates scored per greedy round
-  int MaxNewInventions = 12;  ///< cap on routines added per sleep phase
-  /// Candidates must occur in the refactorings of at least this many beams.
-  int MinimumTasksCovered = 2;
   /// Safety valve: a round whose β-closure shard or merged closure table
   /// exceeds this many nodes proposes and rewrites with the TopDown
   /// backend instead of version spaces.
@@ -91,6 +86,10 @@ struct CompressionParams {
   int TopDownExpansionBudget = 100000;
   bool Verbose = false;
 };
+
+/// Candidates must occur in the refactorings of at least this many beams
+/// (both backends).
+constexpr int MinimumTasksCovered = 2;
 
 /// Result of one abstraction-sleep phase.
 struct CompressionResult {

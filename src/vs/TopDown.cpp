@@ -281,7 +281,7 @@ dc::proposeTopDown(const Grammar &G, const std::vector<Frontier> &Frontiers,
   };
   std::vector<Finalized> Candidates;
   auto finalize = [&](ExprPtr Term, int Cov) {
-    if (Cov < Params.MinimumTasksCovered)
+    if (Cov < MinimumTasksCovered)
       return;
     detail::ProposedTerm P = detail::finalizeProposal(Term, G);
     if (P.Term)
@@ -379,7 +379,7 @@ dc::proposeTopDown(const Grammar &G, const std::vector<Frontier> &Frontiers,
       auto admit = [&](State &&Child) {
         if (Child.Sites.empty() ||
             coverage(Child.Sites, Index.Sites, Index.TaskWords) <
-                Params.MinimumTasksCovered) {
+                MinimumTasksCovered) {
           ++St.StatesPruned;
           return;
         }

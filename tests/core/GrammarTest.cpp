@@ -210,7 +210,7 @@ TEST_F(GrammarTest, ContextualGrammarSlotWeightsBite) {
   int OneIdx = G.productionIndex(lookupPrimitive("1"));
   ASSERT_GE(PlusIdx, 0);
   ASSERT_GE(OneIdx, 0);
-  CG.slot(PlusIdx, 1).productions()[OneIdx].LogWeight = -30.0;
+  CG.row(CG.slotIndex(PlusIdx, 1))[OneIdx] = -30.0;
 
   TypePtr Req = Type::arrow(tInt(), tInt());
   double BadScore = 0;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 using namespace dc;
@@ -43,8 +44,9 @@ TEST_F(RecognitionTest, PredictionsAreWellFormedGrammars) {
   ContextualGrammar CG = Model.predict(*T);
   EXPECT_EQ(CG.productions().size(), G.productions().size());
   // All slot weights are clamped.
-  for (const Production &P : CG.slot(ParentStart, 0).productions())
-    EXPECT_LE(std::fabs(P.LogWeight), RP.LogitClamp + 1e-5);
+  const double *Start = CG.row(CG.slotIndex(ParentStart, 0));
+  for (size_t I = 0; I < CG.productions().size(); ++I)
+    EXPECT_LE(std::fabs(Start[I]), RP.LogitClamp + 1e-5);
 }
 
 TEST_F(RecognitionTest, TrainingReducesLoss) {
@@ -125,6 +127,57 @@ TEST_F(RecognitionTest, UnigramModeCollapsesSlots) {
   EXPECT_EQ(U.productions().size(), G.productions().size());
 }
 
+TEST_F(RecognitionTest, AppliedVariableArgumentsHaveTheirOwnRows) {
+  // The head has one row per argument of an applied variable, and the
+  // guide predict() returns reads each of them: with L3 zeroed and the
+  // variable-child bias of head row (variable, A) set to A + 1, the
+  // guide's (ParentVariable, A) row reads the base weight plus A + 1.
+  RecognitionParams RP;
+  RP.Seed = 7;
+  RecognitionModel Model(G, Featurizer, RP);
+  nn::Linear &L3 = Model.net().L3;
+  L3.W.fill(0.0f);
+  std::fill(L3.B.begin(), L3.B.end(), 0.0f);
+  ContextualGrammar Layout(G);
+  const int Var = Layout.childCount() - 1;
+  ASSERT_EQ(Layout.maxArity(), 3);
+  for (int A = 0; A < Layout.maxArity(); ++A)
+    L3.B[Layout.slotIndex(ParentVariable, A) * Layout.childCount() + Var] =
+        static_cast<float>(A + 1);
+  TaskPtr T = intTask("inc", [](long X) { return X + 1; });
+  ContextualGrammar CG = Model.predict(*T);
+  for (int A = 0; A < CG.maxArity(); ++A)
+    EXPECT_EQ(CG.row(CG.slotIndex(ParentVariable, A))[Var],
+              G.logVariable() + (A + 1))
+        << "argument " << A;
+
+  // One training step on a program through an applied binary variable
+  // moves exactly the guide rows its decisions read (the rows of the
+  // variable's third argument, which it never fills, stay put).
+  TypePtr Req = Type::arrow(Type::arrows({tInt(), tInt()}, tInt()), tInt());
+  ExprPtr Program = parseProgram("(lambda ($0 1 (+ 1 0)))");
+  nn::Workspace WS;
+  nn::Gradients Grad(Model.net());
+  ASSERT_GT(Model.exampleLossAndGrad(Featurizer.featurize(*T), Req, Program,
+                                     WS, Grad),
+            0.0);
+  for (size_t I = 0; I < L3.B.size(); ++I)
+    L3.B[I] -= Grad.DB3[I];
+  ContextualGrammar Trained = Model.predict(*T);
+  std::set<int> Moved, Read;
+  for (int S = 0; S < CG.slotCount(); ++S)
+    if (!std::equal(CG.row(S), CG.row(S) + CG.childCount(), Trained.row(S)))
+      Moved.insert(S);
+  ASSERT_TRUE(walkProgramDecisions(
+      Trained, Req, Program,
+      [&](int ParentIdx, int ArgIdx, const GrammarCandidate &,
+          const std::vector<GrammarCandidate> &) {
+        Read.insert(Trained.slotIndex(ParentIdx, ArgIdx));
+      }));
+  EXPECT_EQ(Moved, Read);
+  EXPECT_EQ(Read.size(), 5u); // start, (var, 0..1), (+, 0..1)
+}
+
 TEST_F(RecognitionTest, TrainHandlesEmptyReplays) {
   RecognitionParams RP;
   RP.TrainingSteps = 100;
@@ -178,21 +231,13 @@ TEST_F(RecognitionTest, ConcurrentPredictReturnsIdenticalGrammars) {
   Model.trainOnPairs({{Inc, parseProgram("(lambda (+ $0 1))"), -3.0}});
 
   auto Signature = [&](const ContextualGrammar &CG) {
-    std::vector<float> Sig;
-    auto AddSlot = [&](const Grammar &Slot) {
-      for (const Production &P : Slot.productions())
-        Sig.push_back(P.LogWeight);
-      Sig.push_back(static_cast<float>(Slot.logVariable()));
-    };
-    AddSlot(CG.slot(ParentStart, 0));
-    for (size_t P = 0; P < CG.productions().size(); ++P)
-      AddSlot(CG.slot(static_cast<int>(P), 0));
-    return Sig;
+    const double *Rows = CG.row(0);
+    return std::vector<double>(Rows, Rows + CG.slotCount() * CG.childCount());
   };
-  std::vector<float> Serial = Signature(Model.predict(*Inc));
+  std::vector<double> Serial = Signature(Model.predict(*Inc));
 
   constexpr int NumThreads = 8;
-  std::vector<std::vector<float>> Observed(NumThreads);
+  std::vector<std::vector<double>> Observed(NumThreads);
   std::vector<std::thread> Threads;
   for (int T = 0; T < NumThreads; ++T)
     Threads.emplace_back([&, T] {
@@ -269,6 +314,130 @@ TEST_F(RecognitionTest, GradScaleScalesGradients) {
   EXPECT_DOUBLE_EQ(L1, L2) << "returned loss is unscaled";
   for (size_t I = 0; I < Full.DW3.size(); ++I)
     EXPECT_NEAR(Quarter.DW3.data()[I], 0.25f * Full.DW3.data()[I], 1e-6);
+}
+
+namespace {
+
+/// FNV-1a over \p S, continuing from \p H.
+uint64_t fnv1a(const std::string &S, uint64_t H) {
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ULL;
+  }
+  return H;
+}
+
+/// A search result as a comparable string: frontier programs with
+/// bit-exact scores plus the stats block.
+std::string searchSignature(const Frontier &F, const EnumerationStats &S) {
+  std::string Sig;
+  char Buf[128];
+  for (const FrontierEntry &E : F.entries()) {
+    std::snprintf(Buf, sizeof(Buf), "|%a|%a;", E.LogPrior, E.LogLikelihood);
+    Sig += E.Program->show() + Buf;
+  }
+  std::snprintf(Buf, sizeof(Buf), " nodes=%ld progs=%ld budget=%a\n",
+                S.NodesExpanded, S.ProgramsEnumerated, S.BudgetReached);
+  Sig += Buf;
+  for (long E : S.EffortToSolve)
+    Sig += std::to_string(E) + " ";
+  return Sig;
+}
+
+/// Forwards to a guide and counts the holes filled under an applied
+/// variable (the ParentVariable rows).
+class VariableHoleCounter : public EnumerationSource {
+public:
+  explicit VariableHoleCounter(const EnumerationSource &Inner)
+      : Inner(Inner) {}
+
+  std::vector<GrammarCandidate>
+  candidates(int ParentIdx, int ArgIdx, const TypePtr &Request,
+             const std::vector<TypePtr> &Environment,
+             const TypeContext &Ctx) const override {
+    if (ParentIdx == ParentVariable)
+      ++Holes;
+    return Inner.candidates(ParentIdx, ArgIdx, Request, Environment, Ctx);
+  }
+
+  mutable long Holes = 0; ///< single-threaded enumeration only
+
+private:
+  const EnumerationSource &Inner;
+};
+
+} // namespace
+
+TEST_F(RecognitionTest, TrainingAndGuidedSearchMatchGolden) {
+  // Pins dream sleep and the guided wake search across builds: trained
+  // weights and loss (replays plus fantasies, through train()), the
+  // unigram head, and a guided search under each task's predicted grammar,
+  // for a bigram L^MAP model at 1 and 4 threads and a unigram L^post one.
+  // None of these searches fills a hole under an applied variable, so the
+  // literal does not depend on the guide's variable-parent rows.
+  TaskPtr Inc = intTask("inc", [](long X) { return X + 1; });
+  TaskPtr Dbl = intTask("dbl", [](long X) { return X + X; });
+  TaskPtr Dec2 = intTask("dec2", [](long X) { return X - 2; });
+  std::vector<TaskPtr> Tasks = {Inc, Dbl, Dec2};
+  std::vector<Frontier> Replays;
+  for (auto [T, Programs] :
+       std::vector<std::pair<TaskPtr, std::vector<const char *>>>{
+           {Inc, {"(lambda (+ $0 1))", "(lambda (+ 1 $0))"}},
+           {Dbl, {"(lambda (+ $0 $0))"}},
+           {Dec2, {}}}) {
+    Frontier F(T);
+    for (const char *Src : Programs)
+      F.record({parseProgram(Src), -4.0, 0.0});
+    Replays.push_back(F);
+  }
+
+  uint64_t H = 1469598103934665603ULL;
+  char Buf[64];
+  long VariableHoles = 0;
+  auto Pin = [&](const RecognitionParams &RP) {
+    RecognitionModel Model(G, Featurizer, RP);
+    Model.train(Replays, Tasks);
+    std::snprintf(Buf, sizeof(Buf), "%016llx %a\n",
+                  static_cast<unsigned long long>(Model.weightFingerprint()),
+                  Model.lastLoss());
+    H = fnv1a(Buf, H);
+    Grammar U = Model.predictUnigram(*Dbl);
+    for (const Production &P : U.productions()) {
+      std::snprintf(Buf, sizeof(Buf), "%a ", P.LogWeight);
+      H = fnv1a(Buf, H);
+    }
+    std::snprintf(Buf, sizeof(Buf), "%a\n", U.logVariable());
+    H = fnv1a(Buf, H);
+
+    EnumerationParams Params;
+    Params.MaxBudget = 13;
+    Params.NodeBudget = 30000;
+    for (const TaskPtr &T : Tasks) {
+      ContextualGrammar Guide = Model.predict(*T);
+      VariableHoleCounter Counted(Guide);
+      EnumerationStats Stats;
+      Frontier F = solveTask(Counted, T, Params, &Stats);
+      H = fnv1a(searchSignature(F, Stats), H);
+      VariableHoles += Counted.Holes;
+    }
+  };
+
+  RecognitionParams RP;
+  RP.TrainingSteps = 240;
+  RP.FantasyCount = 24;
+  RP.Seed = 31;
+  for (int Threads : {1, 4}) {
+    RP.NumThreads = Threads;
+    Pin(RP);
+  }
+  RP.Bigram = false;
+  RP.MapObjective = false;
+  Pin(RP);
+
+  EXPECT_EQ(VariableHoles, 0);
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(H));
+  EXPECT_STREQ(Buf, "b0c43e969ed97b2e");
 }
 
 TEST_F(RecognitionTest, FeaturizerDistinguishesTaskFamilies) {

@@ -682,6 +682,37 @@ TEST(ServeProtocolTest, ReloadParamsParse) {
   }
 }
 
+TEST(ServeProtocolTest, SolveParamsRejectsFrontierSizeBeyondInt) {
+  // frontier_size is an int: 2^31 and 2^32 + 5 must be bad requests, not
+  // wrap to -2^31 (then served as the default) and 5.
+  std::string Err;
+  for (const char *Bad : {R"({"task":"t","frontier_size":2147483648})",
+                          R"({"task":"t","frontier_size":4294967301})"}) {
+    Err.clear();
+    EXPECT_FALSE(parseSolveParams(*Json::parse(Bad), &Err)) << Bad;
+    EXPECT_NE(Err.find("frontier_size"), std::string::npos) << Bad;
+  }
+  auto SP = parseSolveParams(
+      *Json::parse(R"({"task":"t","frontier_size":2147483647})"), &Err);
+  ASSERT_TRUE(SP) << Err;
+  EXPECT_EQ(SP->FrontierSize, 2147483647);
+}
+
+TEST(ServeProtocolTest, ReloadParamsRejectsSeedBeyondUnsigned) {
+  // seed is an unsigned: 2^32 and 2^32 + 1 must be bad requests, not wrap
+  // to seed 0 (which logo accepts) and seed 1.
+  std::string Err;
+  for (const char *Bad : {R"({"domain":"logo","seed":4294967296})",
+                          R"({"domain":"list","seed":4294967297})"}) {
+    Err.clear();
+    EXPECT_FALSE(parseReloadParams(*Json::parse(Bad), &Err)) << Bad;
+    EXPECT_NE(Err.find("seed"), std::string::npos) << Bad;
+  }
+  auto RP = parseReloadParams(*Json::parse(R"({"seed":4294967295})"), &Err);
+  ASSERT_TRUE(RP) << Err;
+  EXPECT_EQ(*RP->Seed, 4294967295u);
+}
+
 TEST(ServeProtocolTest, SolveParamsDomainRouting) {
   auto P = Json::parse(R"({"task":"t","domain":"text"})");
   ASSERT_TRUE(P);

@@ -1,13 +1,16 @@
 //===- bench/bench_recognition_parallel.cpp - Parallel dream training -----===//
 //
-// Wall-clock effect of data-parallel gradient computation on the dream
-// phase: identical (task, program) corpus, NumThreads=1 vs parallel
-// RecognitionModel training. The determinism contract says trained
-// weights and lastLoss() are bit-identical at every thread count —
-// verified here by parameter fingerprint at 1/4/8 threads, exiting
-// nonzero on any divergence. Also drives predict() from many threads at
-// once and checks every caller sees the serial answer (the thread-safety
-// contract wake-phase guide fan-out relies on).
+// Dream-phase training on one (task, program) corpus at NumThreads=1
+// and in parallel (only the per-pair featurization and decision walks
+// fan out; the minibatch steps are serial). The determinism contract
+// says trained weights and lastLoss() are bit-identical at every thread
+// count — verified here by parameter fingerprint at 1/4/8 threads,
+// exiting nonzero on any divergence. The printed weights fingerprint is
+// also compared against the committed baseline by tools/check_bench.py,
+// which pins trained weights across commits and compilers. Also drives
+// predict() from many threads at once and checks every caller sees the
+// serial answer (the thread-safety contract wake-phase guide fan-out
+// relies on).
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +36,8 @@ TaskPtr intTask(const std::string &Name,
   return std::make_shared<Task>(Name, Type::arrow(tInt(), tInt()), Ex);
 }
 
-/// A corpus of arithmetic idioms large enough that per-example gradient
-/// work dominates a training step — the workload the fan-out targets.
+/// A small corpus of arithmetic idioms: eight pairs, each presented
+/// about 500 times, so the timing is the minibatch steps themselves.
 std::vector<Fantasy> buildCorpus() {
   struct Spec {
     const char *Name;
@@ -104,6 +107,9 @@ int main() {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.17g", Loss1);
   note(std::string("final training loss ") + Buf);
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(Fp1));
+  note(std::string("trained weights fingerprint: ") + Buf);
   const bool Identical = Fp1 == Fp4 && Fp1 == Fp8 && Loss1 == Loss4 &&
                          Loss1 == Loss8;
   note(Identical ? "trained weights identical at 1/4/8 threads "

@@ -7,6 +7,7 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -34,57 +35,70 @@ RecognitionModel::RecognitionModel(const Grammar &G, const TaskFeaturizer &F,
                 NumSlots * NumChildren, Rng);
 }
 
-double RecognitionModel::lossAndDLogits(const std::vector<float> &Logits,
-                                        const TypePtr &Request,
-                                        ExprPtr Program,
-                                        std::vector<float> &DLogits,
-                                        bool *HadDecisions) const {
-  DLogits.assign(Logits.size(), 0.0f);
-  double Loss = 0;
-  int Decisions = 0;
+/// The decisions one (task, program) pair makes under Prior, in walk
+/// order, as head indices into the net's output row.
+struct RecognitionModel::Decisions {
+  std::vector<int> Target; ///< each decision's chosen child
+  /// Each decision's sorted, distinct candidates, back to back: decision
+  /// d's run ends at ActiveEnd[d] and starts where d − 1's ends.
+  std::vector<int> ActiveEnd;
+  std::vector<int> Active;
+};
 
+void RecognitionModel::walkDecisions(const TypePtr &Request, ExprPtr Program,
+                                     Decisions &Out) const {
+  Out = {};
   bool Ok = walkProgramDecisions(
       Base, Request, Program,
       [&](int ParentIdx, int ArgIdx, const GrammarCandidate &Chosen,
           const std::vector<GrammarCandidate> &All) {
-        int BaseIdx =
+        const int BaseIdx =
             headRow(Prior.slotIndex(ParentIdx, ArgIdx)) * NumChildren;
         // Candidate child classes at this hole (variable = last index).
-        std::vector<int> Active;
+        const auto Begin = static_cast<std::ptrdiff_t>(Out.Active.size());
         bool VarActive = false;
         for (const GrammarCandidate &C : All) {
           if (C.ProductionIdx < 0)
             VarActive = true;
           else
-            Active.push_back(BaseIdx + C.ProductionIdx);
+            Out.Active.push_back(BaseIdx + C.ProductionIdx);
         }
         if (VarActive)
-          Active.push_back(BaseIdx + NumChildren - 1);
-        std::sort(Active.begin(), Active.end());
-        Active.erase(std::unique(Active.begin(), Active.end()),
-                     Active.end());
-
-        int Target = Chosen.ProductionIdx < 0
-                         ? BaseIdx + NumChildren - 1
-                         : BaseIdx + Chosen.ProductionIdx;
-        std::vector<float> LogProbs = nn::maskedLogSoftmax(Logits, Active);
-        Loss -= LogProbs[Target];
-        ++Decisions;
-        // dL/dlogit = softmax - onehot over the active set.
-        for (int I : Active)
-          DLogits[I] += std::exp(LogProbs[I]);
-        DLogits[Target] -= 1.0f;
+          Out.Active.push_back(BaseIdx + NumChildren - 1);
+        std::sort(Out.Active.begin() + Begin, Out.Active.end());
+        Out.Active.erase(
+            std::unique(Out.Active.begin() + Begin, Out.Active.end()),
+            Out.Active.end());
+        Out.ActiveEnd.push_back(static_cast<int>(Out.Active.size()));
+        Out.Target.push_back(Chosen.ProductionIdx < 0
+                                 ? BaseIdx + NumChildren - 1
+                                 : BaseIdx + Chosen.ProductionIdx);
       });
-  if (!Ok || Decisions == 0) {
-    // Outside support: contribute nothing — including any partial
-    // accumulation the walk made before failing.
-    DLogits.assign(Logits.size(), 0.0f);
-    if (HadDecisions)
-      *HadDecisions = false;
-    return 0.0;
+  if (!Ok)
+    Out = {}; // outside support: drop any prefix the walk reported
+}
+
+double RecognitionModel::lossAndDLogits(const float *Logits,
+                                        const Decisions &D, float Scale,
+                                        float *DLogits) const {
+  const size_t Width = static_cast<size_t>(NumSlots) * NumChildren;
+  std::fill(DLogits, DLogits + Width, 0.0f);
+  double Loss = 0;
+  int Begin = 0;
+  for (size_t K = 0; K < D.Target.size(); ++K) {
+    const int *Active = D.Active.data() + Begin;
+    const size_t N = static_cast<size_t>(D.ActiveEnd[K] - Begin);
+    Begin = D.ActiveEnd[K];
+    const float LogZ = nn::maskedLogSumExp(Logits, Active, N);
+    Loss -= Logits[D.Target[K]] - LogZ;
+    // dL/dlogit = softmax - onehot over the active set.
+    for (size_t I = 0; I < N; ++I)
+      DLogits[Active[I]] += std::exp(Logits[Active[I]] - LogZ);
+    DLogits[D.Target[K]] -= 1.0f;
   }
-  if (HadDecisions)
-    *HadDecisions = true;
+  if (Scale != 1.0f)
+    for (size_t I = 0; I < Width; ++I)
+      DLogits[I] *= Scale;
   return Loss; // total cross-entropy over this program's decisions
 }
 
@@ -94,15 +108,14 @@ double RecognitionModel::exampleLossAndGrad(const std::vector<float> &Features,
                                             nn::Workspace &WS,
                                             nn::Gradients &G,
                                             float GradScale) const {
-  const std::vector<float> &Logits = Net.forward(Features, WS);
-  bool HadDecisions = false;
-  double Loss =
-      lossAndDLogits(Logits, Request, Program, WS.Scratch, &HadDecisions);
-  if (!HadDecisions)
+  Decisions D;
+  walkDecisions(Request, Program, D);
+  if (D.Target.empty())
     return 0.0; // outside support: no backward, no gradient
-  if (GradScale != 1.0f)
-    for (float &D : WS.Scratch)
-      D *= GradScale;
+  const std::vector<float> &Logits = Net.forward(Features, WS);
+  WS.Scratch.resize(Logits.size());
+  double Loss = lossAndDLogits(Logits.data(), D, GradScale,
+                               WS.Scratch.data());
   Net.backward(WS.Scratch, WS, G);
   return Loss;
 }
@@ -111,12 +124,19 @@ void RecognitionModel::trainOnPairs(const std::vector<Fantasy> &Pairs) {
   if (Pairs.empty())
     return;
   obs::ScopedSpan Span("recognition.sgd");
-  // Pre-featurize (featurization is deterministic per task, so the
-  // fan-out is index-addressed and order-free).
+  // Featurize every pair and walk its decisions (type inference and
+  // Grammar::candidates at every hole) once; every presentation below
+  // reuses both. Each is a pure function of its pair, so the fan-out is
+  // index-addressed and order-free.
   std::vector<std::vector<float>> Features(Pairs.size());
-  parallelFor(Params.NumThreads, Pairs.size(), [&](size_t I) {
-    Features[I] = Featurizer.featurize(*Pairs[I].T);
-  });
+  std::vector<Decisions> Walks(Pairs.size());
+  {
+    obs::ScopedSpan PrepassSpan("recognition.prepass");
+    parallelFor(Params.NumThreads, Pairs.size(), [&](size_t I) {
+      Features[I] = Featurizer.featurize(*Pairs[I].T);
+      walkDecisions(Pairs[I].T->request(), Pairs[I].Program, Walks[I]);
+    });
+  }
 
   nn::Adam Optimizer(Net, AdamLearningRate);
   std::uniform_int_distribution<size_t> Pick(0, Pairs.size() - 1);
@@ -134,17 +154,12 @@ void RecognitionModel::trainOnPairs(const std::vector<Fantasy> &Pairs) {
   nn::Workspace WS;
   nn::Gradients BatchGrad(Net);
   std::vector<size_t> Picked(Batch);
-  std::vector<double> Losses(Batch);
   std::vector<std::vector<float>> Inputs(Batch);
-  // Per-example row buffers for the decision-walk fan-out (the only
-  // stage still fanned over the pool: it is search-structure work, not
-  // linear algebra). Index-addressed, so the fan-out is order-free.
-  std::vector<std::vector<float>> LogitRows(Batch), DRows(Batch);
 
   double RunningLoss = 0;
   long Counted = 0;
-  // Telemetry is write-only: step/worker timings feed histograms and the
-  // utilization counters, never the training loop itself.
+  // Telemetry is write-only: step timings feed histograms, never the
+  // training loop itself.
   const bool TimeSteps = obs::Telemetry::enabled();
   const int64_t TrainStart =
       TimeSteps ? obs::Tracer::global().nowMicros() : 0;
@@ -158,54 +173,24 @@ void RecognitionModel::trainOnPairs(const std::vector<Fantasy> &Pairs) {
 
     // One GEMM per layer for the whole minibatch's forward.
     const nn::Matrix &Logits = Net.forwardBatch(Inputs, WS);
-    const int OutDim = Logits.cols();
+    const size_t OutDim = static_cast<size_t>(Logits.cols());
 
-    // Decision walks fan out over the pool: each example reads its own
-    // logit row and fills its own dL/dlogits row.
-    int64_t GradStart = TimeSteps ? obs::Tracer::global().nowMicros() : 0;
-    parallelFor(Params.NumThreads, static_cast<size_t>(Batch),
-                [&](size_t J) {
-                  int64_t T0 = TimeSteps
-                                   ? obs::Tracer::global().nowMicros()
-                                   : 0;
-                  const float *Row =
-                      Logits.data() + J * static_cast<size_t>(OutDim);
-                  LogitRows[J].assign(Row, Row + OutDim);
-                  const Fantasy &P = Pairs[Picked[J]];
-                  bool HadDecisions = false;
-                  Losses[J] =
-                      lossAndDLogits(LogitRows[J], P.T->request(),
-                                     P.Program, DRows[J], &HadDecisions);
-                  if (HadDecisions)
-                    for (float &D : DRows[J])
-                      D *= Scale;
-                  if (TimeSteps) {
-                    int64_t Dur =
-                        obs::Tracer::global().nowMicros() - T0;
-                    obs::observe("recognition.grad_micros",
-                                 static_cast<double>(Dur));
-                    obs::countAdd("recognition.grad_busy_micros", Dur);
-                  }
-                });
-    int64_t ReduceStart = 0;
-    if (TimeSteps) {
-      ReduceStart = obs::Tracer::global().nowMicros();
-      obs::countAdd("recognition.grad_wall_micros",
-                    ReduceStart - GradStart);
-    }
-    // One GEMM per layer accumulates the whole batch into BatchGrad
-    // (ascending example order per element — the deterministic
-    // reduction, now inside the kernel). An out-of-support example's
-    // all-zero row contributes exactly nothing, as before.
-    WS.BatchScratch.resize(Batch, OutDim);
-    for (int J = 0; J < Batch; ++J)
-      std::copy(DRows[J].begin(), DRows[J].end(),
-                WS.BatchScratch.data() + static_cast<size_t>(J) * OutDim);
-    Net.backwardBatch(WS.BatchScratch, WS, BatchGrad);
+    // Each example's loss and batch-mean dL/dlogits row, from its walked
+    // decisions. An out-of-support example's row is all zero and
+    // contributes exactly nothing.
+    WS.BatchScratch.resize(Batch, Logits.cols());
     for (int J = 0; J < Batch; ++J) {
-      RunningLoss += Losses[J];
+      RunningLoss += lossAndDLogits(Logits.data() + J * OutDim,
+                                    Walks[Picked[J]], Scale,
+                                    WS.BatchScratch.data() + J * OutDim);
       ++Counted;
     }
+    const int64_t ReduceStart =
+        TimeSteps ? obs::Tracer::global().nowMicros() : 0;
+    // One GEMM per layer accumulates the whole batch into BatchGrad
+    // (ascending example order per element — the deterministic
+    // reduction, inside the kernel).
+    Net.backwardBatch(WS.BatchScratch, WS, BatchGrad);
     Optimizer.step(BatchGrad); // applies the update and zeroes BatchGrad
     if (TimeSteps)
       obs::observe("recognition.reduce_micros",
@@ -434,22 +419,32 @@ dc::loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
   P.Bigram = Bigram != 0;
   P.LogitClamp = bitsToFloat(ClampBits);
 
-  auto M = std::make_unique<RecognitionModel>(G, F, P);
-  if (M->slotCount() != Slots || M->childCount() != Children) {
+  // Check the header against the library and the featurizer before
+  // building anything: the net's size comes from the file's hidden width.
+  const ContextualGrammar Layout(G);
+  const int WantSlots = P.Bigram ? Layout.slotCount() : 1;
+  if (WantSlots != Slots || Layout.childCount() != Children) {
     loadFail(ErrorOut,
              "shape mismatch: checkpoint has " + std::to_string(Slots) +
                  "x" + std::to_string(Children) + " slots/children, the "
                  "supplied grammar yields " +
-                 std::to_string(M->slotCount()) + "x" +
-                 std::to_string(M->childCount()) +
+                 std::to_string(WantSlots) + "x" +
+                 std::to_string(Layout.childCount()) +
                  " (library changed since the model was trained?)");
     return nullptr;
   }
-  if (M->net().parameterCount() != ParamCount) {
-    loadFail(ErrorOut,
-             "parameter count mismatch: checkpoint has " +
-                 std::to_string(ParamCount) + ", the freshly shaped net " +
-                 std::to_string(M->net().parameterCount()));
+  // Mlp(In, Hidden, Out) holds Hidden·In + Hidden + Hidden² + Hidden +
+  // Out·Hidden + Out parameters; in size_t none of these terms overflows.
+  const size_t InDim = static_cast<size_t>(F.dimension());
+  const size_t Hidden = static_cast<size_t>(P.HiddenDim);
+  const size_t OutDim = static_cast<size_t>(Slots) * Children;
+  const size_t WantCount =
+      Hidden * InDim + Hidden + Hidden * Hidden + Hidden + OutDim * Hidden +
+      OutDim;
+  if (WantCount != ParamCount) {
+    loadFail(ErrorOut, "parameter count mismatch: checkpoint has " +
+                           std::to_string(ParamCount) + ", its shape needs " +
+                           std::to_string(WantCount));
     return nullptr;
   }
 
@@ -458,24 +453,35 @@ dc::loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
     loadFail(ErrorOut, "missing 'params' section");
     return nullptr;
   }
-  // One pass over the block, straight from the stream buffer.
+  // Read the block before building the net, straight from the stream
+  // buffer: a header that claims a huge net costs only the words the
+  // stream actually holds.
   std::streambuf &Buf = *In.rdbuf();
-  for (nn::Mlp::ParamSegment &Seg : M->net().parameterSegments())
-    for (size_t I = 0; I < Seg.Size; ++I) {
-      std::uint32_t Bits = 0;
-      if (!nextWord(Buf, Tag) || Tag.size() != 8) {
-        loadFail(ErrorOut, "truncated parameter block");
-        return nullptr;
-      }
-      if (!parseHexWord(Tag, Bits)) {
-        loadFail(ErrorOut, "malformed parameter word '" + Tag + "'");
-        return nullptr;
-      }
-      Seg.Param[I] = bitsToFloat(Bits);
+  std::vector<float> Params;
+  while (Params.size() < ParamCount) {
+    std::uint32_t Bits = 0;
+    if (!nextWord(Buf, Tag) || Tag.size() != 8) {
+      loadFail(ErrorOut, "truncated parameter block");
+      return nullptr;
     }
+    if (!parseHexWord(Tag, Bits)) {
+      loadFail(ErrorOut, "malformed parameter word '" + Tag + "'");
+      return nullptr;
+    }
+    Params.push_back(bitsToFloat(Bits));
+  }
   if (!nextWord(Buf, Tag) || Tag != "end") {
     loadFail(ErrorOut, "parameter block missing 'end'");
     return nullptr;
+  }
+
+  auto M = std::make_unique<RecognitionModel>(G, F, P);
+  assert(M->net().parameterCount() == ParamCount &&
+         "loader and Mlp disagree on the parameter count");
+  const float *Next = Params.data();
+  for (nn::Mlp::ParamSegment &Seg : M->net().parameterSegments()) {
+    std::copy(Next, Next + Seg.Size, Seg.Param);
+    Next += Seg.Size;
   }
   return M;
 }

@@ -19,13 +19,12 @@
 ///     as in EC2)
 ///
 /// Training data is replays (solved frontiers) plus fantasies (programs
-/// sampled from the generative model, executed to produce tasks). Training
-/// is minibatched: each optimizer step accumulates per-example gradients
-/// (data-parallel across the shared thread pool, reduced in fixed example
-/// order so trained weights are bit-identical at every thread count) and
-/// applies one Adam update on the batch mean. predict() is const and
-/// thread-safe — the MLP's activations live in per-call workspaces, never
-/// in the net.
+/// sampled from the generative model, executed to produce tasks). Each
+/// pair's decisions are walked once per training call; training is then
+/// minibatched: each optimizer step runs the batch through one GEMM per
+/// layer, accumulating gradients in fixed example order, and applies one
+/// Adam update on the batch mean. predict() is const and thread-safe —
+/// the MLP's activations live in per-call workspaces, never in the net.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,12 +54,12 @@ struct RecognitionParams {
   bool MapObjective = true;     ///< L^MAP vs L^post
   float LogitClamp = 6.0f;      ///< predicted weights live in ±clamp
   unsigned Seed = 0;
-  /// Worker threads for the dream phase: fantasy sampling, pre-
-  /// featurization, and per-example gradient computation all fan out over
-  /// the shared pool (0 = per-core, 1 = serial, N = at most N). Trained
-  /// weights, lastLoss(), and the fantasy set are bit-identical at every
-  /// setting: gradients accumulate into per-example buffers reduced in
-  /// fixed example order before each Adam step.
+  /// Worker threads for the dream phase: fantasy sampling and the
+  /// per-pair featurization and decision walks fan out over the shared
+  /// pool (0 = per-core, 1 = serial, N = at most N); the minibatch steps
+  /// run on the calling thread. Trained weights, lastLoss(), and the
+  /// fantasy set are bit-identical at every setting: every fanned-out
+  /// result is index-addressed.
   int NumThreads = 1;
 };
 
@@ -100,10 +99,10 @@ public:
 
   /// Cross-entropy loss + gradient for one (task, program) pair against
   /// the current weights: accumulates parameter gradients scaled by
-  /// \p GradScale into \p G and returns the (unscaled) loss. Reentrant —
-  /// this is the unit of work the training loop fans out, one
-  /// (Workspace, Gradients) per concurrent caller. Public for gradient
-  /// checks and benchmarks.
+  /// \p GradScale into \p G and returns the (unscaled) loss. Reentrant,
+  /// one (Workspace, Gradients) per concurrent caller; it walks the
+  /// pair's decisions and runs the training loop's loss body on them.
+  /// Public for gradient checks and benchmarks.
   double exampleLossAndGrad(const std::vector<float> &Features,
                             const TypePtr &Request, ExprPtr Program,
                             nn::Workspace &WS, nn::Gradients &G,
@@ -134,15 +133,17 @@ private:
   /// The head row trained and read at a slot of Prior: the slot itself
   /// (bigram) or the single row (unigram).
   int headRow(int Slot) const { return Params.Bigram ? Slot : 0; }
-  /// Cross-entropy loss and dL/dlogits for one (task, program) pair:
-  /// fills \p DLogits (zeroed first; re-zeroed and loss 0 when the
-  /// program falls outside the grammar's support, with \p HadDecisions
-  /// set false). The decision walk shared by the per-example and the
-  /// batched training paths.
-  double lossAndDLogits(const std::vector<float> &Logits,
-                        const TypePtr &Request, ExprPtr Program,
-                        std::vector<float> &DLogits,
-                        bool *HadDecisions) const;
+  struct Decisions;
+  /// Walks \p Program's decisions at \p Request into \p Out, which
+  /// stays empty when the program falls outside the grammar's support.
+  void walkDecisions(const TypePtr &Request, ExprPtr Program,
+                     Decisions &Out) const;
+  /// Cross-entropy loss over \p D against one logit row, and that row's
+  /// dL/dlogits times \p Scale, written over the whole \p DLogits row
+  /// (all zero, loss 0, when \p D is empty). The one loss body of the
+  /// per-example and the batched training paths.
+  double lossAndDLogits(const float *Logits, const Decisions &D,
+                        float Scale, float *DLogits) const;
 
   const Grammar &Base;
   /// Every slot at the generative weights: the head's slot layout, and

@@ -4,8 +4,14 @@
 
 #include "core/ProgramParser.h"
 
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 using namespace dc;
 
@@ -157,12 +163,35 @@ std::optional<Grammar> dc::loadGrammarFile(const std::string &Path,
 
 bool dc::saveCheckpoint(const std::string &Path, const Grammar &G,
                         const std::vector<Frontier> &Frontiers) {
-  std::ofstream Out(Path);
-  if (!Out)
+  std::ostringstream Text;
+  serializeGrammar(G, Text);
+  serializeFrontiers(Frontiers, Text);
+  const std::string Data = Text.str();
+  // Write a temporary file in the same directory, sync it, then rename it
+  // over Path: a reader (dc_serve's reload) sees the old checkpoint or
+  // the whole new one, never a torn one. The name is unique per process
+  // and call, and O_EXCL never reuses a file it did not create.
+  static std::atomic<unsigned> Counter{0};
+  const std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) +
+                          "." + std::to_string(Counter++);
+  const int Fd =
+      ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (Fd < 0)
     return false;
-  serializeGrammar(G, Out);
-  serializeFrontiers(Frontiers, Out);
-  return static_cast<bool>(Out);
+  bool Ok = true;
+  for (size_t Off = 0; Ok && Off < Data.size();) {
+    const ssize_t N = ::write(Fd, Data.data() + Off, Data.size() - Off);
+    if (N > 0)
+      Off += static_cast<size_t>(N);
+    else if (N == 0 || errno != EINTR)
+      Ok = false;
+  }
+  Ok = Ok && ::fsync(Fd) == 0;
+  Ok = ::close(Fd) == 0 && Ok;
+  Ok = Ok && std::rename(Tmp.c_str(), Path.c_str()) == 0;
+  if (!Ok)
+    ::unlink(Tmp.c_str());
+  return Ok;
 }
 
 bool dc::loadCheckpoint(const std::string &Path, Grammar &G,

@@ -67,7 +67,8 @@ std::optional<Grammar> loadGrammarFile(const std::string &Path,
                                        std::string *ErrorOut = nullptr);
 
 /// Convenience: grammar + frontiers to/from a file. Returns false on I/O
-/// or parse failure.
+/// or parse failure. saveCheckpoint replaces \p Path atomically: on
+/// failure the old file is left as it was and no temporary remains.
 bool saveCheckpoint(const std::string &Path, const Grammar &G,
                     const std::vector<Frontier> &Frontiers);
 bool loadCheckpoint(const std::string &Path, Grammar &G,

@@ -138,6 +138,22 @@ inline void gemmTile4x4(const float *const WRow[GemmTile],
 }
 #endif
 
+/// Y[j] += X[j] · A for j in [0, N): one exact IEEE multiply and add per
+/// element, so every Y[j] gets the value of that scalar statement. SSE2
+/// over 4-lane blocks; the scalar tail finishes the row and is the whole
+/// loop without SSE2.
+inline void axpy(float A, const float *X, float *Y, int N) {
+  int J = 0;
+#ifdef __SSE2__
+  const __m128 Av = _mm_set1_ps(A);
+  for (; J + 4 <= N; J += 4)
+    _mm_storeu_ps(Y + J, _mm_add_ps(_mm_loadu_ps(Y + J),
+                                    _mm_mul_ps(_mm_loadu_ps(X + J), Av)));
+#endif
+  for (; J < N; ++J)
+    Y[J] += X[J] * A;
+}
+
 } // namespace
 
 void Matrix::matmulInto(const Matrix &X, Matrix &Y) const {
@@ -200,25 +216,20 @@ void Matrix::matmulTransposedInto(const Matrix &X, Matrix &Y) const {
          "matmulTransposedInto buffers must not alias");
   if (Y.R != X.R || Y.C != C)
     Y.resize(X.R, C);
-  const int B = X.R;
-  constexpr int TileB = 4, TileJ = 4;
-  for (int B0 = 0; B0 < B; B0 += TileB) {
-    const int BEnd = std::min(B0 + TileB, B);
-    for (int J0 = 0; J0 < C; J0 += TileJ) {
-      const int JEnd = std::min(J0 + TileJ, C);
-      float Acc[TileB][TileJ] = {};
-      for (int I = 0; I < R; ++I) {
-        const float *Row = Data.data() + static_cast<size_t>(I) * C;
-        for (int Bi = B0; Bi < BEnd; ++Bi) {
-          const float Xi = X.Data[static_cast<size_t>(Bi) * R + I];
-          for (int J = J0; J < JEnd; ++J)
-            Acc[Bi - B0][J - J0] += Row[J] * Xi;
-        }
-      }
-      for (int Bi = B0; Bi < BEnd; ++Bi)
-        for (int J = J0; J < JEnd; ++J)
-          Y.Data[static_cast<size_t>(Bi) * C + J] = Acc[Bi - B0][J - J0];
-    }
+  // Row b of Y is Σ_i X[b][i] · W[i][:], built by one axpy per non-zero
+  // X[b][i] in ascending i: each element still has one accumulator
+  // starting at +0 and adding in matvecTransposedInto's order. A skipped
+  // term is an exact ±0 (W finite), and adding ±0 to an accumulator that
+  // started at +0 never changes it, so the skip is bitwise free. It is
+  // what makes L3's backward cheap: a training example's dL/dlogits row
+  // is zero outside the candidate sets of its own decisions.
+  for (int Bi = 0; Bi < X.R; ++Bi) {
+    const float *Xr = X.Data.data() + static_cast<size_t>(Bi) * R;
+    float *Yr = Y.Data.data() + static_cast<size_t>(Bi) * C;
+    std::fill(Yr, Yr + C, 0.0f);
+    for (int I = 0; I < R; ++I)
+      if (Xr[I] != 0.0f)
+        axpy(Xr[I], Data.data() + static_cast<size_t>(I) * C, Yr, C);
   }
 }
 
@@ -228,14 +239,16 @@ void Matrix::addOuterBatch(const Matrix &A, const Matrix &B, float Scale) {
   // Example index stays outermost: per element the contributions land in
   // ascending batch order — the order the per-example-Gradients reduce
   // used, so the accumulated gradient is bit-identical to that path.
+  // A (b, i) whose scaled A[b][i] is zero adds an exact ±0 to every
+  // element of row i and is skipped (same argument as
+  // matmulTransposedInto; gradient buffers start at +0).
   for (int Bi = 0; Bi < A.R; ++Bi) {
     const float *ARow = A.Data.data() + static_cast<size_t>(Bi) * A.C;
     const float *BRow = B.Data.data() + static_cast<size_t>(Bi) * B.C;
     for (int I = 0; I < R; ++I) {
-      float *Row = Data.data() + static_cast<size_t>(I) * C;
-      float Ai = ARow[I] * Scale;
-      for (int J = 0; J < C; ++J)
-        Row[J] += Ai * BRow[J];
+      const float Ai = ARow[I] * Scale;
+      if (Ai != 0.0f)
+        axpy(Ai, BRow, Data.data() + static_cast<size_t>(I) * C, C);
     }
   }
 }
@@ -258,19 +271,14 @@ float dc::nn::dot(const std::vector<float> &A, const std::vector<float> &B) {
   return S;
 }
 
-std::vector<float> dc::nn::maskedLogSoftmax(const std::vector<float> &Logits,
-                                            const std::vector<int> &Active) {
-  std::vector<float> Out = Logits;
-  if (Active.empty())
-    return Out;
+float dc::nn::maskedLogSumExp(const float *Logits, const int *Active,
+                             size_t N) {
+  assert(N > 0 && "log-sum-exp over an empty set");
   float M = -1e30f;
-  for (int I : Active)
-    M = std::max(M, Logits[I]);
+  for (size_t K = 0; K < N; ++K)
+    M = std::max(M, Logits[Active[K]]);
   float Z = 0;
-  for (int I : Active)
-    Z += std::exp(Logits[I] - M);
-  float LogZ = M + std::log(Z);
-  for (int I : Active)
-    Out[I] = Logits[I] - LogZ;
-  return Out;
+  for (size_t K = 0; K < N; ++K)
+    Z += std::exp(Logits[Active[K]] - M);
+  return M + std::log(Z);
 }

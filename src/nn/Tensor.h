@@ -27,7 +27,9 @@ namespace nn {
 class Matrix {
 public:
   Matrix() = default;
-  Matrix(int Rows, int Cols) : R(Rows), C(Cols), Data(Rows * Cols, 0.0f) {}
+  Matrix(int Rows, int Cols)
+      : R(Rows), C(Cols),
+        Data(static_cast<size_t>(Rows) * static_cast<size_t>(Cols), 0.0f) {}
 
   static Matrix zeros(int Rows, int Cols) { return Matrix(Rows, Cols); }
 
@@ -93,14 +95,18 @@ public:
   /// Batched matvecTransposed: row b of \p Y becomes thisᵀ · (row b of
   /// \p X). X is B × rows(), Y becomes B × cols(); per-row accumulation
   /// order matches matvecTransposedInto exactly (ascending row index,
-  /// +0 start). Same aliasing rules as matmulInto.
+  /// +0 start). Terms whose X[b][i] is zero are skipped, which is
+  /// bit-identical while this matrix is finite. Same aliasing rules as
+  /// matmulInto.
   void matmulTransposedInto(const Matrix &X, Matrix &Y) const;
 
   /// this += Scale-scaled sum of per-example outer products:
   /// this[i][j] += Σ_b (A[b][i] · Scale) · B[b][j], b ascending per
   /// element — the exact order a per-example addOuter followed by a
   /// fixed-order Gradients reduce produces. A is B × rows(),
-  /// B is B × cols().
+  /// B is B × cols(). Each (b, i) whose A[b][i] · Scale is zero is
+  /// skipped, which is bit-identical while B is finite and no element
+  /// of this is −0 (a zeroed accumulator never becomes −0).
   void addOuterBatch(const Matrix &A, const Matrix &B, float Scale = 1.0f);
 
   /// Y[j] += Σ_i this[i][j] with i ascending per element (batched bias
@@ -115,10 +121,11 @@ private:
 /// Elementwise helpers over plain vectors (activations live in Layers.h).
 float dot(const std::vector<float> &A, const std::vector<float> &B);
 
-/// Numerically stable log-softmax restricted to \p Active indices; entries
-/// outside \p Active are left untouched (treated as masked out).
-std::vector<float> maskedLogSoftmax(const std::vector<float> &Logits,
-                                    const std::vector<int> &Active);
+/// Numerically stable log Σ exp(Logits[i]) over the \p N indices i at
+/// \p Active (max-shifted, float sum in the given order), so
+/// Logits[i] minus the result is the log-softmax of i restricted to
+/// Active. \p N must be positive.
+float maskedLogSumExp(const float *Logits, const int *Active, size_t N);
 
 } // namespace nn
 } // namespace dc

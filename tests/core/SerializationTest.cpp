@@ -8,8 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+
+#include <stdlib.h>
+#include <sys/resource.h>
 
 using namespace dc;
 
@@ -201,6 +207,56 @@ TEST_F(SerializationTest, FileCheckpointRoundTrip) {
   std::remove(Path.c_str());
 }
 
+using SerializationDeathTest = SerializationTest;
+
+TEST_F(SerializationDeathTest, FailedCheckpointWriteKeepsTheOldFile) {
+  // A checkpoint write that fails part-way must report failure and leave
+  // the previous file whole: dc_serve may reload it at any moment. The
+  // child process may write at most 1 KB per file, so saving a larger
+  // checkpoint fails (EFBIG once SIGXFSZ is ignored).
+  std::string Dir = testing::TempDir() + "/dc_ckpt_atomic_XXXXXX";
+  ASSERT_NE(mkdtemp(Dir.data()), nullptr);
+  const std::string Path = Dir + "/library.ckpt";
+  ASSERT_TRUE(saveCheckpoint(Path, G, {}));
+  auto ReadAll = [](const std::string &P) {
+    std::ifstream In(P);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    return SS.str();
+  };
+  const std::string Old = ReadAll(Path);
+  ASSERT_FALSE(Old.empty());
+
+  std::vector<Frontier> Big;
+  for (int I = 0; I < 100; ++I) {
+    auto T = std::make_shared<Task>("task-" + std::to_string(I),
+                                    Type::arrow(tInt(), tInt()),
+                                    std::vector<Example>{});
+    Big.emplace_back(T);
+    Big.back().record({parseProgram("(lambda (+ $0 1))"), -3.0, 0.0});
+  }
+  std::ostringstream BigText;
+  serializeFrontiers(Big, BigText);
+  ASSERT_GT(BigText.str().size(), 2048u);
+
+  auto SaveUnderLimit = [&] {
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit Limit;
+    Limit.rlim_cur = Limit.rlim_max = 1024;
+    setrlimit(RLIMIT_FSIZE, &Limit);
+    std::_Exit(saveCheckpoint(Path, G, Big) ? 1 : 0);
+  };
+  EXPECT_EXIT(SaveUnderLimit(), testing::ExitedWithCode(0), "");
+
+  EXPECT_EQ(ReadAll(Path), Old) << "the old checkpoint must stay intact";
+  std::vector<std::string> Left;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    Left.push_back(Entry.path().filename().string());
+  EXPECT_EQ(Left, std::vector<std::string>{"library.ckpt"})
+      << "no temporary file may remain";
+  std::filesystem::remove_all(Dir);
+}
+
 TEST_F(SerializationTest, LoadRejectsMissingFile) {
   Grammar G2;
   std::vector<Frontier> Fs;
@@ -271,6 +327,45 @@ TEST_F(SerializationTest, RecognitionModelRejectsShapeMismatch) {
   std::string Err;
   EXPECT_EQ(loadRecognitionModel(Smaller, Featurizer, SS, &Err), nullptr);
   EXPECT_FALSE(Err.empty());
+}
+
+TEST_F(SerializationTest, RecognitionModelHeaderIsCheckedBeforeBuilding) {
+  // The net's size comes from the file's hidden width, so the loader
+  // checks the header and reads the parameter block before it builds a
+  // net. A header claiming hidden 46341 (whose Hidden² overflows int)
+  // with a consistent parameter count but a three-word block must be
+  // rejected as truncated, without building that net.
+  Grammar Base = Grammar::uniform(prims::functionalCore());
+  IoFeaturizer Featurizer;
+  RecognitionParams RP;
+  RP.HiddenDim = 16;
+  RecognitionModel Model(Base, Featurizer, RP);
+  std::stringstream SS;
+  saveRecognitionModel(Model, SS);
+  std::string Header = SS.str().substr(0, SS.str().find("shape "));
+  Header.replace(Header.find("hidden 16"), 9, "hidden 46341");
+  const size_t In = static_cast<size_t>(Featurizer.dimension());
+  const size_t H = 46341;
+  const size_t Out = static_cast<size_t>(Model.slotCount()) *
+                     static_cast<size_t>(Model.childCount());
+  const size_t Count = H * In + H + H * H + H + Out * H + Out;
+  auto LoadError = [&](size_t ClaimedCount) {
+    std::istringstream In(Header + "shape " +
+                          std::to_string(Model.slotCount()) + " " +
+                          std::to_string(Model.childCount()) + " " +
+                          std::to_string(ClaimedCount) +
+                          "\nparams\n00000000 00000000 00000000\nend\n");
+    std::string Err;
+    if (loadRecognitionModel(Base, Featurizer, In, &Err))
+      return std::string("loaded");
+    return Err;
+  };
+  EXPECT_NE(LoadError(Count).find("truncated parameter block"),
+            std::string::npos)
+      << LoadError(Count);
+  EXPECT_NE(LoadError(Model.net().parameterCount()).find(
+                "parameter count mismatch"),
+            std::string::npos);
 }
 
 TEST_F(SerializationTest, RecognitionModelRejectsGarbage) {

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <tuple>
 
 using namespace dc::nn;
 
@@ -125,6 +128,91 @@ TEST(Matrix, AddOuterBatchMatchesSequentialAddOuter) {
     EXPECT_EQ(Batched.data()[I], Sequential.data()[I]) << "element " << I;
 }
 
+namespace {
+
+std::uint32_t bitsOf(float F) {
+  std::uint32_t B;
+  std::memcpy(&B, &F, sizeof(B));
+  return B;
+}
+
+/// Uniform values with scattered +0 and −0 entries, and whole rows of
+/// zeros (row 0 all +0, every fourth row alternating +0/−0): the shapes
+/// a recognition-training dL/dlogits matrix takes.
+Matrix sparseMatrix(int Rows, int Cols, std::mt19937 &Rng) {
+  std::uniform_real_distribution<float> U(-2, 2);
+  std::uniform_int_distribution<int> Kind(0, 9);
+  Matrix M(Rows, Cols);
+  for (int I = 0; I < Rows; ++I)
+    for (int J = 0; J < Cols; ++J) {
+      const int K = Kind(Rng);
+      float V = K < 4 ? 0.0f : K == 4 ? -0.0f : U(Rng);
+      if (I == 0)
+        V = 0.0f;
+      else if (I % 4 == 3)
+        V = J % 2 ? -0.0f : 0.0f;
+      M.at(I, J) = V;
+    }
+  return M;
+}
+
+/// Batch, inner and outer widths: batches of 1 and 9, and widths that
+/// are not a multiple of the SSE2 width, so the scalar tail runs.
+constexpr std::tuple<int, int, int> SparseShapes[] = {
+    {1, 7, 5}, {9, 6, 13}, {9, 9, 3}, {1, 4, 8}, {9, 17, 67}};
+
+} // namespace
+
+TEST(Matrix, SparseMatmulTransposedMatchesMatvecTransposedBitwise) {
+  // matmulTransposedInto skips the zero entries of X; every element must
+  // still equal the dense matvecTransposed bit for bit, sign of zero
+  // included.
+  std::mt19937 Rng(24);
+  for (auto [B, R, C] : SparseShapes) {
+    Matrix W = sparseMatrix(R, C, Rng);
+    W.at(R - 1, 0) = 0.5f; // W may have zeros of its own
+    Matrix X = sparseMatrix(B, R, Rng);
+    Matrix Y(3, 2); // wrong shape, stale contents
+    Y.fill(7.0f);
+    W.matmulTransposedInto(X, Y);
+    ASSERT_EQ(Y.rows(), B);
+    ASSERT_EQ(Y.cols(), C);
+    for (int Bi = 0; Bi < B; ++Bi) {
+      std::vector<float> Row(X.data() + static_cast<size_t>(Bi) * R,
+                             X.data() + static_cast<size_t>(Bi + 1) * R);
+      std::vector<float> Ref = W.matvecTransposed(Row);
+      for (int J = 0; J < C; ++J)
+        EXPECT_EQ(bitsOf(Y.at(Bi, J)), bitsOf(Ref[J]))
+            << B << "x" << R << "x" << C << " row " << Bi << " col " << J;
+    }
+  }
+}
+
+TEST(Matrix, SparseAddOuterBatchMatchesSequentialAddOuterBitwise) {
+  // addOuterBatch skips each (example, row) whose scaled A entry is
+  // zero; the accumulated matrix must still equal one addOuter per
+  // example in batch order, bit for bit.
+  std::mt19937 Rng(25);
+  for (auto [B, R, C] : SparseShapes)
+    for (float Scale : {1.0f, 0.125f}) {
+      Matrix A = sparseMatrix(B, R, Rng);
+      Matrix X = sparseMatrix(B, C, Rng);
+      Matrix Batched(R, C), Sequential(R, C);
+      Batched.addOuterBatch(A, X, Scale);
+      for (int Bi = 0; Bi < B; ++Bi) {
+        std::vector<float> ARow(A.data() + static_cast<size_t>(Bi) * R,
+                                A.data() + static_cast<size_t>(Bi + 1) * R);
+        std::vector<float> XRow(X.data() + static_cast<size_t>(Bi) * C,
+                                X.data() + static_cast<size_t>(Bi + 1) * C);
+        Sequential.addOuter(ARow, XRow, Scale);
+      }
+      for (size_t I = 0; I < Batched.size(); ++I)
+        EXPECT_EQ(bitsOf(Batched.data()[I]), bitsOf(Sequential.data()[I]))
+            << B << "x" << R << "x" << C << " scale " << Scale
+            << " element " << I;
+    }
+}
+
 TEST(Matrix, AddColumnSumsAccumulateInRowOrder) {
   Matrix M(3, 2);
   M.at(0, 0) = 1.0f;
@@ -150,13 +238,13 @@ TEST(Matrix, GlorotInitializationBounded) {
 TEST(MaskedLogSoftmax, NormalizesOverActiveSet) {
   std::vector<float> Logits = {1.0f, 2.0f, 3.0f, 100.0f};
   std::vector<int> Active = {0, 1, 2};
-  std::vector<float> Out = maskedLogSoftmax(Logits, Active);
+  const float LogZ =
+      maskedLogSumExp(Logits.data(), Active.data(), Active.size());
   double Total = 0;
   for (int I : Active)
-    Total += std::exp(Out[I]);
+    Total += std::exp(Logits[I] - LogZ);
   EXPECT_NEAR(Total, 1.0, 1e-5);
-  EXPECT_FLOAT_EQ(Out[3], 100.0f) << "masked entries stay untouched";
-  EXPECT_GT(Out[2], Out[1]);
+  EXPECT_LT(LogZ, 4.0f) << "masked entries stay out of the normalizer";
 }
 
 TEST(Linear, GradientMatchesFiniteDifference) {
@@ -441,6 +529,51 @@ TEST(Adam, LearnsALinearMap) {
     FinalLoss = Err * Err;
   }
   EXPECT_LT(FinalLoss, 0.05);
+}
+
+TEST(Adam, StepMatchesScalarReferenceBitwise) {
+  // Adam's SSE2 body and scalar tail must both give the scalar formula's
+  // result bit for bit. The two nets have parameter segments of sizes
+  // 67, 1, 1, 1, 3, 3 and 4, 1, 1, 1, 5, 5.
+  const float Lr = 5e-3f, B1 = 0.9f, B2 = 0.999f, Eps = 1e-8f;
+  std::mt19937 Rng(43);
+  std::uniform_real_distribution<float> U(-1, 1);
+  for (auto [In, Out] : {std::pair{67, 3}, {4, 5}}) {
+    Mlp Net(In, 1, Out, Rng);
+    Adam Opt(Net, Lr, B1, B2, Eps);
+    Gradients G(Net);
+    std::vector<std::vector<float>> P, M, V;
+    for (const Mlp::ParamSegment &Seg : Net.parameterSegments()) {
+      P.emplace_back(Seg.Param, Seg.Param + Seg.Size);
+      M.emplace_back(Seg.Size, 0.0f);
+      V.emplace_back(Seg.Size, 0.0f);
+    }
+    for (int T = 1; T <= 5; ++T) {
+      std::vector<Gradients::Segment> GS = G.segments();
+      for (const Gradients::Segment &Seg : GS)
+        for (size_t I = 0; I < Seg.Size; ++I)
+          Seg.Grad[I] = I % 3 == 1 ? 0.0f : U(Rng);
+      const float C1 = 1.0f - std::pow(B1, static_cast<float>(T));
+      const float C2 = 1.0f - std::pow(B2, static_cast<float>(T));
+      for (size_t S = 0; S < GS.size(); ++S)
+        for (size_t I = 0; I < GS[S].Size; ++I) {
+          const float Gi = GS[S].Grad[I];
+          M[S][I] = B1 * M[S][I] + (1.0f - B1) * Gi;
+          V[S][I] = B2 * V[S][I] + ((1.0f - B2) * Gi) * Gi;
+          P[S][I] -=
+              (Lr * (M[S][I] / C1)) / (std::sqrt(V[S][I] / C2) + Eps);
+        }
+      Opt.step(G);
+      std::vector<Mlp::ParamSegment> PS = Net.parameterSegments();
+      for (size_t S = 0; S < PS.size(); ++S)
+        for (size_t I = 0; I < PS[S].Size; ++I) {
+          EXPECT_EQ(bitsOf(PS[S].Param[I]), bitsOf(P[S][I]))
+              << "step " << T << " segment " << S << " (size "
+              << PS[S].Size << ") param " << I;
+          EXPECT_EQ(G.segments()[S].Grad[I], 0.0f) << "step zeroes G";
+        }
+    }
+  }
 }
 
 TEST(Mlp, ParameterSegmentsCoverEverything) {

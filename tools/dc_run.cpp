@@ -292,20 +292,8 @@ int main(int Argc, char **Argv) {
                                 std::to_string(M.Cycle) +
                                 ".dreaming_seconds")
                           .value();
-    long GradBusy = Reg.counter("recognition.grad_busy_micros").value();
-    long GradWall = Reg.counter("recognition.grad_wall_micros").value();
-    double GradThreads = Reg.gauge("recognition.threads").value();
-    std::fprintf(stderr,
-                 "telemetry: dream phase %.2fs wall; recognition "
-                 "gradient workers busy %.2fs over %.2fs parallel wall",
-                 DreamSeconds, static_cast<double>(GradBusy) / 1e6,
-                 static_cast<double>(GradWall) / 1e6);
-    if (GradWall > 0 && GradThreads > 0)
-      std::fprintf(stderr, " (%.0f%% utilization at %.0f threads)",
-                   100.0 * static_cast<double>(GradBusy) /
-                       (static_cast<double>(GradWall) * GradThreads),
-                   GradThreads);
-    std::fprintf(stderr, "\n");
+    std::fprintf(stderr, "telemetry: dream phase %.2fs wall\n",
+                 DreamSeconds);
   }
   if (!MetricsPath.empty()) {
     std::ofstream Out(MetricsPath);

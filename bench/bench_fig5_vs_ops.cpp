@@ -78,7 +78,7 @@ void BM_ExtractionAfterClosure(benchmark::State &State) {
   VersionTable VT;
   VsId C = VT.betaClosure(P, 2);
   for (auto _ : State) {
-    std::unordered_map<VsId, Extraction> Cache;
+    ExtractionMemo Cache;
     benchmark::DoNotOptimize(VT.extractMinimal(C, {}, Cache));
   }
 }

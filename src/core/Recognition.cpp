@@ -7,12 +7,13 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string_view>
 
 using namespace dc;
 
@@ -33,6 +34,15 @@ RecognitionModel::RecognitionModel(const Grammar &G, const TaskFeaturizer &F,
   NumSlots = Params.Bigram ? Prior.slotCount() : 1;
   Net = nn::Mlp(Featurizer.dimension(), Params.HiddenDim,
                 NumSlots * NumChildren, Rng);
+}
+
+RecognitionModel::RecognitionModel(const Grammar &G, const TaskFeaturizer &F,
+                                   const RecognitionParams &P,
+                                   nn::Mlp Trained)
+    : Base(G), Prior(G), Featurizer(F), Params(P), Net(std::move(Trained)),
+      Rng(P.Seed) {
+  NumChildren = Prior.childCount();
+  NumSlots = Params.Bigram ? Prior.slotCount() : 1;
 }
 
 /// The decisions one (task, program) pair makes under Prior, in walk
@@ -318,33 +328,44 @@ float bitsToFloat(std::uint32_t Bits) {
 }
 
 /// Parses a word of exactly eight hex digits (no sign, no 0x prefix).
-bool parseHexWord(const std::string &Word, std::uint32_t &Bits) {
+/// A table lookup per digit and no branch: letters and digits mix at
+/// random in parameter words, so a branch per digit mispredicts.
+bool parseHexWord(std::string_view Word, std::uint32_t &Bits) {
+  static constexpr std::array<std::int8_t, 256> Digits = [] {
+    std::array<std::int8_t, 256> D{};
+    D.fill(-1);
+    for (int I = 0; I < 10; ++I)
+      D['0' + I] = static_cast<std::int8_t>(I);
+    for (int I = 0; I < 6; ++I)
+      D['a' + I] = D['A' + I] = static_cast<std::int8_t>(10 + I);
+    return D;
+  }();
   if (Word.size() != 8)
     return false;
-  Bits = 0;
+  std::uint32_t Out = 0;
+  int Invalid = 0;
   for (char C : Word) {
-    int Digit = C >= '0' && C <= '9'   ? C - '0'
-                : C >= 'a' && C <= 'f' ? C - 'a' + 10
-                : C >= 'A' && C <= 'F' ? C - 'A' + 10
-                                       : -1;
-    if (Digit < 0)
-      return false;
-    Bits = Bits << 4 | static_cast<std::uint32_t>(Digit);
+    const int Digit = Digits[static_cast<unsigned char>(C)];
+    Invalid |= Digit; // negative once any digit is not hex
+    Out = Out << 4 | static_cast<std::uint32_t>(Digit & 15);
   }
-  return true;
+  Bits = Out;
+  return Invalid >= 0;
 }
 
-/// Reads the next whitespace-separated word straight from \p Buf; false
-/// at end of input.
-bool nextWord(std::streambuf &Buf, std::string &Word) {
-  Word.clear();
-  int C = Buf.sgetc();
-  while (C != std::char_traits<char>::eof() && std::isspace(C))
-    C = Buf.snextc();
-  while (C != std::char_traits<char>::eof() && !std::isspace(C)) {
-    Word.push_back(static_cast<char>(C));
-    C = Buf.snextc();
-  }
+/// Takes the next whitespace-separated word of \p Text into \p Word;
+/// false at its end.
+bool nextWord(std::string_view &Text, std::string_view &Word) {
+  // The "C" locale's whitespace, without a call per character.
+  auto IsSpace = [](char C) { return C == ' ' || (C >= '\t' && C <= '\r'); };
+  size_t Start = 0;
+  while (Start < Text.size() && IsSpace(Text[Start]))
+    ++Start;
+  size_t End = Start;
+  while (End < Text.size() && !IsSpace(Text[End]))
+    ++End;
+  Word = Text.substr(Start, End - Start);
+  Text.remove_prefix(End);
   return !Word.empty();
 }
 
@@ -453,35 +474,41 @@ dc::loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
     loadFail(ErrorOut, "missing 'params' section");
     return nullptr;
   }
-  // Read the block before building the net, straight from the stream
-  // buffer: a header that claims a huge net costs only the words the
-  // stream actually holds.
-  std::streambuf &Buf = *In.rdbuf();
+  // Read the rest of the stream in one bulk copy and scan the block from
+  // that buffer, before building the net: a header that claims a huge net
+  // costs only the words the stream actually holds.
+  std::ostringstream Rest;
+  Rest << In.rdbuf();
+  const std::string Block = std::move(Rest).str();
+  std::string_view Text = Block, Word;
   std::vector<float> Params;
+  Params.reserve(std::min(ParamCount, Block.size() / 9));
   while (Params.size() < ParamCount) {
     std::uint32_t Bits = 0;
-    if (!nextWord(Buf, Tag) || Tag.size() != 8) {
+    if (!nextWord(Text, Word) || Word.size() != 8) {
       loadFail(ErrorOut, "truncated parameter block");
       return nullptr;
     }
-    if (!parseHexWord(Tag, Bits)) {
-      loadFail(ErrorOut, "malformed parameter word '" + Tag + "'");
+    if (!parseHexWord(Word, Bits)) {
+      loadFail(ErrorOut,
+               "malformed parameter word '" + std::string(Word) + "'");
       return nullptr;
     }
     Params.push_back(bitsToFloat(Bits));
   }
-  if (!nextWord(Buf, Tag) || Tag != "end") {
+  if (!nextWord(Text, Word) || Word != "end") {
     loadFail(ErrorOut, "parameter block missing 'end'");
     return nullptr;
   }
 
-  auto M = std::make_unique<RecognitionModel>(G, F, P);
-  assert(M->net().parameterCount() == ParamCount &&
+  nn::Mlp Net(F.dimension(), P.HiddenDim, Slots * Children);
+  assert(Net.parameterCount() == ParamCount &&
          "loader and Mlp disagree on the parameter count");
   const float *Next = Params.data();
-  for (nn::Mlp::ParamSegment &Seg : M->net().parameterSegments()) {
+  for (nn::Mlp::ParamSegment &Seg : Net.parameterSegments()) {
     std::copy(Next, Next + Seg.Size, Seg.Param);
     Next += Seg.Size;
   }
-  return M;
+  return std::unique_ptr<RecognitionModel>(
+      new RecognitionModel(G, F, P, std::move(Net)));
 }

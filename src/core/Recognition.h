@@ -130,6 +130,15 @@ public:
   const RecognitionParams &params() const { return Params; }
 
 private:
+  /// A model around an already trained \p Trained net (its shape checked
+  /// by the caller): a checkpoint load, which skips initializing weights
+  /// it would overwrite.
+  RecognitionModel(const Grammar &G, const TaskFeaturizer &F,
+                   const RecognitionParams &Params, nn::Mlp Trained);
+  friend std::unique_ptr<RecognitionModel>
+  loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
+                       std::istream &In, std::string *ErrorOut);
+
   /// The head row trained and read at a slot of Prior: the slot itself
   /// (bigram) or the single row (unigram).
   int headRow(int Slot) const { return Params.Bigram ? Slot : 0; }
@@ -172,8 +181,9 @@ void saveRecognitionModel(const RecognitionModel &M, std::ostream &Out);
 /// Restores a model saved by saveRecognitionModel against \p G and \p F,
 /// which must match the training-time library (production count fixes the
 /// output head) and featurizer (input width). Returns null and sets
-/// \p ErrorOut on malformed input or shape mismatch. \p G and \p F must
-/// outlive the returned model (same borrow contract as the constructor).
+/// \p ErrorOut on malformed input or shape mismatch. Reads \p In to its
+/// end once the header checks pass. \p G and \p F must outlive the
+/// returned model (same borrow contract as the constructor).
 std::unique_ptr<RecognitionModel>
 loadRecognitionModel(const Grammar &G, const TaskFeaturizer &F,
                      std::istream &In, std::string *ErrorOut = nullptr);

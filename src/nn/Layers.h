@@ -93,6 +93,8 @@ public:
   Linear() = default;
   Linear(int InDim, int OutDim, std::mt19937 &Rng)
       : W(Matrix::glorot(OutDim, InDim, Rng)), B(OutDim, 0.0f) {}
+  /// All parameters zero, for a caller that overwrites every one.
+  Linear(int InDim, int OutDim) : W(OutDim, InDim), B(OutDim, 0.0f) {}
 
   int inDim() const { return W.cols(); }
   int outDim() const { return W.rows(); }
@@ -127,6 +129,10 @@ public:
   Mlp(int InDim, int Hidden, int OutDim, std::mt19937 &Rng)
       : L1(InDim, Hidden, Rng), L2(Hidden, Hidden, Rng),
         L3(Hidden, OutDim, Rng) {}
+  /// All parameters zero, for a caller that overwrites every one (a
+  /// checkpoint load).
+  Mlp(int InDim, int Hidden, int OutDim)
+      : L1(InDim, Hidden), L2(Hidden, Hidden), L3(Hidden, OutDim) {}
 
   int outDim() const { return L3.outDim(); }
 

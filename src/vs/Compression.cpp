@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <unordered_map>
 
@@ -410,28 +412,70 @@ bool scoreAndAdoptBest(CompressionResult &Result,
   return true;
 }
 
+/// One worker's extraction state over a round's merged table: a private
+/// memo over the shared one, and the current candidate's cone.
+struct ExtractionScratch {
+  ExtractionMemo Overlay;
+  VsMarks Cone;
+};
+
+/// The round's extraction scratch, one per concurrent holder: table-sized
+/// arrays that live as long as the round, not one per candidate.
+class ScratchPool {
+public:
+  /// Scratch no one else holds. It comes back, its overlay emptied, when
+  /// the last copy of the pointer dies.
+  std::shared_ptr<ExtractionScratch> acquire() {
+    std::unique_ptr<ExtractionScratch> S;
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      if (!Free.empty()) {
+        S = std::move(Free.back());
+        Free.pop_back();
+      }
+    }
+    if (!S)
+      S = std::make_unique<ExtractionScratch>();
+    return {S.release(), [this](ExtractionScratch *Back) {
+              Back->Overlay.clear();
+              std::lock_guard<std::mutex> Lock(Mutex);
+              Free.emplace_back(Back);
+            }};
+  }
+
+private:
+  std::mutex Mutex;
+  std::vector<std::unique_ptr<ExtractionScratch>> Free;
+};
+
 /// What a version-space round's rewriter reads: the merged closure table,
-/// each beam entry's closure root in it, the pre-warmed candidate-free
-/// extraction memo, and each candidate's anchor node.
+/// each beam entry's closure root in it, the candidate-free extraction memo
+/// the shards fill, each candidate's anchor node, and the parent edges its
+/// cone is walked on.
 struct VersionSpaceRound {
   VersionTable Table;
   std::vector<std::vector<VsId>> Roots; ///< [frontier][entry]
-  std::unordered_map<VsId, Extraction> Shared;
+  ExtractionMemo Shared;
   std::vector<VsId> Anchors; ///< [candidate]
+  VsParents Parents;
+  ScratchPool Scratch;
 };
 
 /// Builds the β-closure of every *distinct* beam program at
 /// Params.RefactorSteps into \p VS. A closure shard — betaClosure in a
-/// fresh private table — is a pure function of (program, Steps), which
-/// makes it the unit of content-addressed caching: structurally identical
-/// beam entries reuse one shard across frontiers, rounds and sleep phases
-/// instead of rebuilding it. The master table absorbs the shards in
-/// first-occurrence order (frontier order, entry order), so it and
-/// everything downstream of it is a pure function of the frontiers —
-/// never of the thread count, and never of which lookups hit (a hit
-/// returns a table bit-identical to a rebuild). Returns false when a shard
-/// or the merged table exceeds MaxVersionNodes; the round then proposes
-/// top-down.
+/// fresh private table, with its root's candidate-free extraction — is a
+/// pure function of (program, Steps), which makes it the unit of
+/// content-addressed caching: structurally identical beam entries reuse
+/// one shard across frontiers, rounds and sleep phases instead of
+/// rebuilding it. The master table absorbs the shards in first-occurrence
+/// order (frontier order, entry order), so it and everything downstream of
+/// it is a pure function of the frontiers — never of the thread count, and
+/// never of which lookups hit (a hit returns a table bit-identical to a
+/// rebuild). Each shard's extraction is copied to the absorbed nodes in the
+/// shared memo: absorb maps a node to a structurally identical one, and
+/// extraction is a function of structure alone (DESIGN.md §8). Returns
+/// false when a shard or the merged table exceeds MaxVersionNodes; the
+/// round then proposes top-down.
 bool buildClosureTable(const std::vector<Frontier> &Frontiers,
                        const CompressionParams &Params,
                        VersionSpaceRound &VS) {
@@ -455,7 +499,8 @@ bool buildClosureTable(const std::vector<Frontier> &Frontiers,
             Cache ? Cache->lookup(Programs[PI], Params.RefactorSteps)
                   : nullptr;
         if (!Shard) {
-          Shard = VsClosureShard::build(Programs[PI], Params.RefactorSteps);
+          Shard = VsClosureShard::build(Programs[PI], Params.RefactorSteps,
+                                        Params.MaxVersionNodes);
           if (Cache && Shard->nodes() <= Params.MaxVersionNodes)
             Cache->insert(Shard);
         }
@@ -484,6 +529,9 @@ bool buildClosureTable(const std::vector<Frontier> &Frontiers,
       Roots[PI] = VS.Table.absorb(S.Table, S.Root, Memo);
       if (VS.Table.size() > Params.MaxVersionNodes)
         return false;
+      VS.Shared.fit(VS.Table.size());
+      for (VsId V : S.Extracted.written())
+        VS.Shared.set(Memo[V], *S.Extracted.find(V));
     }
   }
   VS.Roots.assign(Frontiers.size(), {});
@@ -497,7 +545,7 @@ bool buildClosureTable(const std::vector<Frontier> &Frontiers,
 
 /// The version-space proposer: ranks closure nodes by how many tasks'
 /// refactorings contain them, then extracts and finalizes the top ones.
-/// Fills \p VS's shared extraction memo and candidate anchors.
+/// Fills \p VS's candidate anchors.
 std::vector<CompressionCandidate>
 proposeFromClosures(const CompressionResult &Result,
                     const CompressionParams &Params, int Round,
@@ -506,10 +554,11 @@ proposeFromClosures(const CompressionResult &Result,
   VersionTable &VT = VS.Table;
 
   // Count, for each version-space node, how many tasks' refactorings
-  // contain it. Frontiers fan out in chunks: each worker accumulates a
-  // chunk-private count vector (reachable() is a const read), and the
-  // partials fold in chunk order. Integer sums commute exactly, so the
-  // totals are identical at every thread count by construction.
+  // contain it. Frontiers fan out in chunks: each worker walks a task's
+  // roots once, marking what it reaches (a const read), adds one per
+  // marked node to a chunk-private count vector, and the partials fold in
+  // chunk order. Integer sums commute exactly, so the totals are identical
+  // at every thread count by construction.
   std::vector<int> TasksCovering(VT.size(), 0);
   {
     const size_t CoverChunk = 64;
@@ -518,15 +567,16 @@ proposeFromClosures(const CompressionResult &Result,
     parallelFor(Params.NumThreads, NumChunks, [&](size_t CK) {
       std::vector<int> &Counts = Partials[CK];
       Counts.assign(VT.size(), 0);
-      std::vector<char> InThisTask(VT.size(), 0);
+      VsMarks InThisTask;
+      std::vector<VsId> Reached;
       size_t End = std::min(VS.Roots.size(), (CK + 1) * CoverChunk);
       for (size_t X = CK * CoverChunk; X < End; ++X) {
-        std::fill(InThisTask.begin(), InThisTask.end(), 0);
+        InThisTask.reset(VT.size());
+        Reached.clear();
         for (VsId Root : VS.Roots[X])
-          for (VsId V : VT.reachable(Root))
-            InThisTask[V] = 1;
-        for (size_t V = 0; V < InThisTask.size(); ++V)
-          Counts[V] += InThisTask[V];
+          VT.collectReachable(Root, InThisTask, Reached);
+        for (VsId V : Reached)
+          ++Counts[V];
       }
     });
     for (const std::vector<int> &Counts : Partials)
@@ -546,18 +596,6 @@ proposeFromClosures(const CompressionResult &Result,
     return A.first != B.first ? A.first > B.first : A.second < B.second;
   });
 
-  // One candidate-free extraction memo shared by the proposal scan and by
-  // out-of-cone nodes during per-candidate rewriting. Pre-warming it on
-  // every closure root up front makes it strictly read-only for
-  // everything that follows: proposal workers and scoring workers alike
-  // layer private memos on top of it.
-  {
-    obs::ScopedSpan PrewarmSpan("compress.prewarm");
-    for (const std::vector<VsId> &Roots : VS.Roots)
-      for (VsId Root : Roots)
-        VT.extractMinimal(Root, {}, VS.Shared);
-  }
-
   // Validate the ranked spaces into concrete proposals. The pure,
   // expensive part (extraction and finalization) fans out per ranked
   // space; admission — body dedup, anchoring via incorporate() (which
@@ -576,11 +614,16 @@ proposeFromClosures(const CompressionResult &Result,
     size_t ChunkEnd = std::min(Ranked.size(), ChunkStart + ScanChunk);
     std::vector<detail::ProposedTerm> Proposals(ChunkEnd - ChunkStart);
     parallelFor(Params.NumThreads, ChunkEnd - ChunkStart, [&](size_t K) {
-      std::unordered_map<VsId, Extraction> Overlay;
-      ExprPtr Term =
-          VT.extractMinimal(Ranked[ChunkStart + K].second,
-                            {.Shared = &VS.Shared}, Overlay)
-              .Program;
+      // The shards' memo, read-only here, holds every node their root
+      // extractions visited; only the rest need private scratch.
+      const VsId V = Ranked[ChunkStart + K].second;
+      ExprPtr Term = nullptr;
+      if (const Extraction *Hit = VS.Shared.find(V))
+        Term = Hit->Program;
+      else
+        Term = VT.extractMinimal(V, {.Shared = &VS.Shared},
+                                 VS.Scratch.acquire()->Overlay)
+                   .Program;
       if (Term)
         Proposals[K] = detail::finalizeProposal(Term, Result.NewGrammar);
     });
@@ -687,24 +730,24 @@ void runRounds(CompressionResult &Result, const CompressionParams &Params) {
       break;
 
     // Each candidate's member function: extraction from the beam's
-    // closure with the candidate in scope (a private cone and memo over
-    // the read-only table and shared memo), or the top-down DP over the
-    // beam's syntax.
+    // closure with the candidate in scope (a cone walked up the parent
+    // edges and a private memo, both in the worker's scratch, over the
+    // read-only table and shared memo), or the top-down DP over the beam's
+    // syntax. The table is final once the proposal scan has anchored.
     std::function<MemberFn(size_t)> MemberFor;
-    if (UseClosures)
+    if (UseClosures) {
+      VS.Parents = VsParents(VS.Table);
       MemberFor = [&](size_t CI) -> MemberFn {
-        VsId Anchor = VS.Anchors[CI];
-        ExprPtr Rewrite = Candidates[CI].RewriteExpr;
-        return [&VS, Anchor, Rewrite, Cone = VS.Table.coneAbove(Anchor),
-                Memo = std::unordered_map<VsId, Extraction>()](
-                   size_t X, size_t I, ExprPtr) mutable {
-          return VS.Table
-              .extractMinimal(VS.Roots[X][I],
-                              {Anchor, Rewrite, &Cone, &VS.Shared}, Memo)
+        std::shared_ptr<ExtractionScratch> S = VS.Scratch.acquire();
+        VS.Parents.cone(VS.Anchors[CI], S->Cone);
+        ExtractionScope Scope{VS.Anchors[CI], Candidates[CI].RewriteExpr,
+                              &S->Cone, &VS.Shared};
+        return [&VS, S, Scope](size_t X, size_t I, ExprPtr) {
+          return VS.Table.extractMinimal(VS.Roots[X][I], Scope, S->Overlay)
               .Program;
         };
       };
-    else
+    } else
       MemberFor = [&](size_t CI) -> MemberFn {
         return [&C = Candidates[CI],
                 Memo = std::unordered_map<ExprPtr, Extraction>()](

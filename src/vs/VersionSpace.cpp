@@ -4,8 +4,11 @@
 
 #include "obs/Metrics.h"
 
-#include <algorithm>
+#include <climits>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <map>
 
 using namespace dc;
 
@@ -32,76 +35,165 @@ bool extractionImproves(const dc::Extraction &E, const dc::Extraction &Best) {
     return E.Cost < Best.Cost;
   return dc::exprCompare(E.Program, Best.Program) < 0;
 }
+
+/// A size or key field that does not fit its packed width stops the
+/// process, in every build type, rather than aliasing another entry.
+void checkFits(bool Fits, const char *What) {
+  if (Fits) [[likely]]
+    return;
+  std::fprintf(stderr, "VersionTable: %s does not fit its packed field\n",
+               What);
+  std::abort();
+}
+
+/// A node id and a 32-bit field in one memo key. Node ids are
+/// non-negative ints, so no key is the reserved all-ones one.
+uint64_t packKey(VsId V, uint32_t Low) {
+  return static_cast<uint64_t>(V) << 32 | Low;
+}
+
+using KeyMap = dc::detail::VsKeyMap<VsId>;
 } // namespace
 
 VersionTable::VersionTable() {
-  Nodes.push_back({VsKind::Void, 0, nullptr, -1, -1, -1, {}});
-  Nodes.push_back({VsKind::Universe, 0, nullptr, -1, -1, -1, {}});
+  Nodes.push_back({VsKind::Void});
+  Nodes.push_back({VsKind::Universe});
   VoidId = 0;
   UniverseId = 1;
 }
 
-VsId VersionTable::intern(VsNode N) {
-  Nodes.push_back(std::move(N));
-  return static_cast<VsId>(Nodes.size()) - 1;
+//===----------------------------------------------------------------------===//
+// Hash-consing
+//===----------------------------------------------------------------------===//
+
+bool VersionTable::sameContent(const VsNode &N, const VsNode &Key,
+                               std::span<const VsId> Members) const {
+  if (N.Kind != Key.Kind)
+    return false;
+  switch (N.Kind) {
+  case VsKind::Index:
+    return N.Index == Key.Index;
+  case VsKind::Terminal:
+    return N.Leaf == Key.Leaf;
+  case VsKind::Abstraction:
+    return N.Body == Key.Body;
+  case VsKind::Application:
+    return N.Fn == Key.Fn && N.Arg == Key.Arg;
+  case VsKind::Union:
+    return N.MemberCount == Members.size() &&
+           std::equal(Members.begin(), Members.end(),
+                      MemberPool.begin() + N.MemberBegin);
+  default:
+    return false; // ∅ and Λ are never interned
+  }
+}
+
+VsId VersionTable::intern(const VsNode &Key, std::span<const VsId> Members) {
+  assert(!Frozen && "a frozen table never interns");
+  uint64_t H = static_cast<uint64_t>(Key.Kind);
+  switch (Key.Kind) {
+  case VsKind::Index:
+    H = KeyMap::mix(H << 32 ^ static_cast<uint32_t>(Key.Index));
+    break;
+  case VsKind::Terminal:
+    H = KeyMap::mix(H ^ reinterpret_cast<uintptr_t>(Key.Leaf));
+    break;
+  case VsKind::Abstraction:
+    H = KeyMap::mix(H << 32 ^ static_cast<uint32_t>(Key.Body));
+    break;
+  case VsKind::Application:
+    H = KeyMap::mix(KeyMap::mix(H << 32 ^ static_cast<uint32_t>(Key.Fn)) ^
+                    static_cast<uint32_t>(Key.Arg));
+    break;
+  default:
+    for (VsId M : Members)
+      H = (H ^ static_cast<uint32_t>(M)) * 0x9e3779b97f4a7c15ull;
+    H = KeyMap::mix(H);
+    break;
+  }
+  const uint32_t Hash = static_cast<uint32_t>(H);
+
+  // Keep the load at most one half.
+  if ((Nodes.size() + 1) * 2 > InternSlots.size()) {
+    std::vector<InternSlot> Old(std::max<size_t>(64, InternSlots.size() * 2));
+    checkFits(Old.size() - 1 <= UINT32_MAX, "intern table size");
+    Old.swap(InternSlots);
+    const size_t Mask = InternSlots.size() - 1;
+    for (const InternSlot &S : Old) {
+      if (S.Id < 0)
+        continue;
+      size_t I = S.Hash & Mask;
+      while (InternSlots[I].Id >= 0)
+        I = (I + 1) & Mask;
+      InternSlots[I] = S;
+    }
+  }
+  const size_t Mask = InternSlots.size() - 1;
+  size_t I = Hash & Mask;
+  for (; InternSlots[I].Id >= 0; I = (I + 1) & Mask) {
+    const InternSlot &S = InternSlots[I];
+    if (S.Hash == Hash && sameContent(Nodes[S.Id], Key, Members))
+      return S.Id;
+  }
+
+  checkFits(Nodes.size() < static_cast<size_t>(INT_MAX), "node id");
+  VsNode N = Key;
+  if (Key.Kind == VsKind::Union) {
+    checkFits(MemberPool.size() + Members.size() <= UINT32_MAX,
+              "member pool offset");
+    N.MemberBegin = static_cast<uint32_t>(MemberPool.size());
+    N.MemberCount = static_cast<uint32_t>(Members.size());
+    MemberPool.insert(MemberPool.end(), Members.begin(), Members.end());
+  }
+  const VsId V = static_cast<VsId>(Nodes.size());
+  Nodes.push_back(N);
+  InternSlots[I] = {Hash, V};
+  return V;
 }
 
 VsId VersionTable::index(int I) {
-  auto It = IndexNodes.find(I);
-  if (It != IndexNodes.end())
-    return It->second;
-  VsId V = intern({VsKind::Index, I, nullptr, -1, -1, -1, {}});
-  IndexNodes.emplace(I, V);
-  return V;
+  VsNode Key{VsKind::Index};
+  Key.Index = I;
+  return intern(Key);
 }
 
 VsId VersionTable::terminal(ExprPtr Leaf) {
   assert(Leaf && (Leaf->isPrimitive() || Leaf->isInvented()) &&
          "terminals are primitives or invented routines");
-  auto It = TerminalNodes.find(Leaf);
-  if (It != TerminalNodes.end())
-    return It->second;
-  VsId V = intern({VsKind::Terminal, 0, Leaf, -1, -1, -1, {}});
-  TerminalNodes.emplace(Leaf, V);
-  return V;
+  VsNode Key{VsKind::Terminal};
+  Key.Leaf = Leaf;
+  return intern(Key);
 }
 
 VsId VersionTable::abstraction(VsId Body) {
   if (Body == VoidId)
     return VoidId;
-  auto It = AbstractionNodes.find(Body);
-  if (It != AbstractionNodes.end())
-    return It->second;
-  VsId V = intern({VsKind::Abstraction, 0, nullptr, Body, -1, -1, {}});
-  AbstractionNodes.emplace(Body, V);
-  return V;
+  VsNode Key{VsKind::Abstraction};
+  Key.Body = Body;
+  return intern(Key);
 }
 
 VsId VersionTable::apply(VsId Fn, VsId Arg) {
   if (Fn == VoidId || Arg == VoidId)
     return VoidId;
-  auto Key = std::make_pair(Fn, Arg);
-  auto It = ApplicationNodes.find(Key);
-  if (It != ApplicationNodes.end())
-    return It->second;
-  VsId V = intern({VsKind::Application, 0, nullptr, -1, Fn, Arg, {}});
-  ApplicationNodes.emplace(Key, V);
-  return V;
+  VsNode Key{VsKind::Application};
+  Key.Fn = Fn;
+  Key.Arg = Arg;
+  return intern(Key);
 }
 
 VsId VersionTable::unionOf(std::vector<VsId> Members) {
   // Flatten nested unions, drop ∅, absorb into Λ, dedupe.
-  std::vector<VsId> Flat;
-  Flat.reserve(Members.size());
+  std::vector<VsId> &Flat = UnionScratch;
+  Flat.clear();
   for (VsId M : Members) {
     if (M == VoidId)
       continue;
     if (M == UniverseId)
       return UniverseId;
-    const VsNode &N = Nodes[M];
-    if (N.Kind == VsKind::Union) {
-      for (VsId Inner : N.Members)
-        Flat.push_back(Inner);
+    if (Nodes[M].Kind == VsKind::Union) {
+      std::span<const VsId> Inner = members(M);
+      Flat.insert(Flat.end(), Inner.begin(), Inner.end());
       continue;
     }
     Flat.push_back(M);
@@ -112,19 +204,13 @@ VsId VersionTable::unionOf(std::vector<VsId> Members) {
     return VoidId;
   if (Flat.size() == 1)
     return Flat.front();
-  auto It = UnionNodes.find(Flat);
-  if (It != UnionNodes.end())
-    return It->second;
-  VsNode N{VsKind::Union, 0, nullptr, -1, -1, -1, Flat};
-  VsId V = intern(std::move(N));
-  UnionNodes.emplace(std::move(Flat), V);
-  return V;
+  return intern(VsNode{VsKind::Union}, Flat);
 }
 
 VsId VersionTable::incorporate(ExprPtr E) {
-  auto It = IncorporateMemo.find(E);
-  if (It != IncorporateMemo.end())
-    return It->second;
+  const uint64_t Key = reinterpret_cast<uintptr_t>(E);
+  if (const VsId *Hit = IncorporateMemo.find(Key))
+    return *Hit;
   VsId V = VoidId;
   switch (E->kind()) {
   case ExprKind::Index:
@@ -141,7 +227,7 @@ VsId VersionTable::incorporate(ExprPtr E) {
     V = apply(incorporate(E->fn()), incorporate(E->arg()));
     break;
   }
-  IncorporateMemo.emplace(E, V);
+  IncorporateMemo.insert(Key, V);
   return V;
 }
 
@@ -175,8 +261,8 @@ VsId VersionTable::absorb(const VersionTable &Src, VsId Root,
   }
   case VsKind::Union: {
     std::vector<VsId> Members;
-    Members.reserve(N.Members.size());
-    for (VsId M : N.Members)
+    Members.reserve(N.MemberCount);
+    for (VsId M : Src.members(Root))
       Members.push_back(absorb(Src, M, Memo));
     Out = unionOf(std::move(Members));
     break;
@@ -186,18 +272,33 @@ VsId VersionTable::absorb(const VersionTable &Src, VsId Root,
   return Out;
 }
 
+void VersionTable::freeze() {
+  Frozen = true;
+  std::vector<InternSlot>().swap(InternSlots);
+  std::vector<VsId>().swap(UnionScratch);
+  IncorporateMemo.release();
+  ShiftMemo.release();
+  IntersectionMemo.release();
+  SubstitutionMemo.release();
+  std::vector<std::pair<VsId, VsId>>().swap(SubstitutionPool);
+  std::vector<VsId>().swap(InversionMemo);
+  InversionNMemo.release();
+  Nodes.shrink_to_fit();
+  MemberPool.shrink_to_fit();
+}
+
 //===----------------------------------------------------------------------===//
 // Queries
 //===----------------------------------------------------------------------===//
 
-bool VersionTable::memberContains(VsId V, ExprPtr E,
-                                  std::map<std::pair<VsId, ExprPtr>, bool>
-                                      &Memo) {
+namespace {
+bool memberContains(const VersionTable &T, VsId V, ExprPtr E,
+                    std::map<std::pair<VsId, ExprPtr>, bool> &Memo) {
   auto Key = std::make_pair(V, E);
   auto It = Memo.find(Key);
   if (It != Memo.end())
     return It->second;
-  const VsNode &N = Nodes[V];
+  const VsNode &N = T.node(V);
   bool Result = false;
   switch (N.Kind) {
   case VsKind::Void:
@@ -213,15 +314,15 @@ bool VersionTable::memberContains(VsId V, ExprPtr E,
     Result = E == N.Leaf;
     break;
   case VsKind::Abstraction:
-    Result = E->isAbstraction() && memberContains(N.Body, E->body(), Memo);
+    Result = E->isAbstraction() && memberContains(T, N.Body, E->body(), Memo);
     break;
   case VsKind::Application:
-    Result = E->isApplication() && memberContains(N.Fn, E->fn(), Memo) &&
-             memberContains(N.Arg, E->arg(), Memo);
+    Result = E->isApplication() && memberContains(T, N.Fn, E->fn(), Memo) &&
+             memberContains(T, N.Arg, E->arg(), Memo);
     break;
   case VsKind::Union:
-    for (VsId M : N.Members)
-      if (memberContains(M, E, Memo)) {
+    for (VsId M : T.members(V))
+      if (memberContains(T, M, E, Memo)) {
         Result = true;
         break;
       }
@@ -231,12 +332,52 @@ bool VersionTable::memberContains(VsId V, ExprPtr E,
   return Result;
 }
 
-bool VersionTable::extensionContains(VsId V, ExprPtr E) {
+/// extensionSize's recursion; \p Memo holds this call's counts (-1: none),
+/// each already saturated at \p Cap.
+double countExtension(const VersionTable &T, VsId V, double Cap,
+                      std::vector<double> &Memo) {
+  if (Memo[V] >= 0)
+    return Memo[V];
+  const VsNode &N = T.node(V);
+  double Result = 0;
+  switch (N.Kind) {
+  case VsKind::Void:
+    Result = 0;
+    break;
+  case VsKind::Universe:
+    Result = Cap; // infinite extension; saturate
+    break;
+  case VsKind::Index:
+  case VsKind::Terminal:
+    Result = 1;
+    break;
+  case VsKind::Abstraction:
+    Result = countExtension(T, N.Body, Cap, Memo);
+    break;
+  case VsKind::Application:
+    Result = countExtension(T, N.Fn, Cap, Memo) *
+             countExtension(T, N.Arg, Cap, Memo);
+    break;
+  case VsKind::Union:
+    // Members of a hash-consed union are distinct, and in practice their
+    // extensions are disjoint alternatives produced by different inversion
+    // choices; sum (this matches how the paper counts refactorings).
+    for (VsId M : T.members(V))
+      Result += countExtension(T, M, Cap, Memo);
+    break;
+  }
+  Result = std::min(Result, Cap);
+  Memo[V] = Result;
+  return Result;
+}
+} // namespace
+
+bool VersionTable::extensionContains(VsId V, ExprPtr E) const {
   std::map<std::pair<VsId, ExprPtr>, bool> Memo;
-  return memberContains(V, E, Memo);
+  return memberContains(*this, V, E, Memo);
 }
 
-std::vector<ExprPtr> VersionTable::extensionSample(VsId V, int Limit) {
+std::vector<ExprPtr> VersionTable::extensionSample(VsId V, int Limit) const {
   std::vector<ExprPtr> Out;
   if (Limit <= 0)
     return Out;
@@ -265,7 +406,7 @@ std::vector<ExprPtr> VersionTable::extensionSample(VsId V, int Limit) {
     }
     break;
   case VsKind::Union:
-    for (VsId M : N.Members) {
+    for (VsId M : members(V)) {
       for (ExprPtr E :
            extensionSample(M, Limit - static_cast<int>(Out.size())))
         Out.push_back(E);
@@ -279,52 +420,28 @@ std::vector<ExprPtr> VersionTable::extensionSample(VsId V, int Limit) {
   return Out;
 }
 
-double VersionTable::extensionSize(VsId V, double Cap) {
-  auto It = SizeMemo.find(V);
-  if (It != SizeMemo.end())
-    return It->second;
-  const VsNode &N = Nodes[V];
-  double Result = 0;
-  switch (N.Kind) {
-  case VsKind::Void:
-    Result = 0;
-    break;
-  case VsKind::Universe:
-    Result = Cap; // infinite extension; saturate
-    break;
-  case VsKind::Index:
-  case VsKind::Terminal:
-    Result = 1;
-    break;
-  case VsKind::Abstraction:
-    Result = extensionSize(N.Body, Cap);
-    break;
-  case VsKind::Application:
-    Result = extensionSize(N.Fn, Cap) * extensionSize(N.Arg, Cap);
-    break;
-  case VsKind::Union:
-    // Members of a hash-consed union are distinct, and in practice their
-    // extensions are disjoint alternatives produced by different inversion
-    // choices; sum (this matches how the paper counts refactorings).
-    for (VsId M : N.Members)
-      Result += extensionSize(M, Cap);
-    break;
-  }
-  Result = std::min(Result, Cap);
-  SizeMemo.emplace(V, Result);
-  return Result;
+double VersionTable::extensionSize(VsId V, double Cap) const {
+  // The memo lives for one call: counts saturate at this call's cap.
+  std::vector<double> Memo(Nodes.size(), -1);
+  return countExtension(*this, V, Cap, Memo);
 }
 
 std::vector<VsId> VersionTable::reachable(VsId V) const {
-  std::vector<VsId> Stack = {V};
-  std::vector<bool> Seen(Nodes.size(), false);
+  VsMarks Seen;
+  Seen.reset(Nodes.size());
   std::vector<VsId> Out;
+  collectReachable(V, Seen, Out);
+  return Out;
+}
+
+void VersionTable::collectReachable(VsId V, VsMarks &Seen,
+                                    std::vector<VsId> &Out) const {
+  std::vector<VsId> Stack = {V};
   while (!Stack.empty()) {
     VsId Cur = Stack.back();
     Stack.pop_back();
-    if (Seen[Cur])
+    if (!Seen.insert(Cur))
       continue;
-    Seen[Cur] = true;
     Out.push_back(Cur);
     const VsNode &N = Nodes[Cur];
     switch (N.Kind) {
@@ -335,15 +452,69 @@ std::vector<VsId> VersionTable::reachable(VsId V) const {
       Stack.push_back(N.Fn);
       Stack.push_back(N.Arg);
       break;
-    case VsKind::Union:
-      for (VsId M : N.Members)
-        Stack.push_back(M);
+    case VsKind::Union: {
+      std::span<const VsId> Ms = members(Cur);
+      Stack.insert(Stack.end(), Ms.begin(), Ms.end());
       break;
+    }
     default:
       break;
     }
   }
-  return Out;
+}
+
+void VsMarks::reset(size_t Nodes) {
+  if (Stamps.size() < Nodes)
+    Stamps.resize(Nodes, 0);
+  if (++Generation == 0) { // wrapped: stale stamps could read as current
+    std::fill(Stamps.begin(), Stamps.end(), 0);
+    Generation = 1;
+  }
+}
+
+VsParents::VsParents(const VersionTable &T) {
+  const size_t N = T.size();
+  auto ForEachChild = [&T](VsId V, auto &&Visit) {
+    const VsNode &Node = T.node(V);
+    switch (Node.Kind) {
+    case VsKind::Abstraction:
+      Visit(Node.Body);
+      break;
+    case VsKind::Application:
+      Visit(Node.Fn);
+      Visit(Node.Arg);
+      break;
+    case VsKind::Union:
+      for (VsId M : T.members(V))
+        Visit(M);
+      break;
+    default:
+      break;
+    }
+  };
+  std::vector<size_t> Count(N + 1, 0);
+  for (VsId V = 0; V < static_cast<VsId>(N); ++V)
+    ForEachChild(V, [&](VsId C) { ++Count[C + 1]; });
+  for (size_t V = 0; V < N; ++V)
+    Count[V + 1] += Count[V];
+  checkFits(Count[N] <= UINT32_MAX, "parent edge offset");
+  Begin.assign(Count.begin(), Count.end());
+  Parents.resize(Count[N]);
+  for (VsId V = 0; V < static_cast<VsId>(N); ++V)
+    ForEachChild(V, [&](VsId C) { Parents[Count[C]++] = V; });
+}
+
+void VsParents::cone(VsId V, VsMarks &Cone) const {
+  Cone.reset(Begin.size() - 1);
+  Cone.insert(V);
+  std::vector<VsId> Stack = {V};
+  while (!Stack.empty()) {
+    VsId Cur = Stack.back();
+    Stack.pop_back();
+    for (uint32_t E = Begin[Cur]; E < Begin[Cur + 1]; ++E)
+      if (Cone.insert(Parents[E]))
+        Stack.push_back(Parents[E]);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -353,11 +524,14 @@ std::vector<VsId> VersionTable::reachable(VsId V) const {
 VsId VersionTable::shiftFree(VsId V, int Delta, int Cutoff) {
   if (Delta == 0)
     return V;
-  auto Key = std::make_tuple(V, Delta, Cutoff);
-  auto It = ShiftMemo.find(Key);
-  if (It != ShiftMemo.end())
-    return It->second;
-  const VsNode &N = Nodes[V];
+  checkFits(Delta >= INT16_MIN && Delta <= INT16_MAX, "shift delta");
+  checkFits(Cutoff >= 0 && Cutoff <= UINT16_MAX, "shift cutoff");
+  const uint64_t Key =
+      packKey(V, static_cast<uint32_t>(static_cast<uint16_t>(Delta)) << 16 |
+                     static_cast<uint32_t>(Cutoff));
+  if (const VsId *Hit = ShiftMemo.find(Key))
+    return *Hit;
+  const VsNode N = Nodes[V]; // copy: interning below may grow Nodes
   VsId Result = VoidId;
   switch (N.Kind) {
   case VsKind::Void:
@@ -381,17 +555,16 @@ VsId VersionTable::shiftFree(VsId V, int Delta, int Cutoff) {
                    shiftFree(N.Arg, Delta, Cutoff));
     break;
   case VsKind::Union: {
-    std::vector<VsId> Shifted;
-    Shifted.reserve(N.Members.size());
-    // N.Members is a copy-safe snapshot: interning below may grow Nodes.
-    std::vector<VsId> Members = N.Members;
-    for (VsId M : Members)
-      Shifted.push_back(shiftFree(M, Delta, Cutoff));
+    // A copy: interning below may grow the member pool.
+    const std::span<const VsId> Ms = members(V);
+    std::vector<VsId> Shifted(Ms.begin(), Ms.end());
+    for (VsId &M : Shifted)
+      M = shiftFree(M, Delta, Cutoff);
     Result = unionOf(std::move(Shifted));
     break;
   }
   }
-  ShiftMemo.emplace(Key, Result);
+  ShiftMemo.insert(Key, Result);
   return Result;
 }
 
@@ -404,20 +577,25 @@ VsId VersionTable::intersection(VsId A, VsId B) {
     return B;
   if (B == UniverseId)
     return A;
-  auto Key = std::minmax(A, B);
-  auto It = IntersectionMemo.find(Key);
-  if (It != IntersectionMemo.end())
-    return It->second;
+  const uint64_t Key =
+      packKey(std::min(A, B), static_cast<uint32_t>(std::max(A, B)));
+  if (const VsId *Hit = IntersectionMemo.find(Key))
+    return *Hit;
 
   VsId Result = VoidId;
   const VsNode NA = Nodes[A]; // copies: interning may reallocate Nodes
   const VsNode NB = Nodes[B];
   if (NA.Kind == VsKind::Union || NB.Kind == VsKind::Union) {
+    // Copies too: interning may grow the member pool.
+    auto Alternatives = [this](VsId V) {
+      if (Nodes[V].Kind != VsKind::Union)
+        return std::vector<VsId>{V};
+      const std::span<const VsId> Ms = members(V);
+      return std::vector<VsId>(Ms.begin(), Ms.end());
+    };
+    const std::vector<VsId> Left = Alternatives(A), Right = Alternatives(B);
     std::vector<VsId> Parts;
-    const std::vector<VsId> &Left =
-        NA.Kind == VsKind::Union ? NA.Members : std::vector<VsId>{A};
-    const std::vector<VsId> &Right =
-        NB.Kind == VsKind::Union ? NB.Members : std::vector<VsId>{B};
+    Parts.reserve(Left.size() * Right.size());
     for (VsId L : Left)
       for (VsId R : Right)
         Parts.push_back(intersection(L, R));
@@ -435,90 +613,106 @@ VsId VersionTable::intersection(VsId A, VsId B) {
              NA.Leaf == NB.Leaf) {
     Result = A;
   }
-  IntersectionMemo.emplace(Key, Result);
+  IntersectionMemo.insert(Key, Result);
   return Result;
 }
 
-const std::map<VsId, VsId> &VersionTable::substitutions(VsId V, int K) {
-  auto Key = std::make_pair(V, K);
-  auto It = SubstitutionMemo.find(Key);
-  if (It != SubstitutionMemo.end())
-    return It->second;
+std::span<const std::pair<VsId, VsId>>
+VersionTable::substitutions(VsId V, int K) {
+  const uint64_t Key = packKey(V, static_cast<uint32_t>(K));
+  if (const PoolRange *Hit = SubstitutionMemo.find(Key))
+    return {SubstitutionPool.data() + Hit->Begin, Hit->Count};
 
-  // Accumulate bodies per value; union them at the end (Fig 5D).
-  std::map<VsId, std::vector<VsId>> Bodies;
+  // (value, body) pairs; bodies are unioned per value at the end (Fig 5D).
+  std::vector<std::pair<VsId, VsId>> Bodies;
 
   // The "lift the whole subterm out" case: (λ $K) (↓ᴷ₀ v).
   VsId Lifted = shiftFree(V, -K, 0);
   if (Lifted != VoidId)
-    Bodies[Lifted].push_back(index(K));
+    Bodies.push_back({Lifted, index(K)});
 
   const VsNode N = Nodes[V]; // copy: recursion below may reallocate Nodes
   switch (N.Kind) {
   case VsKind::Void:
     break;
   case VsKind::Universe:
-    Bodies[UniverseId].push_back(UniverseId);
+    Bodies.push_back({UniverseId, UniverseId});
     break;
   case VsKind::Terminal:
-    Bodies[UniverseId].push_back(V);
+    Bodies.push_back({UniverseId, V});
     break;
   case VsKind::Index:
     if (N.Index < K)
-      Bodies[UniverseId].push_back(V);
+      Bodies.push_back({UniverseId, V});
     else
-      Bodies[UniverseId].push_back(index(N.Index + 1));
+      Bodies.push_back({UniverseId, index(N.Index + 1)});
     break;
-  case VsKind::Abstraction: {
+  case VsKind::Abstraction:
+    // abstraction() never touches the substitution pool, so the span holds.
     for (const auto &[Value, Body] : substitutions(N.Body, K + 1))
-      Bodies[Value].push_back(abstraction(Body));
+      Bodies.push_back({Value, abstraction(Body)});
     break;
-  }
   case VsKind::Application: {
-    // Avoid dangling references: copy the maps (recursion may invalidate).
-    std::map<VsId, VsId> FnSubs = substitutions(N.Fn, K);
-    std::map<VsId, VsId> ArgSubs = substitutions(N.Arg, K);
+    // Copy the function's pairs: the argument's may grow the pool. Neither
+    // intersection() nor apply() touches it, so the argument's span holds.
+    const auto FnSpan = substitutions(N.Fn, K);
+    const std::vector<std::pair<VsId, VsId>> FnSubs(FnSpan.begin(),
+                                                    FnSpan.end());
+    const auto ArgSubs = substitutions(N.Arg, K);
     for (const auto &[V1, FnBody] : FnSubs)
       for (const auto &[V2, ArgBody] : ArgSubs) {
         VsId Value = intersection(V1, V2);
         if (Value == VoidId)
           continue;
-        Bodies[Value].push_back(apply(FnBody, ArgBody));
+        Bodies.push_back({Value, apply(FnBody, ArgBody)});
       }
     break;
   }
-  case VsKind::Union:
-    for (VsId M : N.Members)
+  case VsKind::Union: {
+    // A copy: the members' substitutions may grow the member pool.
+    const std::span<const VsId> Ms = members(V);
+    for (VsId M : std::vector<VsId>(Ms.begin(), Ms.end()))
       for (const auto &[Value, Body] : substitutions(M, K))
-        Bodies[Value].push_back(Body);
+        Bodies.push_back({Value, Body});
     break;
   }
+  }
 
-  std::map<VsId, VsId> Result;
-  for (auto &[Value, Bs] : Bodies)
-    Result.emplace(Value, unionOf(std::move(Bs)));
-  return SubstitutionMemo.emplace(Key, std::move(Result)).first->second;
+  // One union per value, interned in ascending value order. Member order
+  // within a value does not matter: unionOf sorts.
+  std::sort(Bodies.begin(), Bodies.end());
+  const size_t Begin = SubstitutionPool.size();
+  std::vector<VsId> Group;
+  for (size_t I = 0; I < Bodies.size();) {
+    const VsId Value = Bodies[I].first;
+    Group.clear();
+    for (; I < Bodies.size() && Bodies[I].first == Value; ++I)
+      Group.push_back(Bodies[I].second);
+    SubstitutionPool.push_back({Value, unionOf(std::move(Group))});
+  }
+  const size_t Count = SubstitutionPool.size() - Begin;
+  checkFits(SubstitutionPool.size() <= UINT32_MAX, "substitution pool offset");
+  SubstitutionMemo.insert(Key, {static_cast<uint32_t>(Begin),
+                                static_cast<uint32_t>(Count)});
+  return {SubstitutionPool.data() + Begin, Count};
 }
 
 VsId VersionTable::inversion(VsId V) {
-  auto It = InversionMemo.find(V);
-  if (It != InversionMemo.end())
-    return It->second;
+  if (static_cast<size_t>(V) < InversionMemo.size() && InversionMemo[V] >= 0)
+    return InversionMemo[V];
 
   std::vector<VsId> Parts;
-  {
-    // Top-level redexes from S (Fig 5C first clause). Values equal to Λ
-    // yield (λ b) Λ refactorings that extraction can never choose (Λ has
-    // infinite cost), so they are skipped; so is the trivial identity
-    // redex (λ $0) v.
-    std::map<VsId, VsId> Subs = substitutions(V, 0);
-    for (const auto &[Value, Body] : Subs) {
-      if (Value == UniverseId)
-        continue;
-      if (Body == index(0))
-        continue;
-      Parts.push_back(apply(abstraction(Body), Value));
-    }
+  // Top-level redexes from S (Fig 5C first clause). Values equal to Λ
+  // yield (λ b) Λ refactorings that extraction can never choose (Λ has
+  // infinite cost), so they are skipped; so is the trivial identity
+  // redex (λ $0) v. The loop interns but never touches the substitution
+  // pool, so the span holds.
+  for (const auto &[Value, Body] : substitutions(V, 0)) {
+    if (Value == UniverseId)
+      continue;
+    if (Body == index(0))
+      continue;
+    Parts.push_back(apply(abstraction(Body), Value));
   }
 
   const VsNode N = Nodes[V]; // copy before more interning
@@ -530,24 +724,28 @@ VsId VersionTable::inversion(VsId V) {
     Parts.push_back(apply(inversion(N.Fn), N.Arg));
     Parts.push_back(apply(N.Fn, inversion(N.Arg)));
     break;
-  case VsKind::Union:
-    for (VsId M : N.Members)
+  case VsKind::Union: {
+    // A copy: inverting the members may grow the member pool.
+    const std::span<const VsId> Ms = members(V);
+    for (VsId M : std::vector<VsId>(Ms.begin(), Ms.end()))
       Parts.push_back(inversion(M));
     break;
+  }
   default:
     break;
   }
 
   VsId Result = unionOf(std::move(Parts));
-  InversionMemo.emplace(V, Result);
+  if (InversionMemo.size() <= static_cast<size_t>(V))
+    InversionMemo.resize(Nodes.size(), -1);
+  InversionMemo[V] = Result;
   return Result;
 }
 
 VsId VersionTable::inversionN(VsId V, int Steps) {
-  auto Key = std::make_pair(V, Steps);
-  auto It = InversionNMemo.find(Key);
-  if (It != InversionNMemo.end())
-    return It->second;
+  const uint64_t Key = packKey(V, static_cast<uint32_t>(Steps));
+  if (const VsId *Hit = InversionNMemo.find(Key))
+    return *Hit;
   std::vector<VsId> Parts = {V};
   VsId Cur = V;
   for (int I = 0; I < Steps; ++I) {
@@ -557,7 +755,7 @@ VsId VersionTable::inversionN(VsId V, int Steps) {
     Parts.push_back(Cur);
   }
   VsId Result = unionOf(std::move(Parts));
-  InversionNMemo.emplace(Key, Result);
+  InversionNMemo.insert(Key, Result);
   return Result;
 }
 
@@ -603,9 +801,14 @@ VsId VersionTable::betaClosure(ExprPtr E, int N) {
 // Extraction
 //===----------------------------------------------------------------------===//
 
-Extraction
-VersionTable::extractMinimal(VsId V, const ExtractionScope &Scope,
-                             std::unordered_map<VsId, Extraction> &Memo) const {
+Extraction VersionTable::extractMinimal(VsId V, const ExtractionScope &Scope,
+                                        ExtractionMemo &Memo) const {
+  Memo.fit(Nodes.size());
+  return extract(V, Scope, Memo);
+}
+
+Extraction VersionTable::extract(VsId V, const ExtractionScope &Scope,
+                                 ExtractionMemo &Memo) const {
   if (V == Scope.Candidate) {
     // Cost 1 is already minimal: no sibling member can beat the invention.
     assert(Scope.CandidateExpr && "candidate requires its invention");
@@ -613,14 +816,11 @@ VersionTable::extractMinimal(VsId V, const ExtractionScope &Scope,
   }
   // Outside the cone the candidate cannot matter, so the candidate-free
   // shared memo answers; children of such a node are outside it too.
-  if (Scope.Shared && !(Scope.Cone && (*Scope.Cone)[V])) {
-    auto It = Scope.Shared->find(V);
-    if (It != Scope.Shared->end())
-      return It->second;
-  }
-  auto It = Memo.find(V);
-  if (It != Memo.end())
-    return It->second;
+  if (Scope.Shared && !(Scope.Cone && Scope.Cone->contains(V)))
+    if (const Extraction *Hit = Scope.Shared->find(V))
+      return *Hit;
+  if (const Extraction *Hit = Memo.find(V))
+    return *Hit;
 
   // Extraction never interns, so Nodes cannot reallocate underneath us.
   const VsNode &N = Nodes[V];
@@ -636,16 +836,16 @@ VersionTable::extractMinimal(VsId V, const ExtractionScope &Scope,
     Result = {1.0, N.Leaf};
     break;
   case VsKind::Abstraction: {
-    Extraction Body = extractMinimal(N.Body, Scope, Memo);
+    Extraction Body = extract(N.Body, Scope, Memo);
     if (Body.Program)
       Result = {EpsilonCost + Body.Cost, Expr::abstraction(Body.Program)};
     break;
   }
   case VsKind::Application: {
-    Extraction Fn = extractMinimal(N.Fn, Scope, Memo);
+    Extraction Fn = extract(N.Fn, Scope, Memo);
     if (!Fn.Program)
       break;
-    Extraction Arg = extractMinimal(N.Arg, Scope, Memo);
+    Extraction Arg = extract(N.Arg, Scope, Memo);
     if (!Arg.Program)
       break;
     Result = {EpsilonCost + Fn.Cost + Arg.Cost,
@@ -653,48 +853,18 @@ VersionTable::extractMinimal(VsId V, const ExtractionScope &Scope,
     break;
   }
   case VsKind::Union:
-    for (VsId M : N.Members) {
-      Extraction E = extractMinimal(M, Scope, Memo);
+    for (VsId M : members(V)) {
+      Extraction E = extract(M, Scope, Memo);
       if (extractionImproves(E, Result))
         Result = E;
     }
     break;
   }
-  Memo.emplace(V, Result);
+  Memo.set(V, Result);
   return Result;
 }
 
 ExprPtr VersionTable::extractCheapest(VsId V) const {
-  std::unordered_map<VsId, Extraction> Memo;
+  ExtractionMemo Memo;
   return extractMinimal(V, {}, Memo).Program;
-}
-
-std::vector<char> VersionTable::coneAbove(VsId Candidate) const {
-  // Node ids increase from children to parents, so one ascending pass
-  // suffices.
-  std::vector<char> Cone(Nodes.size(), 0);
-  if (Candidate < 0 || Candidate >= static_cast<VsId>(Nodes.size()))
-    return Cone;
-  Cone[Candidate] = 1;
-  for (VsId V = Candidate + 1; V < static_cast<VsId>(Nodes.size()); ++V) {
-    const VsNode &N = Nodes[V];
-    switch (N.Kind) {
-    case VsKind::Abstraction:
-      Cone[V] = Cone[N.Body];
-      break;
-    case VsKind::Application:
-      Cone[V] = Cone[N.Fn] | Cone[N.Arg];
-      break;
-    case VsKind::Union:
-      for (VsId M : N.Members)
-        if (Cone[M]) {
-          Cone[V] = 1;
-          break;
-        }
-      break;
-    default:
-      break;
-    }
-  }
-  return Cone;
 }

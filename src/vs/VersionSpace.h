@@ -16,7 +16,10 @@
 ///
 /// Nodes are hash-consed into a VersionTable; node ids are strictly
 /// increasing from children to parents, so the structure is acyclic and all
-/// analyses are simple memoized DAG walks.
+/// analyses are simple memoized DAG walks. Storage is flat: nodes are plain
+/// data, union members share one pool, one open-addressing table interns
+/// every node kind, and the operator memos are open-addressing tables on
+/// packed integer keys or arrays indexed by node id.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +28,10 @@
 
 #include "core/Program.h"
 
-#include <map>
-#include <unordered_map>
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace dc {
@@ -45,14 +50,17 @@ enum class VsKind : uint8_t {
   Union,       ///< ⊎V — nondeterministic choice
 };
 
-/// One hash-consed version-space node.
+/// One hash-consed version-space node, as plain data. A union's members
+/// (sorted, deduplicated) live in its table's member pool; read them with
+/// VersionTable::members.
 struct VsNode {
-  VsKind Kind;
+  VsKind Kind = VsKind::Void;
   int Index = 0;            ///< Index nodes
-  ExprPtr Leaf = nullptr;   ///< Terminal nodes
   VsId Body = -1;           ///< Abstraction nodes
   VsId Fn = -1, Arg = -1;   ///< Application nodes
-  std::vector<VsId> Members; ///< Union nodes (sorted, deduplicated)
+  uint32_t MemberBegin = 0; ///< Union nodes: first member's pool offset
+  uint32_t MemberCount = 0; ///< Union nodes: number of members
+  ExprPtr Leaf = nullptr;   ///< Terminal nodes
 };
 
 /// Cost of an internal (application/abstraction) node during extraction;
@@ -68,6 +76,64 @@ struct Extraction {
   ExprPtr Program = nullptr;
 };
 
+/// Extraction results indexed by node id. Empties in time proportional to
+/// the entries set since it was last emptied, keeping its storage, so one
+/// memo serves many extractions over a large table.
+class ExtractionMemo {
+public:
+  /// Makes room for every id below \p Nodes.
+  void fit(size_t Nodes) {
+    if (Entries.size() < Nodes)
+      Entries.resize(Nodes, {NotComputed, nullptr});
+  }
+  /// The entry for \p V, or null when it has none.
+  const Extraction *find(VsId V) const {
+    return static_cast<size_t>(V) < Entries.size() &&
+                   Entries[V].Cost != NotComputed
+               ? &Entries[V]
+               : nullptr;
+  }
+  /// Records \p E for \p V, which must be below fit()'s bound.
+  void set(VsId V, const Extraction &E) {
+    if (Entries[V].Cost == NotComputed)
+      Written.push_back(V);
+    Entries[V] = E;
+  }
+  /// The ids holding an entry, in the order they were first set.
+  const std::vector<VsId> &written() const { return Written; }
+  void clear() {
+    for (VsId V : Written)
+      Entries[V].Cost = NotComputed;
+    Written.clear();
+  }
+
+private:
+  /// Real costs are ≥ 1 or +∞.
+  static constexpr double NotComputed = -1;
+  std::vector<Extraction> Entries;
+  std::vector<VsId> Written;
+};
+
+/// A set of node ids that empties in O(1): an id is in the set while its
+/// stamp equals the current generation.
+class VsMarks {
+public:
+  /// Empties the set and makes room for every id below \p Nodes.
+  void reset(size_t Nodes);
+  bool contains(VsId V) const { return Stamps[V] == Generation; }
+  /// Adds \p V; false when it was already in the set.
+  bool insert(VsId V) {
+    if (Stamps[V] == Generation)
+      return false;
+    Stamps[V] = Generation;
+    return true;
+  }
+
+private:
+  std::vector<uint32_t> Stamps;
+  uint32_t Generation = 0;
+};
+
 /// How one extraction layers its memos (VersionTable::extractMinimal).
 /// The default scope extracts without a candidate from one private memo.
 struct ExtractionScope {
@@ -75,13 +141,81 @@ struct ExtractionScope {
   /// invented routine), or -1 for none.
   VsId Candidate = -1;
   ExprPtr CandidateExpr = nullptr;
-  /// coneAbove(Candidate): the nodes whose extraction the candidate can
-  /// change. Required whenever both Candidate and Shared are set.
-  const std::vector<char> *Cone = nullptr;
+  /// VsParents::cone(Candidate): the nodes whose extraction the candidate
+  /// can change. Required whenever both Candidate and Shared are set.
+  const VsMarks *Cone = nullptr;
   /// A read-only candidate-free memo, consulted for every node outside
   /// the cone before the private memo.
-  const std::unordered_map<VsId, Extraction> *Shared = nullptr;
+  const ExtractionMemo *Shared = nullptr;
 };
+
+namespace detail {
+
+/// Open-addressing hash map from packed 64-bit keys to trivially copyable
+/// values: the version table's operator memos. The all-ones key is
+/// reserved for empty slots.
+template <class Value> class VsKeyMap {
+public:
+  static constexpr uint64_t EmptyKey = ~uint64_t(0);
+
+  const Value *find(uint64_t Key) const {
+    if (Slots.empty())
+      return nullptr;
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = mix(Key) & Mask;; I = (I + 1) & Mask) {
+      if (Slots[I].Key == Key)
+        return &Slots[I].Val;
+      if (Slots[I].Key == EmptyKey)
+        return nullptr;
+    }
+  }
+  /// Inserts \p Key, which must be absent and not EmptyKey.
+  void insert(uint64_t Key, const Value &Val) {
+    if ((Count + 1) * 2 > Slots.size())
+      grow();
+    place(Key, Val);
+    ++Count;
+  }
+  /// Frees the storage.
+  void release() {
+    std::vector<Slot>().swap(Slots);
+    Count = 0;
+  }
+
+  /// splitmix64's finalizer.
+  static uint64_t mix(uint64_t X) {
+    X ^= X >> 30;
+    X *= 0xbf58476d1ce4e5b9ull;
+    X ^= X >> 27;
+    X *= 0x94d049bb133111ebull;
+    return X ^ (X >> 31);
+  }
+
+private:
+  struct Slot {
+    uint64_t Key = EmptyKey;
+    Value Val{};
+  };
+  void place(uint64_t Key, const Value &Val) {
+    const size_t Mask = Slots.size() - 1;
+    size_t I = mix(Key) & Mask;
+    while (Slots[I].Key != EmptyKey)
+      I = (I + 1) & Mask;
+    Slots[I] = {Key, Val};
+  }
+  void grow() {
+    std::vector<Slot> Old(std::max<size_t>(16, Slots.size() * 2));
+    Old.swap(Slots);
+    for (const Slot &S : Old)
+      if (S.Key != EmptyKey)
+        place(S.Key, S.Val);
+  }
+
+  std::vector<Slot> Slots;
+  size_t Count = 0;
+};
+
+} // namespace detail
 
 /// Arena of hash-consed version spaces with memoized refactoring operators.
 class VersionTable {
@@ -103,6 +237,12 @@ public:
   VsId unionOf(std::vector<VsId> Members);
 
   const VsNode &node(VsId V) const { return Nodes[V]; }
+  /// A union's members (empty for every other kind). The span dangles
+  /// once the table interns another union.
+  std::span<const VsId> members(VsId V) const {
+    const VsNode &N = Nodes[V];
+    return {MemberPool.data() + N.MemberBegin, N.MemberCount};
+  }
   size_t size() const { return Nodes.size(); }
 
   /// Embeds a concrete program as the singleton version space {ρ}.
@@ -116,22 +256,31 @@ public:
   /// table in deterministic frontier order (see vs/Compression.cpp).
   VsId absorb(const VersionTable &Src, VsId Root, std::vector<VsId> &Memo);
 
+  /// Frees the intern table and operator memos once a table is complete.
+  /// It can still be read, extracted from and absorbed, but never interns
+  /// again (a cached closure shard; vs/VersionSpaceCache.h).
+  void freeze();
+
   //===--------------------------------------------------------------------===//
   // Queries
   //===--------------------------------------------------------------------===//
 
   /// Membership check ρ ∈ ⟦v⟧.
-  bool extensionContains(VsId V, ExprPtr E);
+  bool extensionContains(VsId V, ExprPtr E) const;
 
   /// Enumerates up to \p Limit members of ⟦v⟧ (tests and diagnostics).
-  std::vector<ExprPtr> extensionSample(VsId V, int Limit);
+  std::vector<ExprPtr> extensionSample(VsId V, int Limit) const;
 
   /// Number of programs in ⟦v⟧, saturating at \p Cap — this is how the
   /// paper counts "10^14 refactorings in a 10^6-node graph" (Fig 2).
-  double extensionSize(VsId V, double Cap = 1e30);
+  double extensionSize(VsId V, double Cap = 1e30) const;
 
   /// Every node id reachable from \p V (including \p V).
   std::vector<VsId> reachable(VsId V) const;
+
+  /// Appends to \p Out, and adds to \p Seen, every node reachable from
+  /// \p V that \p Seen does not hold yet.
+  void collectReachable(VsId V, VsMarks &Seen, std::vector<VsId> &Out) const;
 
   //===--------------------------------------------------------------------===//
   // Refactoring operators (paper Fig 5)
@@ -145,8 +294,9 @@ public:
   VsId intersection(VsId A, VsId B);
 
   /// S_k — all top-level redexes (λ body) value that β-reduce into ⟦v⟧,
-  /// represented as a map value-space → union-of-body-spaces (Fig 5D).
-  const std::map<VsId, VsId> &substitutions(VsId V, int K = 0);
+  /// as (value space, union of body spaces) pairs in ascending value id
+  /// (Fig 5D). The span dangles at the next substitutions() call.
+  std::span<const std::pair<VsId, VsId>> substitutions(VsId V, int K = 0);
 
   /// Iβ' — inverts one β-reduction step anywhere in the term (Fig 5C).
   VsId inversion(VsId V);
@@ -173,40 +323,68 @@ public:
   /// only read, so many threads may extract concurrently, each with its
   /// own \p Memo.
   Extraction extractMinimal(VsId V, const ExtractionScope &Scope,
-                            std::unordered_map<VsId, Extraction> &Memo) const;
+                            ExtractionMemo &Memo) const;
 
   /// Candidate-free extraction from a fresh memo.
   ExprPtr extractCheapest(VsId V) const;
 
-  /// Marks every node from whose structure \p Candidate is reachable —
-  /// the "cone" of nodes whose minimal extraction can change when the
-  /// candidate becomes a unit-cost invention. Indexed by VsId.
-  std::vector<char> coneAbove(VsId Candidate) const;
-
 private:
-  VsId intern(VsNode N);
-  bool memberContains(VsId V, ExprPtr E,
-                      std::map<std::pair<VsId, ExprPtr>, bool> &Memo);
+  /// Open-addressing slot of the intern table: a node id and the low 32
+  /// bits of its content hash, where its probe starts.
+  struct InternSlot {
+    uint32_t Hash = 0;
+    VsId Id = -1;
+  };
+
+  /// The id of the node with \p Key's content (and \p Members, for a
+  /// union), interning it when new.
+  VsId intern(const VsNode &Key, std::span<const VsId> Members = {});
+  bool sameContent(const VsNode &N, const VsNode &Key,
+                   std::span<const VsId> Members) const;
+  Extraction extract(VsId V, const ExtractionScope &Scope,
+                     ExtractionMemo &Memo) const;
 
   std::vector<VsNode> Nodes;
+  std::vector<VsId> MemberPool;
   VsId VoidId = 0;
   VsId UniverseId = 1;
 
-  // Hash-consing keys.
-  std::map<int, VsId> IndexNodes;
-  std::map<ExprPtr, VsId> TerminalNodes;
-  std::map<VsId, VsId> AbstractionNodes;
-  std::map<std::pair<VsId, VsId>, VsId> ApplicationNodes;
-  std::map<std::vector<VsId>, VsId> UnionNodes;
+  // Hash-consing of every node kind; empty once frozen.
+  std::vector<InternSlot> InternSlots;
+  std::vector<VsId> UnionScratch;
+  bool Frozen = false;
 
-  // Operator memos.
-  std::map<ExprPtr, VsId> IncorporateMemo;
-  std::map<std::tuple<VsId, int, int>, VsId> ShiftMemo;
-  std::map<std::pair<VsId, VsId>, VsId> IntersectionMemo;
-  std::map<std::pair<VsId, int>, std::map<VsId, VsId>> SubstitutionMemo;
-  std::map<VsId, VsId> InversionMemo;
-  std::map<std::pair<VsId, int>, VsId> InversionNMemo;
-  std::map<VsId, double> SizeMemo;
+  // Operator memos. SubstitutionMemo maps (V, K) to a range of
+  // SubstitutionPool; InversionMemo is indexed by node id (-1: none).
+  struct PoolRange {
+    uint32_t Begin = 0, Count = 0;
+  };
+  detail::VsKeyMap<VsId> IncorporateMemo;
+  detail::VsKeyMap<VsId> ShiftMemo;
+  detail::VsKeyMap<VsId> IntersectionMemo;
+  detail::VsKeyMap<PoolRange> SubstitutionMemo;
+  std::vector<std::pair<VsId, VsId>> SubstitutionPool;
+  std::vector<VsId> InversionMemo;
+  detail::VsKeyMap<VsId> InversionNMemo;
+};
+
+/// A final table's parent edges in CSR form: for each node, the nodes that
+/// hold it as a body, function, argument or member. Built once per
+/// compression round, when the merged table stops growing.
+class VsParents {
+public:
+  VsParents() = default;
+  explicit VsParents(const VersionTable &T);
+
+  /// Resets \p Cone to every node from which \p V is reachable, \p V
+  /// included: the nodes whose minimal extraction can change when \p V
+  /// becomes a unit-cost invention. Node ids rise from children to
+  /// parents, so these are the nodes above \p V.
+  void cone(VsId V, VsMarks &Cone) const;
+
+private:
+  std::vector<uint32_t> Begin; ///< node V's parents: [Begin[V], Begin[V+1])
+  std::vector<VsId> Parents;
 };
 
 } // namespace dc

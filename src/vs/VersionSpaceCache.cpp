@@ -8,11 +8,15 @@
 
 using namespace dc;
 
-VsClosureShardPtr VsClosureShard::build(ExprPtr Program, int Steps) {
+VsClosureShardPtr VsClosureShard::build(ExprPtr Program, int Steps,
+                                        size_t MaxNodes) {
   auto Shard = std::make_shared<VsClosureShard>();
   Shard->Program = Program;
   Shard->Steps = Steps;
   Shard->Root = Shard->Table.betaClosure(Program, Steps);
+  Shard->Table.freeze();
+  if (Shard->nodes() <= MaxNodes)
+    Shard->Table.extractMinimal(Shard->Root, {}, Shard->Extracted);
   return Shard;
 }
 

@@ -45,20 +45,26 @@
 namespace dc {
 
 /// One immutable cached closure shard: a private table holding
-/// betaClosure(Program, Steps) built from a fresh VersionTable, plus the
-/// root id of the closure inside it.
+/// betaClosure(Program, Steps) built from a fresh VersionTable, the root id
+/// of the closure inside it, and the root's candidate-free extraction. The
+/// table is frozen once built: it keeps its nodes and member pool, and
+/// frees its intern table and operator memos.
 struct VsClosureShard {
   VersionTable Table;
   VsId Root = -1;
   ExprPtr Program = nullptr;
   int Steps = 0;
+  /// extractMinimal(Root) in Table, one entry per node it visits; empty
+  /// for a shard over the cap it was built under, which is never used.
+  ExtractionMemo Extracted;
 
   size_t nodes() const { return Table.size(); }
 
-  /// Builds the shard for (\p Program, \p Steps) from scratch. Pure: two
+  /// Builds the shard for (\p Program, \p Steps) from scratch, extracting
+  /// its root unless the table has more than \p MaxNodes nodes. Pure: two
   /// builds of the same key produce bit-identical tables.
-  static std::shared_ptr<const VsClosureShard> build(ExprPtr Program,
-                                                     int Steps);
+  static std::shared_ptr<const VsClosureShard>
+  build(ExprPtr Program, int Steps, size_t MaxNodes = SIZE_MAX);
 };
 
 using VsClosureShardPtr = std::shared_ptr<const VsClosureShard>;

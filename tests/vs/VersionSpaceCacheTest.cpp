@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 using namespace dc;
@@ -124,6 +125,43 @@ TEST_F(VersionSpaceCacheTest, ShardBuildIsPure) {
   VsId RB = TB.absorb(B->Table, B->Root, Memo);
   EXPECT_EQ(RA, RB);
   EXPECT_EQ(TA.size(), TB.size());
+}
+
+TEST_F(VersionSpaceCacheTest, ShardExtractionsHoldInTheMergedTable) {
+  // Compression copies each shard's root extraction, through absorb's id
+  // map, into the merged table's shared memo instead of re-extracting
+  // there. Every copied entry must equal a fresh extraction at the node
+  // it maps to: the same program and the same cost bits.
+  const char *Sources[] = {
+      "(lambda (map (lambda (+ $0 $0)) $0))",
+      "(lambda (map (lambda (+ $0 $0)) (cdr $0)))",
+      "(lambda (cons (+ (car $0) (car $0)) nil))",
+  };
+  VersionTable Merged;
+  std::vector<std::pair<VsClosureShardPtr, std::vector<VsId>>> Absorbed;
+  for (const char *Src : Sources) {
+    VsClosureShardPtr S = VsClosureShard::build(parse(Src), 3);
+    std::vector<VsId> Memo(S->Table.size(), -1);
+    Merged.absorb(S->Table, S->Root, Memo);
+    Absorbed.push_back({S, std::move(Memo)});
+  }
+  size_t Checked = 0;
+  ExtractionMemo Fresh;
+  for (const auto &[S, Memo] : Absorbed) {
+    ASSERT_NE(S->Extracted.find(S->Root), nullptr);
+    for (VsId V : S->Extracted.written()) {
+      ASSERT_GE(Memo[V], 0) << "extraction visited an unabsorbed node";
+      Fresh.clear();
+      const Extraction Want = Merged.extractMinimal(Memo[V], {}, Fresh);
+      const Extraction &Got = *S->Extracted.find(V);
+      EXPECT_EQ(Got.Program, Want.Program) << "node " << V;
+      EXPECT_EQ(std::bit_cast<uint64_t>(Got.Cost),
+                std::bit_cast<uint64_t>(Want.Cost))
+          << "node " << V;
+      ++Checked;
+    }
+  }
+  EXPECT_GT(Checked, 100u);
 }
 
 TEST_F(VersionSpaceCacheTest, LookupMissThenHit) {

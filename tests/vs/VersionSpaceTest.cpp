@@ -27,7 +27,142 @@ protected:
   VersionTable VT;
 };
 
+/// FNV-1a, fed whole 64-bit words and length-prefixed strings.
+struct Fnv1a {
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  void bytes(const void *Data, size_t Size) {
+    const auto *B = static_cast<const unsigned char *>(Data);
+    for (size_t I = 0; I < Size; ++I) {
+      Hash ^= B[I];
+      Hash *= 0x100000001b3ull;
+    }
+  }
+  void word(int64_t X) { bytes(&X, sizeof X); }
+  void text(const std::string &S) {
+    word(static_cast<int64_t>(S.size()));
+    bytes(S.data(), S.size());
+  }
+};
+
+/// Hashes every node of \p T in id order: its kind, then its index, its
+/// leaf's printed form, or its child ids and members in order.
+void hashTable(Fnv1a &H, const VersionTable &T) {
+  H.word(static_cast<int64_t>(T.size()));
+  for (VsId V = 0; V < static_cast<VsId>(T.size()); ++V) {
+    const VsNode &N = T.node(V);
+    H.word(static_cast<int64_t>(N.Kind));
+    switch (N.Kind) {
+    case VsKind::Index:
+      H.word(N.Index);
+      break;
+    case VsKind::Terminal:
+      H.text(N.Leaf->show());
+      break;
+    case VsKind::Abstraction:
+      H.word(N.Body);
+      break;
+    case VsKind::Application:
+      H.word(N.Fn);
+      H.word(N.Arg);
+      break;
+    case VsKind::Union:
+      H.word(static_cast<int64_t>(T.members(V).size()));
+      for (VsId M : T.members(V))
+        H.word(M);
+      break;
+    default:
+      break;
+    }
+  }
+}
+
+/// The reference cone: one ascending pass over the whole table, marking
+/// every node with a marked child (ids rise from children to parents).
+std::vector<char> coneByFullPass(const VersionTable &T, VsId Anchor) {
+  std::vector<char> Cone(T.size(), 0);
+  Cone[Anchor] = 1;
+  for (VsId V = Anchor + 1; V < static_cast<VsId>(T.size()); ++V) {
+    const VsNode &N = T.node(V);
+    switch (N.Kind) {
+    case VsKind::Abstraction:
+      Cone[V] = Cone[N.Body];
+      break;
+    case VsKind::Application:
+      Cone[V] = Cone[N.Fn] | Cone[N.Arg];
+      break;
+    case VsKind::Union:
+      for (VsId M : T.members(V))
+        Cone[V] |= Cone[M];
+      break;
+    default:
+      break;
+    }
+  }
+  return Cone;
+}
+
 } // namespace
+
+TEST_F(VersionSpaceTest, ParentEdgeConesMatchAFullPass) {
+  // Scoring walks a candidate's cone up the parent edges; it must be
+  // exactly the set a full ascending pass marks, for every anchor.
+  ExprPtr P = parseProgram("(lambda (cons (+ (car $0) (car $0)) nil))");
+  ASSERT_NE(P, nullptr);
+  VT.betaClosure(P, 2);
+  ASSERT_GT(VT.size(), 100u);
+  const VsParents Parents(VT);
+  VsMarks Cone;
+  for (VsId Anchor = 0; Anchor < static_cast<VsId>(VT.size()); ++Anchor) {
+    std::vector<char> Want = coneByFullPass(VT, Anchor);
+    Parents.cone(Anchor, Cone);
+    for (VsId V = 0; V < static_cast<VsId>(VT.size()); ++V)
+      ASSERT_EQ(Cone.contains(V), Want[V] != 0)
+          << "anchor " << Anchor << ", node " << V;
+  }
+}
+
+TEST_F(VersionSpaceTest, ClosureTablesMatchGolden) {
+  // Node ids decide which candidates survive the ranking cut, so the
+  // tables betaClosure and absorb build are pinned node by node. The
+  // literal was computed before version tables moved to flat storage.
+  const char *Sources[] = {
+      "(* (+ 5 5) (+ 7 7))",
+      "(lambda (map (lambda (+ $0 $0)) (cdr $0)))",
+      "(lambda (cons (+ (car $0) (car $0)) nil))",
+      "(lambda (fold (lambda (lambda (+ $1 $0))) 0 $0))",
+      "(lambda (#(lambda (+ $0 $0)) (car $0)))",
+  };
+  Fnv1a H;
+  VersionTable Merged;
+  for (const char *Src : Sources) {
+    ExprPtr P = parseProgram(Src);
+    ASSERT_NE(P, nullptr) << Src;
+    for (int Steps = 1; Steps <= 3; ++Steps) {
+      VersionTable Shard;
+      VsId Root = Shard.betaClosure(P, Steps);
+      H.word(Root);
+      hashTable(H, Shard);
+      std::vector<VsId> Memo(Shard.size(), -1);
+      H.word(Merged.absorb(Shard, Root, Memo));
+    }
+  }
+  hashTable(H, Merged);
+  EXPECT_EQ(H.Hash, 0x3e8aa3b6dd4bc1beull);
+}
+
+TEST_F(VersionSpaceTest, ExtensionSizeHonorsEachCallsCap) {
+  // A count saturated under a small cap must not answer a later call
+  // with a larger one.
+  ExprPtr P = parseProgram("(* (+ 5 5) (+ 7 7))");
+  ASSERT_NE(P, nullptr);
+  VersionTable Fresh;
+  double Uncapped = Fresh.extensionSize(Fresh.betaClosure(P, 2), 1e30);
+  ASSERT_GT(Uncapped, 10.0);
+  VsId Closure = VT.betaClosure(P, 2);
+  EXPECT_EQ(VT.extensionSize(Closure, 10), 10.0);
+  EXPECT_EQ(VT.extensionSize(Closure, 1e30), Uncapped);
+  EXPECT_EQ(VT.extensionSize(Closure, 10), 10.0);
+}
 
 TEST_F(VersionSpaceTest, HashConsing) {
   EXPECT_EQ(VT.index(3), VT.index(3));
@@ -205,8 +340,9 @@ TEST_F(VersionSpaceTest, ExtractMinimalPrefersCandidate) {
 
   ExprPtr Invention = Expr::invented(parseProgram("(lambda (+ $0 $0))"));
   ExprPtr Rewrite = Expr::application(Invention, Expr::index(0));
-  std::vector<char> Cone = VT.coneAbove(Anchor);
-  std::unordered_map<VsId, Extraction> Shared, Overlay;
+  VsMarks Cone;
+  VsParents(VT).cone(Anchor, Cone);
+  ExtractionMemo Shared, Overlay;
   Extraction E = VT.extractMinimal(Closure, {Anchor, Rewrite, &Cone, &Shared},
                                    Overlay);
   ASSERT_NE(E.Program, nullptr);

@@ -122,11 +122,13 @@ double RecognitionModel::exampleLossAndGrad(const std::vector<float> &Features,
   walkDecisions(Request, Program, D);
   if (D.Target.empty())
     return 0.0; // outside support: no backward, no gradient
-  const std::vector<float> &Logits = Net.forward(Features, WS);
-  WS.Scratch.resize(Logits.size());
+  // A training step on a batch of one: the same forward, loss body and
+  // backward trainOnPairs runs on its minibatches.
+  const nn::Matrix &Logits = Net.forwardBatch({Features}, WS);
+  WS.BatchScratch.resize(1, Logits.cols());
   double Loss = lossAndDLogits(Logits.data(), D, GradScale,
-                               WS.Scratch.data());
-  Net.backward(WS.Scratch, WS, G);
+                               WS.BatchScratch.data());
+  Net.backwardBatch(WS.BatchScratch, WS, G);
   return Loss;
 }
 
@@ -157,10 +159,8 @@ void RecognitionModel::trainOnPairs(const std::vector<Fantasy> &Pairs) {
   // One workspace carries the whole minibatch: forward is one GEMM per
   // layer over the B feature rows, backward one GEMM per layer straight
   // into BatchGrad. Per output element the GEMM accumulates in ascending
-  // example order — exactly the order the old per-example-Gradients
-  // reduce used — so the summed gradient (and hence every weight) stays
-  // a pure function of the seed, never of the thread count, and is
-  // bit-identical to the pre-GEMM path (DESIGN.md §5).
+  // example order, so the summed gradient (and hence every weight) stays
+  // a pure function of the seed, never of the thread count (DESIGN.md §5).
   nn::Workspace WS;
   nn::Gradients BatchGrad(Net);
   std::vector<size_t> Picked(Batch);
@@ -259,8 +259,7 @@ void RecognitionModel::train(const std::vector<Frontier> &Replays,
 
 ContextualGrammar RecognitionModel::predict(const Task &T) const {
   nn::Workspace WS; // per-call activations: concurrent predicts never share
-  const std::vector<float> &Logits =
-      Net.forward(Featurizer.featurize(T), WS);
+  const nn::Matrix &Logits = Net.forwardBatch({Featurizer.featurize(T)}, WS);
   // The network predicts residual corrections to the generative weights:
   // an untrained Q (logits near zero) then guides search exactly like the
   // generative model, and training only ever adds information. (The paper
@@ -278,8 +277,7 @@ ContextualGrammar RecognitionModel::predict(const Task &T) const {
 
 Grammar RecognitionModel::predictUnigram(const Task &T) const {
   nn::Workspace WS;
-  const std::vector<float> &Logits =
-      Net.forward(Featurizer.featurize(T), WS);
+  const nn::Matrix &Logits = Net.forwardBatch({Featurizer.featurize(T)}, WS);
   Grammar G = Base;
   const float *Head =
       Logits.data() + headRow(Prior.slotIndex(ParentStart, 0)) * NumChildren;

@@ -100,9 +100,10 @@ public:
   /// Cross-entropy loss + gradient for one (task, program) pair against
   /// the current weights: accumulates parameter gradients scaled by
   /// \p GradScale into \p G and returns the (unscaled) loss. Reentrant,
-  /// one (Workspace, Gradients) per concurrent caller; it walks the
-  /// pair's decisions and runs the training loop's loss body on them.
-  /// Public for gradient checks and benchmarks.
+  /// one (Workspace, Gradients) per concurrent caller. It walks the
+  /// pair's decisions, then runs a training step on a batch of one: the
+  /// forwardBatch → lossAndDLogits → backwardBatch that trainOnPairs runs
+  /// on each minibatch. Public for gradient checks.
   double exampleLossAndGrad(const std::vector<float> &Features,
                             const TypePtr &Request, ExprPtr Program,
                             nn::Workspace &WS, nn::Gradients &G,
@@ -149,8 +150,8 @@ private:
                      Decisions &Out) const;
   /// Cross-entropy loss over \p D against one logit row, and that row's
   /// dL/dlogits times \p Scale, written over the whole \p DLogits row
-  /// (all zero, loss 0, when \p D is empty). The one loss body of the
-  /// per-example and the batched training paths.
+  /// (all zero, loss 0, when \p D is empty). The one loss body of
+  /// trainOnPairs and exampleLossAndGrad.
   double lossAndDLogits(const float *Logits, const Decisions &D,
                         float Scale, float *DLogits) const;
 

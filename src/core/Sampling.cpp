@@ -107,30 +107,26 @@ std::vector<Fantasy> dc::sampleFantasies(const Grammar &G,
       It->second = std::move(*R); // MAP target: highest-prior equivalent
   };
 
+  // Run attempts in chunks, then fold each chunk in index order. An
+  // attempt's result is admitted exactly when Enough() was false after
+  // folding every earlier attempt, so the output never depends on the
+  // chunk size; at most one chunk of attempts is wasted past the stopping
+  // point. One thread takes chunks of one attempt and so wastes none.
   const int Attempts = Count * 6; // sampling and execution both may fail
   const unsigned Threads = ThreadPool::resolveThreadCount(NumThreads);
-  if (Threads <= 1) {
-    for (int I = 0; I < Attempts && !Enough(); ++I)
-      Fold(Attempt(static_cast<std::uint64_t>(I)));
-  } else {
-    // Run attempts in chunks, then fold each chunk in index order. An
-    // attempt's result is admitted exactly when Enough() was false after
-    // folding every earlier attempt — the same admission rule as the
-    // serial loop, so the output is identical; at most one chunk of
-    // attempts is wasted past the stopping point.
-    const int Chunk =
-        std::max<int>(32, 4 * static_cast<int>(Threads));
-    for (int Start = 0; Start < Attempts && !Enough(); Start += Chunk) {
-      const int End = std::min(Attempts, Start + Chunk);
-      std::vector<std::optional<Fantasy>> Results(End - Start);
-      parallelFor(NumThreads, Results.size(), [&](size_t J) {
-        Results[J] = Attempt(static_cast<std::uint64_t>(Start) + J);
-      });
-      for (auto &R : Results) {
-        if (Enough())
-          break;
-        Fold(std::move(R));
-      }
+  const int Chunk =
+      Threads <= 1 ? 1 : std::max<int>(32, 4 * static_cast<int>(Threads));
+  std::vector<std::optional<Fantasy>> Results;
+  for (int Start = 0; Start < Attempts && !Enough(); Start += Chunk) {
+    Results.clear();
+    Results.resize(std::min(Attempts, Start + Chunk) - Start);
+    parallelFor(NumThreads, Results.size(), [&](size_t J) {
+      Results[J] = Attempt(static_cast<std::uint64_t>(Start) + J);
+    });
+    for (auto &R : Results) {
+      if (Enough())
+        break;
+      Fold(std::move(R));
     }
   }
 

@@ -9,23 +9,7 @@ using namespace dc::nn;
 
 namespace {
 
-void tanhInto(const std::vector<float> &X, std::vector<float> &Y) {
-  Y.resize(X.size());
-  for (size_t I = 0; I < X.size(); ++I)
-    Y[I] = std::tanh(X[I]);
-}
-
-/// DX = DY ⊙ (1 - A²) where A = tanh activations. In-place (DX == DY) is
-/// fine: each element reads only its own index.
-void tanhBackwardInto(const std::vector<float> &DY,
-                      const std::vector<float> &A, std::vector<float> &DX) {
-  DX.resize(DY.size());
-  for (size_t I = 0; I < DY.size(); ++I)
-    DX[I] = DY[I] * (1.0f - A[I] * A[I]);
-}
-
-/// In-place tanh over every element of a batch matrix (same std::tanh
-/// per element as the single-example path).
+/// In-place tanh over every element of a batch matrix.
 void tanhBatchInPlace(Matrix &M) {
   float *D = M.data();
   for (size_t I = 0, N = M.size(); I < N; ++I)
@@ -42,23 +26,19 @@ void tanhBackwardBatchInPlace(Matrix &M, const Matrix &A) {
     D[I] = D[I] * (1.0f - AV[I] * AV[I]);
 }
 
+/// The one parameter order, W1 B1 W2 B2 W3 B3, for a net of either
+/// constness.
+template <typename Segment, typename Net>
+std::vector<Segment> segmentsOf(Net &N) {
+  std::vector<Segment> Out;
+  for (auto *L : {&N.L1, &N.L2, &N.L3}) {
+    Out.push_back({L->W.data(), L->W.size()});
+    Out.push_back({L->B.data(), L->B.size()});
+  }
+  return Out;
+}
+
 } // namespace
-
-void Linear::forward(const std::vector<float> &X,
-                     std::vector<float> &Y) const {
-  W.matvecInto(X, Y);
-  for (size_t I = 0; I < Y.size(); ++I)
-    Y[I] += B[I];
-}
-
-void Linear::backward(const std::vector<float> &DY,
-                      const std::vector<float> &X, Matrix &DW,
-                      std::vector<float> &DB, std::vector<float> &DX) const {
-  DW.addOuter(DY, X);
-  for (size_t I = 0; I < DB.size(); ++I)
-    DB[I] += DY[I];
-  W.matvecTransposedInto(DY, DX);
-}
 
 void Linear::forwardBatch(const Matrix &X, Matrix &Y) const {
   W.matmulInto(X, Y);
@@ -70,34 +50,11 @@ void Linear::forwardBatch(const Matrix &X, Matrix &Y) const {
   }
 }
 
-void Linear::backwardBatch(const Matrix &DY, const Matrix &X, Matrix &DW,
-                           std::vector<float> &DB, Matrix &DX) const {
-  DW.addOuterBatch(DY, X);
-  DY.addColumnSumsTo(DB);
+void Linear::backwardBatch(const Matrix &DY, const Matrix &X, Linear &Grad,
+                           Matrix &DX) const {
+  Grad.W.addOuterBatch(DY, X);
+  DY.addColumnSumsTo(Grad.B);
   W.matmulTransposedInto(DY, DX);
-}
-
-const std::vector<float> &Mlp::forward(const std::vector<float> &X,
-                                       Workspace &WS) const {
-  // The input is copied so backward() has L1's x without pinning the
-  // caller's buffer; activations are computed in place over the tanh
-  // pre-activations (the pre-activation values are not needed again).
-  WS.In = X;
-  L1.forward(WS.In, WS.A1);
-  tanhInto(WS.A1, WS.A1);
-  L2.forward(WS.A1, WS.A2);
-  tanhInto(WS.A2, WS.A2);
-  L3.forward(WS.A2, WS.Logits);
-  return WS.Logits;
-}
-
-void Mlp::backward(const std::vector<float> &DLogits, Workspace &WS,
-                   Gradients &G) const {
-  L3.backward(DLogits, WS.A2, G.DW3, G.DB3, WS.D2);
-  tanhBackwardInto(WS.D2, WS.A2, WS.D2);
-  L2.backward(WS.D2, WS.A1, G.DW2, G.DB2, WS.D1);
-  tanhBackwardInto(WS.D1, WS.A1, WS.D1);
-  L1.backward(WS.D1, WS.In, G.DW1, G.DB1, WS.D0);
 }
 
 const Matrix &Mlp::forwardBatch(const std::vector<std::vector<float>> &X,
@@ -121,71 +78,32 @@ const Matrix &Mlp::forwardBatch(const std::vector<std::vector<float>> &X,
 
 void Mlp::backwardBatch(const Matrix &DLogits, Workspace &WS,
                         Gradients &G) const {
-  L3.backwardBatch(DLogits, WS.BA2, G.DW3, G.DB3, WS.BD2);
+  L3.backwardBatch(DLogits, WS.BA2, G.D.L3, WS.BD2);
   tanhBackwardBatchInPlace(WS.BD2, WS.BA2);
-  L2.backwardBatch(WS.BD2, WS.BA1, G.DW2, G.DB2, WS.BD1);
+  L2.backwardBatch(WS.BD2, WS.BA1, G.D.L2, WS.BD1);
   tanhBackwardBatchInPlace(WS.BD1, WS.BA1);
   // First layer: nothing consumes dL/dinput, so skip the transposed
   // GEMM a full backwardBatch would spend on it.
-  G.DW1.addOuterBatch(WS.BD1, WS.BIn);
-  WS.BD1.addColumnSumsTo(G.DB1);
+  G.D.L1.W.addOuterBatch(WS.BD1, WS.BIn);
+  WS.BD1.addColumnSumsTo(G.D.L1.B);
 }
 
 std::vector<Mlp::ParamSegment> Mlp::parameterSegments() {
-  std::vector<ParamSegment> Out;
-  for (Linear *L : {&L1, &L2, &L3}) {
-    Out.push_back({L->W.data(), L->W.size()});
-    Out.push_back({L->B.data(), L->B.size()});
-  }
-  return Out;
+  return segmentsOf<ParamSegment>(*this);
 }
 
 std::vector<Mlp::ConstParamSegment> Mlp::parameterSegments() const {
-  std::vector<ConstParamSegment> Out;
-  for (const Linear *L : {&L1, &L2, &L3}) {
-    Out.push_back({L->W.data(), L->W.size()});
-    Out.push_back({L->B.data(), L->B.size()});
-  }
-  return Out;
+  return segmentsOf<ConstParamSegment>(*this);
 }
 
 size_t Mlp::parameterCount() const {
   size_t N = 0;
-  for (const Linear *L : {&L1, &L2, &L3})
-    N += L->W.size() + L->B.size();
+  for (const ConstParamSegment &Seg : parameterSegments())
+    N += Seg.Size;
   return N;
 }
 
-Gradients::Gradients(const Mlp &Net)
-    : DW1(Net.L1.outDim(), Net.L1.inDim()),
-      DW2(Net.L2.outDim(), Net.L2.inDim()),
-      DW3(Net.L3.outDim(), Net.L3.inDim()), DB1(Net.L1.B.size(), 0.0f),
-      DB2(Net.L2.B.size(), 0.0f), DB3(Net.L3.B.size(), 0.0f) {}
-
 void Gradients::zero() {
-  DW1.fill(0.0f);
-  DW2.fill(0.0f);
-  DW3.fill(0.0f);
-  std::fill(DB1.begin(), DB1.end(), 0.0f);
-  std::fill(DB2.begin(), DB2.end(), 0.0f);
-  std::fill(DB3.begin(), DB3.end(), 0.0f);
-}
-
-void Gradients::add(const Gradients &Other) {
-  auto AddBlock = [](float *Dst, const float *Src, size_t N) {
-    for (size_t I = 0; I < N; ++I)
-      Dst[I] += Src[I];
-  };
-  AddBlock(DW1.data(), Other.DW1.data(), DW1.size());
-  AddBlock(DW2.data(), Other.DW2.data(), DW2.size());
-  AddBlock(DW3.data(), Other.DW3.data(), DW3.size());
-  AddBlock(DB1.data(), Other.DB1.data(), DB1.size());
-  AddBlock(DB2.data(), Other.DB2.data(), DB2.size());
-  AddBlock(DB3.data(), Other.DB3.data(), DB3.size());
-}
-
-std::vector<Gradients::Segment> Gradients::segments() {
-  return {{DW1.data(), DW1.size()}, {DB1.data(), DB1.size()},
-          {DW2.data(), DW2.size()}, {DB2.data(), DB2.size()},
-          {DW3.data(), DW3.size()}, {DB3.data(), DB3.size()}};
+  for (const Mlp::ParamSegment &Seg : D.parameterSegments())
+    std::fill(Seg.Param, Seg.Param + Seg.Size, 0.0f);
 }

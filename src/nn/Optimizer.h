@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Adam (Kingma & Ba 2014), the optimizer the paper uses for recognition
-/// model training (Appendix I). Applies updates from an external Gradients
-/// buffer (nn/Layers.h) so gradient accumulation can be data-parallel; the
-/// step itself is serial and order-defining.
+/// model training (Appendix I), with Kingma & Ba's suggested β1, β2 and ε.
+/// Applies updates from an external Gradients buffer (nn/Layers.h), walked
+/// in the net's parameter order, so a caller can accumulate a whole batch
+/// before one serial, order-defining step.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,20 +24,18 @@ namespace nn {
 /// Adam with bias-corrected first/second moment estimates.
 class Adam {
 public:
-  explicit Adam(Mlp &Net, float LearningRate = 1e-2f, float Beta1 = 0.9f,
-                float Beta2 = 0.999f, float Epsilon = 1e-8f);
+  static constexpr float Beta1 = 0.9f, Beta2 = 0.999f, Epsilon = 1e-8f;
+
+  Adam(Mlp &Net, float LearningRate);
 
   /// Applies one update from the gradients accumulated in \p G, then
   /// zeroes \p G. \p G must be shaped like the net this Adam was built
   /// for.
   void step(Gradients &G);
 
-  float learningRate() const { return Lr; }
-  void setLearningRate(float L) { Lr = L; }
-
 private:
   Mlp &Net;
-  float Lr, B1, B2, Eps;
+  float Lr;
   long T = 0;
   std::vector<std::vector<float>> M, V; ///< per-segment moment buffers
 };

@@ -21,74 +21,14 @@ Matrix Matrix::glorot(int Rows, int Cols, std::mt19937 &Rng) {
   return M;
 }
 
-std::vector<float> Matrix::matvec(const std::vector<float> &X) const {
-  std::vector<float> Y;
-  matvecInto(X, Y);
-  return Y;
-}
-
-void Matrix::matvecInto(const std::vector<float> &X,
-                        std::vector<float> &Y) const {
-  assert(static_cast<int>(X.size()) == C && "matvec dimension mismatch");
-  assert(&X != &Y && "matvecInto buffers must not alias");
-  // Size check hoisted out of the hot loop; steady-state callers (a
-  // Workspace reused across calls) take the branch, never the resize.
-  if (static_cast<int>(Y.size()) != R)
-    Y.resize(R);
-  for (int I = 0; I < R; ++I) {
-    const float *Row = Data.data() + I * C;
-    float Acc = 0;
-    for (int J = 0; J < C; ++J)
-      Acc += Row[J] * X[J];
-    Y[I] = Acc;
-  }
-}
-
-std::vector<float> Matrix::matvecTransposed(const std::vector<float> &X)
-    const {
-  std::vector<float> Y;
-  matvecTransposedInto(X, Y);
-  return Y;
-}
-
-void Matrix::matvecTransposedInto(const std::vector<float> &X,
-                                  std::vector<float> &Y) const {
-  assert(static_cast<int>(X.size()) == R && "matvecT dimension mismatch");
-  assert(&X != &Y && "matvecTransposedInto buffers must not alias");
-  Y.assign(C, 0.0f);
-  for (int I = 0; I < R; ++I) {
-    const float *Row = Data.data() + I * C;
-    float Xi = X[I];
-    for (int J = 0; J < C; ++J)
-      Y[J] += Row[J] * Xi;
-  }
-}
-
-void Matrix::addOuter(const std::vector<float> &A, const std::vector<float> &B,
-                      float Scale) {
-  assert(static_cast<int>(A.size()) == R && static_cast<int>(B.size()) == C &&
-         "outer-product dimension mismatch");
-  for (int I = 0; I < R; ++I) {
-    float *Row = Data.data() + I * C;
-    float Ai = A[I] * Scale;
-    for (int J = 0; J < C; ++J)
-      Row[J] += Ai * B[J];
-  }
-}
-
-Matrix Matrix::matmul(const Matrix &X) const {
-  Matrix Y;
-  matmulInto(X, Y);
-  return Y;
-}
-
 namespace {
 
 /// Tile edge for the blocked GEMM: 4 output rows × 4 batch lanes per
 /// register tile, compile-time trip counts so the 16 accumulators stay
 /// in registers (runtime `min()` edge bounds make gcc spill the Acc
 /// array to the stack, turning every FMA into load/fma/store — slower
-/// than the matvec chain the tiling is meant to beat).
+/// than the one-accumulator dot-product chain the tiling is meant to
+/// beat).
 constexpr int GemmTile = 4;
 
 /// One full 4×4 tile against a lane-packed X panel: \p XPanel holds the
@@ -97,15 +37,14 @@ constexpr int GemmTile = 4;
 /// a broadcast of W[I][J], and one mul/add per lane — the compiler
 /// vectorizes it without the strict-FP shuffle dance it needs on
 /// row-major X. Acc[T][lane] is the (output row I0+T, batch B0+lane)
-/// element; each sums ascending J from +0 with its own accumulator,
-/// bit-identical to matvecInto.
+/// element; each sums ascending J from +0 with its own accumulator.
 #ifdef __SSE2__
 /// SSE2 form of the tile (x86-64 baseline, so every CI target has it).
 /// Spelled in intrinsics because gcc's auto-vectorizer re-tiles the
 /// strict-FP reduction along J with a shuffle/transpose dance that eats
 /// the tiling win; the intrinsic form is the minimal loop. mul/add are
 /// exact per-lane IEEE single ops, so lane (T, L) is still one
-/// accumulator summing ascending J — bitwise the matvecInto result.
+/// accumulator summing ascending J — bitwise the scalar loop's result.
 inline void gemmTile4x4(const float *const WRow[GemmTile],
                         const float *XPanel, int C,
                         float Acc[GemmTile][GemmTile]) {
@@ -159,15 +98,14 @@ inline void axpy(float A, const float *X, float *Y, int N) {
 void Matrix::matmulInto(const Matrix &X, Matrix &Y) const {
   assert(X.C == C && "matmul dimension mismatch");
   assert(&X != &Y && this != &Y && "matmulInto buffers must not alias");
-  // One size check per batch, not per row (the matvec path pays this
-  // branch once per call).
+  // One size check per batch, not per row.
   if (Y.R != X.R || Y.C != R)
     Y.resize(X.R, R);
   const int B = X.R;
   // Edge elements (batch or row count not a multiple of the tile) fall
   // back to a plain dot product — same single accumulator, same
-  // ascending-J order, so every element is bit-identical to matvecInto
-  // whichever path computes it.
+  // ascending-J order, so every element has the same bits whichever
+  // path computes it.
   auto DotInto = [&](int Bi, int I) {
     const float *Row = Data.data() + static_cast<size_t>(I) * C;
     const float *Xr = X.Data.data() + static_cast<size_t>(Bi) * C;
@@ -218,11 +156,11 @@ void Matrix::matmulTransposedInto(const Matrix &X, Matrix &Y) const {
     Y.resize(X.R, C);
   // Row b of Y is Σ_i X[b][i] · W[i][:], built by one axpy per non-zero
   // X[b][i] in ascending i: each element still has one accumulator
-  // starting at +0 and adding in matvecTransposedInto's order. A skipped
-  // term is an exact ±0 (W finite), and adding ±0 to an accumulator that
-  // started at +0 never changes it, so the skip is bitwise free. It is
-  // what makes L3's backward cheap: a training example's dL/dlogits row
-  // is zero outside the candidate sets of its own decisions.
+  // starting at +0 and adding in ascending i. A skipped term is an exact
+  // ±0 (W finite), and adding ±0 to an accumulator that started at +0
+  // never changes it, so the skip is bitwise free. It is what makes L3's
+  // backward cheap: a training example's dL/dlogits row is zero outside
+  // the candidate sets of its own decisions.
   for (int Bi = 0; Bi < X.R; ++Bi) {
     const float *Xr = X.Data.data() + static_cast<size_t>(Bi) * R;
     float *Yr = Y.Data.data() + static_cast<size_t>(Bi) * C;
@@ -237,11 +175,10 @@ void Matrix::addOuterBatch(const Matrix &A, const Matrix &B, float Scale) {
   assert(A.R == B.R && "outer-product batch sizes differ");
   assert(A.C == R && B.C == C && "outer-product dimension mismatch");
   // Example index stays outermost: per element the contributions land in
-  // ascending batch order — the order the per-example-Gradients reduce
-  // used, so the accumulated gradient is bit-identical to that path.
-  // A (b, i) whose scaled A[b][i] is zero adds an exact ±0 to every
-  // element of row i and is skipped (same argument as
-  // matmulTransposedInto; gradient buffers start at +0).
+  // ascending batch order, so a batch accumulates exactly as its examples
+  // fed one at a time would. A (b, i) whose scaled A[b][i] is zero adds
+  // an exact ±0 to every element of row i and is skipped (same argument
+  // as matmulTransposedInto; gradient buffers start at +0).
   for (int Bi = 0; Bi < A.R; ++Bi) {
     const float *ARow = A.Data.data() + static_cast<size_t>(Bi) * A.C;
     const float *BRow = B.Data.data() + static_cast<size_t>(Bi) * B.C;
@@ -261,14 +198,6 @@ void Matrix::addColumnSumsTo(std::vector<float> &Y) const {
     for (int J = 0; J < C; ++J)
       Y[J] += Row[J];
   }
-}
-
-float dc::nn::dot(const std::vector<float> &A, const std::vector<float> &B) {
-  assert(A.size() == B.size() && "dot dimension mismatch");
-  float S = 0;
-  for (size_t I = 0; I < A.size(); ++I)
-    S += A[I] * B[I];
-  return S;
 }
 
 float dc::nn::maskedLogSumExp(const float *Logits, const int *Active,

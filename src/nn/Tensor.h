@@ -6,10 +6,17 @@
 ///
 /// \file
 /// A deliberately small dense-matrix substrate for the recognition model
-/// (paper §4): row-major float matrices with just the operations an MLP
-/// trained by backprop needs. The paper's implementation uses PyTorch; this
-/// from-scratch replacement keeps the reproduction dependency-free (see
-/// DESIGN.md, substitutions).
+/// (paper §4): row-major float matrices with just the batched kernels an
+/// MLP trained by backprop needs. The paper's implementation uses PyTorch;
+/// this from-scratch replacement keeps the reproduction dependency-free
+/// (see DESIGN.md, substitutions).
+///
+/// Every kernel fixes its per-element summation order (DESIGN.md §5): a
+/// product sum is one float accumulator starting at +0 and adding terms in
+/// ascending inner index, and a sum over a batch adds the examples'
+/// contributions to the element in ascending example order. Tiling and
+/// SIMD change which elements are computed together, never that order, so
+/// any batch size — one included — gives each row the same bits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +37,6 @@ public:
   Matrix(int Rows, int Cols)
       : R(Rows), C(Cols),
         Data(static_cast<size_t>(Rows) * static_cast<size_t>(Cols), 0.0f) {}
-
-  static Matrix zeros(int Rows, int Cols) { return Matrix(Rows, Cols); }
 
   /// Xavier/Glorot-style initialization.
   static Matrix glorot(int Rows, int Cols, std::mt19937 &Rng);
@@ -63,50 +68,26 @@ public:
 
   void fill(float V) { std::fill(Data.begin(), Data.end(), V); }
 
-  /// y = this · x (matrix-vector product). x.size() must equal cols().
-  std::vector<float> matvec(const std::vector<float> &X) const;
-
-  /// y = thisᵀ · x. x.size() must equal rows().
-  std::vector<float> matvecTransposed(const std::vector<float> &X) const;
-
-  /// matvec into a caller-owned buffer (resized to rows()); no allocation
-  /// when \p Y already has capacity. \p Y must not alias \p X.
-  void matvecInto(const std::vector<float> &X, std::vector<float> &Y) const;
-
-  /// matvecTransposed into a caller-owned buffer (resized to cols()).
-  /// \p Y must not alias \p X.
-  void matvecTransposedInto(const std::vector<float> &X,
-                            std::vector<float> &Y) const;
-
-  /// this += Scale · (A ⊗ B) — rank-one update used for weight gradients.
-  void addOuter(const std::vector<float> &A, const std::vector<float> &B,
-                float Scale = 1.0f);
-
-  /// Batched matvec (GEMM): row b of \p Y becomes this · (row b of \p X).
-  /// X is B × cols(), Y becomes B × rows(). Register-blocked for
-  /// instruction-level parallelism, but each output element keeps the
-  /// exact matvecInto accumulation order (single accumulator, ascending
-  /// column index), so every row of a batch — any batch size, including
-  /// 1 — is bit-identical to the matvec path (DESIGN.md §5).
-  /// \p X and \p Y must be distinct objects, and neither may be this.
+  /// Batched matrix-vector product (GEMM): row b of \p Y becomes
+  /// this · (row b of \p X). X is B × cols(), Y becomes B × rows().
+  /// Register-blocked for instruction-level parallelism; each element is
+  /// a single accumulator over ascending column index. \p X and \p Y must
+  /// be distinct objects, and neither may be this.
   void matmulInto(const Matrix &X, Matrix &Y) const;
-  Matrix matmul(const Matrix &X) const;
 
-  /// Batched matvecTransposed: row b of \p Y becomes thisᵀ · (row b of
-  /// \p X). X is B × rows(), Y becomes B × cols(); per-row accumulation
-  /// order matches matvecTransposedInto exactly (ascending row index,
-  /// +0 start). Terms whose X[b][i] is zero are skipped, which is
-  /// bit-identical while this matrix is finite. Same aliasing rules as
+  /// Row b of \p Y becomes thisᵀ · (row b of \p X). X is B × rows(), Y
+  /// becomes B × cols(); each element is a single accumulator over
+  /// ascending row index. Terms whose X[b][i] is zero are skipped, which
+  /// is bit-identical while this matrix is finite. Same aliasing rules as
   /// matmulInto.
   void matmulTransposedInto(const Matrix &X, Matrix &Y) const;
 
   /// this += Scale-scaled sum of per-example outer products:
-  /// this[i][j] += Σ_b (A[b][i] · Scale) · B[b][j], b ascending per
-  /// element — the exact order a per-example addOuter followed by a
-  /// fixed-order Gradients reduce produces. A is B × rows(),
-  /// B is B × cols(). Each (b, i) whose A[b][i] · Scale is zero is
-  /// skipped, which is bit-identical while B is finite and no element
-  /// of this is −0 (a zeroed accumulator never becomes −0).
+  /// this[i][j] += (A[b][i] · Scale) · B[b][j] for b ascending, each term
+  /// added to the element itself. A is B × rows(), B is B × cols(). Each
+  /// (b, i) whose A[b][i] · Scale is zero is skipped, which is
+  /// bit-identical while B is finite and no element of this is −0 (a
+  /// zeroed accumulator never becomes −0).
   void addOuterBatch(const Matrix &A, const Matrix &B, float Scale = 1.0f);
 
   /// Y[j] += Σ_i this[i][j] with i ascending per element (batched bias
@@ -117,9 +98,6 @@ private:
   int R = 0, C = 0;
   std::vector<float> Data;
 };
-
-/// Elementwise helpers over plain vectors (activations live in Layers.h).
-float dot(const std::vector<float> &A, const std::vector<float> &B);
 
 /// Numerically stable log Σ exp(Logits[i]) over the \p N indices i at
 /// \p Active (max-shifted, float sum in the given order), so

@@ -2,14 +2,7 @@
 
 #include "serve/Service.h"
 
-#include "domains/ListDomain.h"
-#include "domains/LogoDomain.h"
-#include "domains/OrigamiDomain.h"
-#include "domains/PhysicsDomain.h"
-#include "domains/RegexDomain.h"
-#include "domains/RegressionDomain.h"
-#include "domains/TextDomain.h"
-#include "domains/TowerDomain.h"
+#include "domains/DomainTable.h"
 
 #include <fstream>
 
@@ -27,43 +20,6 @@ bool fail(std::string *ErrorOut, const std::string &Msg) {
   if (ErrorOut)
     *ErrorOut = Msg;
   return false;
-}
-
-/// Mirrors dc_run's domain table (same names, same default corpus seeds)
-/// so a checkpoint written by `dc_run --domain X --seed S` loads under
-/// `dc_serve --domain X --seed S` with the identical primitive registry.
-///
-/// logo and tower have fixed ground-truth corpora — their generators
-/// ignore the seed — so a nonzero seed is rejected rather than silently
-/// serving a corpus that doesn't match what the operator asked for.
-std::optional<DomainSpec> domainByName(const std::string &Name,
-                                       unsigned Seed,
-                                       std::string *ErrorOut) {
-  auto Seedless = [&](const char *Domain) {
-    fail(ErrorOut, std::string("domain '") + Domain +
-                       "' has a fixed corpus and ignores seeds; drop "
-                       "the nonzero seed " +
-                       std::to_string(Seed));
-    return std::optional<DomainSpec>();
-  };
-  if (Name == "list")
-    return makeListDomain(Seed ? Seed : 1);
-  if (Name == "text")
-    return makeTextDomain(Seed ? Seed : 2);
-  if (Name == "logo")
-    return Seed ? Seedless("logo") : std::optional(makeLogoDomain());
-  if (Name == "tower")
-    return Seed ? Seedless("tower") : std::optional(makeTowerDomain());
-  if (Name == "regex")
-    return makeRegexDomain(Seed ? Seed : 6);
-  if (Name == "regression")
-    return makeRegressionDomain(Seed ? Seed : 7);
-  if (Name == "physics")
-    return makePhysicsDomain(Seed ? Seed : 11);
-  if (Name == "origami")
-    return makeOrigamiDomain(Seed ? Seed : 5);
-  fail(ErrorOut, "unknown domain '" + Name + "'");
-  return std::nullopt;
 }
 
 } // namespace
@@ -86,14 +42,26 @@ bool dc::serve::detail::buildTaskIndex(
 
 std::unique_ptr<Service> Service::create(const ServiceConfig &Config,
                                          std::string *ErrorOut) {
-  std::optional<DomainSpec> Domain =
-      domainByName(Config.DomainName, Config.DomainSeed, ErrorOut);
-  if (!Domain)
+  const DomainEntry *Entry = findDomain(Config.DomainName);
+  if (!Entry) {
+    fail(ErrorOut, "unknown domain '" + Config.DomainName + "'");
     return nullptr;
+  }
+  // A fixed corpus ignores seeds: a nonzero one is rejected rather than
+  // silently serving a corpus that doesn't match what the operator asked
+  // for.
+  if (Entry->FixedCorpus && Config.DomainSeed) {
+    fail(ErrorOut, "domain '" + Config.DomainName +
+                       "' has a fixed corpus and ignores seeds; drop the "
+                       "nonzero seed " +
+                       std::to_string(Config.DomainSeed));
+    return nullptr;
+  }
   // Construct in place (no make_unique: the constructor is private).
   std::unique_ptr<Service> S(new Service());
   S->Config = Config;
-  S->Domain = std::make_unique<DomainSpec>(std::move(*Domain));
+  S->Domain =
+      std::make_unique<DomainSpec>(Entry->build(Config.DomainSeed));
   if (!detail::buildTaskIndex(*S->Domain, S->TasksByName, ErrorOut))
     return nullptr;
 

@@ -609,7 +609,7 @@ proposeFromClosures(const CompressionResult &Result,
                   ThreadPool::resolveThreadCount(Params.NumThreads)));
   for (size_t ChunkStart = 0;
        ChunkStart < Ranked.size() &&
-       static_cast<int>(Candidates.size()) < Params.MaxCandidates;
+       static_cast<int>(Candidates.size()) < MaxCandidates;
        ChunkStart += ScanChunk) {
     size_t ChunkEnd = std::min(Ranked.size(), ChunkStart + ScanChunk);
     std::vector<detail::ProposedTerm> Proposals(ChunkEnd - ChunkStart);
@@ -628,7 +628,7 @@ proposeFromClosures(const CompressionResult &Result,
         Proposals[K] = detail::finalizeProposal(Term, Result.NewGrammar);
     });
     for (const detail::ProposedTerm &P : Proposals) {
-      if (static_cast<int>(Candidates.size()) >= Params.MaxCandidates)
+      if (static_cast<int>(Candidates.size()) >= MaxCandidates)
         break;
       if (!P.Term)
         continue;

@@ -62,7 +62,6 @@ struct CompressionParams {
   CompressionBackend Backend = CompressionBackend::VersionSpace;
   int RefactorSteps = 3;      ///< n in Iβn (paper uses 3); 0 = EC baseline
   double StructurePenalty = 0.5; ///< λ in log P[D] ∝ -λ Σ size(routine)
-  int MaxCandidates = 150;    ///< candidates scored per greedy round
   /// Safety valve: a round whose β-closure shard or merged closure table
   /// exceeds this many nodes proposes and rewrites with the TopDown
   /// backend instead of version spaces.
@@ -90,6 +89,8 @@ struct CompressionParams {
 /// Candidates must occur in the refactorings of at least this many beams
 /// (both backends).
 constexpr int MinimumTasksCovered = 2;
+/// Candidates scored per greedy round (both backends).
+constexpr int MaxCandidates = 150;
 
 /// Result of one abstraction-sleep phase.
 struct CompressionResult {

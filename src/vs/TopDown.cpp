@@ -318,7 +318,7 @@ dc::proposeTopDown(const Grammar &G, const std::vector<Frontier> &Frontiers,
     // below is by coverage, same as the version-space path.)
     std::vector<double> TopUtil;
     auto bnbThreshold = [&]() -> double {
-      if (static_cast<int>(TopUtil.size()) < Params.MaxCandidates)
+      if (static_cast<int>(TopUtil.size()) < MaxCandidates)
         return -1.0;
       return *std::min_element(TopUtil.begin(), TopUtil.end());
     };
@@ -395,7 +395,7 @@ dc::proposeTopDown(const Grammar &G, const std::vector<Frontier> &Frontiers,
                 {renderAnchor(Child, Child.Root, /*VarMode=*/true),
                  coverage(Child.Sites, Index.Sites, Index.TaskWords), U});
             TopUtil.push_back(U);
-            if (static_cast<int>(TopUtil.size()) > Params.MaxCandidates) {
+            if (static_cast<int>(TopUtil.size()) > MaxCandidates) {
               TopUtil.erase(
                   std::min_element(TopUtil.begin(), TopUtil.end()));
             }
@@ -514,7 +514,7 @@ dc::proposeTopDown(const Grammar &G, const std::vector<Frontier> &Frontiers,
   std::vector<CompressionCandidate> Out;
   std::set<ExprPtr> SeenBodies;
   for (const Finalized &F : Candidates) {
-    if (static_cast<int>(Out.size()) >= Params.MaxCandidates)
+    if (static_cast<int>(Out.size()) >= MaxCandidates)
       break;
     if (SeenBodies.insert(F.Proposal.Body).second)
       Out.push_back(detail::makeCandidate(F.Proposal, F.Coverage));

@@ -67,7 +67,7 @@ struct TopDownStats {
 /// Proposes candidates for one greedy round: ranked by task coverage
 /// (descending, ties by structural order), deduplicated by invention
 /// body, filtered through the same usefulness/coverage gates as the
-/// version-space path, capped at Params.MaxCandidates. Deterministic and
+/// version-space path, capped at MaxCandidates. Deterministic and
 /// single-threaded by construction — proposal is the cheap phase; scoring
 /// fans out in the shared round.
 std::vector<CompressionCandidate>

@@ -162,7 +162,7 @@ TEST_F(RecognitionTest, AppliedVariableArgumentsHaveTheirOwnRows) {
                                      WS, Grad),
             0.0);
   for (size_t I = 0; I < L3.B.size(); ++I)
-    L3.B[I] -= Grad.DB3[I];
+    L3.B[I] -= Grad.D.L3.B[I];
   ContextualGrammar Trained = Model.predict(*T);
   std::set<int> Moved, Read;
   for (int S = 0; S < CG.slotCount(); ++S)
@@ -269,7 +269,7 @@ TEST_F(RecognitionTest, ExampleGradMatchesFiniteDifference) {
   ASSERT_GT(Loss, 0.0) << "program must be in the grammar's support";
 
   auto Segments = Model.net().parameterSegments();
-  auto GradSegments = Grad.segments();
+  auto GradSegments = Grad.D.parameterSegments();
   ASSERT_EQ(Segments.size(), GradSegments.size());
   const float H = 1e-2f;
   int Checked = 0;
@@ -288,7 +288,7 @@ TEST_F(RecognitionTest, ExampleGradMatchesFiniteDifference) {
                                              ScratchWS, ScratchG);
       Segments[S].Param[I] = P0;
       double Numeric = (Up - Down) / (2.0 * H);
-      EXPECT_NEAR(GradSegments[S].Grad[I], Numeric, 2e-2)
+      EXPECT_NEAR(GradSegments[S].Param[I], Numeric, 2e-2)
           << "segment " << S << " param " << I;
       ++Checked;
     }
@@ -312,8 +312,9 @@ TEST_F(RecognitionTest, GradScaleScalesGradients) {
   double L2 = Model.exampleLossAndGrad(Features, T->request(), Program, WS,
                                        Quarter, 0.25f);
   EXPECT_DOUBLE_EQ(L1, L2) << "returned loss is unscaled";
-  for (size_t I = 0; I < Full.DW3.size(); ++I)
-    EXPECT_NEAR(Quarter.DW3.data()[I], 0.25f * Full.DW3.data()[I], 1e-6);
+  const nn::Matrix &FullW3 = Full.D.L3.W, &QuarterW3 = Quarter.D.L3.W;
+  for (size_t I = 0; I < FullW3.size(); ++I)
+    EXPECT_NEAR(QuarterW3.data()[I], 0.25f * FullW3.data()[I], 1e-6);
 }
 
 namespace {

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "domains/DomainTable.h"
 #include "domains/ListDomain.h"
 #include "domains/LogoDomain.h"
 #include "domains/OrigamiDomain.h"
@@ -54,6 +55,22 @@ double ll(const DomainSpec &D, const std::string &TaskName,
 }
 
 } // namespace
+
+TEST(DomainTable, EveryEntryBuildsAtItsDefaultSeed) {
+  std::string Names;
+  for (const DomainEntry &E : domainTable()) {
+    DomainSpec D = E.build(0);
+    EXPECT_EQ(D.Name, E.Name);
+    checkDomainShape(D, 1);
+    EXPECT_EQ(findDomain(E.Name), &E);
+    EXPECT_EQ(E.FixedCorpus, D.Name == "logo" || D.Name == "tower") << E.Name;
+    if (!Names.empty())
+      Names += ' ';
+    Names += D.Name;
+  }
+  EXPECT_EQ(domainNames(), Names);
+  EXPECT_EQ(findDomain("nosuch"), nullptr);
+}
 
 TEST(ListDomain, CorpusShape) {
   DomainSpec D = makeListDomain(1);

@@ -312,7 +312,7 @@ TEST_F(TopDownTest, ProposerFindsLiteralAndCapturePatterns) {
   // MaxCandidates cap.
   for (size_t I = 1; I < Cands.size(); ++I)
     EXPECT_GE(Cands[I - 1].TasksCovered, Cands[I].TasksCovered);
-  EXPECT_LE(static_cast<int>(Cands.size()), Params.MaxCandidates);
+  EXPECT_LE(static_cast<int>(Cands.size()), MaxCandidates);
 }
 
 TEST_F(TopDownTest, ProposerRespectsTheExpansionBudget) {

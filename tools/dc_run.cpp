@@ -7,7 +7,7 @@
 //   dc_run --domain list --variant full --iterations 4 --seed 1
 //          --checkpoint out.ckpt --verbose
 //
-// Domains:  list text logo tower regex regression physics origami
+// Domains:  see domains/DomainTable.cpp
 // Variants: full no-rec no-abs memorize memorize-rec ec ec2 enumerate
 //
 //===----------------------------------------------------------------------===//
@@ -18,14 +18,7 @@
 #include "obs/Metrics.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
-#include "domains/ListDomain.h"
-#include "domains/LogoDomain.h"
-#include "domains/OrigamiDomain.h"
-#include "domains/PhysicsDomain.h"
-#include "domains/RegexDomain.h"
-#include "domains/RegressionDomain.h"
-#include "domains/TextDomain.h"
-#include "domains/TowerDomain.h"
+#include "domains/DomainTable.h"
 
 #include <climits>
 #include <cstdio>
@@ -68,31 +61,10 @@ void usage(const char *Argv0) {
       "               run (enables telemetry; results are unchanged)\n"
       "--trace-out:   write chrome://tracing trace-event JSON (load via\n"
       "               about:tracing or https://ui.perfetto.dev)\n"
-      "domains:  list text logo tower regex regression physics origami\n"
+      "domains:  %s\n"
       "variants: full no-rec no-abs memorize memorize-rec ec ec2 "
       "enumerate\n",
-      Argv0);
-}
-
-std::optional<DomainSpec> domainByName(const std::string &Name,
-                                       unsigned Seed) {
-  if (Name == "list")
-    return makeListDomain(Seed ? Seed : 1);
-  if (Name == "text")
-    return makeTextDomain(Seed ? Seed : 2);
-  if (Name == "logo")
-    return makeLogoDomain();
-  if (Name == "tower")
-    return makeTowerDomain();
-  if (Name == "regex")
-    return makeRegexDomain(Seed ? Seed : 6);
-  if (Name == "regression")
-    return makeRegressionDomain(Seed ? Seed : 7);
-  if (Name == "physics")
-    return makePhysicsDomain(Seed ? Seed : 11);
-  if (Name == "origami")
-    return makeOrigamiDomain(Seed ? Seed : 5);
-  return std::nullopt;
+      Argv0, domainNames().c_str());
 }
 
 std::optional<SystemVariant> variantByName(const std::string &Name) {
@@ -198,8 +170,8 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  auto Domain = domainByName(DomainName, Seed);
-  if (!Domain) {
+  const DomainEntry *Entry = findDomain(DomainName);
+  if (!Entry) {
     std::fprintf(stderr, "error: unknown domain '%s'\n",
                  DomainName.c_str());
     usage(Argv[0]);
@@ -214,12 +186,15 @@ int main(int Argc, char **Argv) {
   }
   Config.Variant = *Variant;
   Config.Seed = Seed;
+  // A fixed corpus (logo, tower) ignores the seed; the wake-sleep loop
+  // still takes it.
+  DomainSpec Domain = Entry->build(Seed);
   if (NodeBudget > 0)
-    Domain->Search.NodeBudget = NodeBudget;
+    Domain.Search.NodeBudget = NodeBudget;
 
   std::printf("domain %s: %zu train, %zu test tasks; variant %s\n",
-              Domain->Name.c_str(), Domain->TrainTasks.size(),
-              Domain->TestTasks.size(), variantName(Config.Variant));
+              Domain.Name.c_str(), Domain.TrainTasks.size(),
+              Domain.TestTasks.size(), variantName(Config.Variant));
 
   // Note: --resume restores a learned library as the *base* language of a
   // fresh run (warm start), matching how checkpointed libraries are used.
@@ -232,9 +207,9 @@ int main(int Argc, char **Argv) {
                    ResumePath.c_str(), Err.c_str());
       return 1;
     }
-    Domain->BasePrimitives.clear();
+    Domain.BasePrimitives.clear();
     for (const Production &P : Restored.productions())
-      Domain->BasePrimitives.push_back(P.Program);
+      Domain.BasePrimitives.push_back(P.Program);
     std::printf("resumed %zu productions from %s\n",
                 Restored.productions().size(), ResumePath.c_str());
   }
@@ -249,7 +224,7 @@ int main(int Argc, char **Argv) {
     obs::Tracer::global().clear();
   }
 
-  WakeSleepResult R = runWakeSleep(*Domain, Config);
+  WakeSleepResult R = runWakeSleep(Domain, Config);
 
   std::printf("\nper-cycle metrics:\n");
   std::printf("  %-6s %10s %10s %10s %10s\n", "cycle", "train", "test",
@@ -265,7 +240,7 @@ int main(int Argc, char **Argv) {
       std::printf("  %s : %s\n", P.Program->show().c_str(),
                   P.Ty->show().c_str());
   std::printf("\nfinal: train %d/%zu, test %d/%d\n", R.trainSolved(),
-              Domain->TrainTasks.size(), R.FinalTestSolved,
+              Domain.TrainTasks.size(), R.FinalTestSolved,
               R.TestTaskCount);
 
   if (!CheckpointPath.empty()) {

@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "Flags.h"
+#include "domains/DomainTable.h"
 #include "obs/Metrics.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
@@ -75,8 +76,8 @@ void usage(const char *Argv0) {
       "signals: SIGHUP reloads every domain's checkpoint+model from disk\n"
       "         and atomically publishes the new library epoch (nothing\n"
       "         in flight is dropped); SIGTERM/SIGINT drain and exit 0\n"
-      "domains: list text logo tower regex regression physics origami\n",
-      Argv0);
+      "domains: %s\n",
+      Argv0, domainNames().c_str());
 }
 
 /// Signal handling via the self-pipe trick: the handler only write()s (one

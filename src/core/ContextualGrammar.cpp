@@ -38,12 +38,12 @@ int ContextualGrammar::slotIndex(int ParentIdx, int ArgIdx) const {
   return First + std::clamp(ArgIdx, 0, FirstSlot[ParentIdx + 1] - First - 1);
 }
 
-std::vector<GrammarCandidate>
-ContextualGrammar::candidates(int ParentIdx, int ArgIdx,
-                              const TypePtr &Request,
-                              const std::vector<TypePtr> &Environment,
-                              const TypeContext &Ctx) const {
+void ContextualGrammar::candidates(int ParentIdx, int ArgIdx,
+                                   TypePtr Request,
+                                   const TypeEnv *Environment,
+                                   TypeContext &Ctx,
+                                   std::vector<GrammarCandidate> &Out) const {
   const double *Row = row(slotIndex(ParentIdx, ArgIdx));
-  return holeCandidates(Prods, Row, Row[Prods.size()], Request, Environment,
-                        Ctx);
+  holeCandidates(Prods, Row, Row[Prods.size()], Request, Environment, Ctx,
+                 Out);
 }

@@ -56,10 +56,9 @@ public:
     return Weights.data() + static_cast<size_t>(Slot) * childCount();
   }
 
-  std::vector<GrammarCandidate>
-  candidates(int ParentIdx, int ArgIdx, const TypePtr &Request,
-             const std::vector<TypePtr> &Environment,
-             const TypeContext &Ctx) const override;
+  void candidates(int ParentIdx, int ArgIdx, TypePtr Request,
+                  const TypeEnv *Environment, TypeContext &Ctx,
+                  std::vector<GrammarCandidate> &Out) const override;
 
 private:
   std::vector<Production> Prods;

@@ -1,4 +1,14 @@
 //===- core/Enumeration.cpp - Type-directed enumerative search ------------===//
+//
+// The enumerator fills holes depth first in the order of their choices,
+// on one trail-based TypeContext per window: a choice is bound, the rest
+// of the program is enumerated under it, and the context is undone to the
+// mark taken before it. Nothing is allocated per hole: pending argument
+// holes are frames on the C++ stack, choices share one buffer used as a
+// stack, and the program is a preorder stack of decisions that is
+// interned only when a program is emitted inside its window.
+//
+//===----------------------------------------------------------------------===//
 
 #include "core/Enumeration.h"
 
@@ -28,102 +38,144 @@ constexpr size_t TestBatchSize = 2048;
 /// millisecond of search.
 constexpr long StopCheckInterval = 256;
 
-/// Persistent typing environment: a stack-allocated linked list so that
-/// continuations capture the environment as of their creation point. A
-/// mutable vector would leak the binders of an already-completed sibling
-/// subtree into later arguments (shifting their de Bruijn indices).
-struct TypeEnv {
-  TypePtr Ty;
-  const TypeEnv *Outer;
-};
-
-std::vector<TypePtr> envToVector(const TypeEnv *Env) {
-  std::vector<TypePtr> Out;
-  for (const TypeEnv *Cur = Env; Cur; Cur = Cur->Outer)
-    Out.push_back(Cur->Ty);
-  std::reverse(Out.begin(), Out.end()); // outermost-first, as candidates()
-  return Out;
-}
-
-/// Recursive enumerator core. Emits (program, cost, context) triples for
-/// every program of \p Request with cost < \p Budget. Returns false when
-/// the emit callback aborted the search.
+/// Recursive enumerator core for one window (see the file comment): emits
+/// every program of the request whose cost (negative log prior) lies in
+/// [Lower, Upper). A completed subtree hands its cost to the next Pending
+/// frame and builds nothing.
 class Enumerator {
 public:
   Enumerator(const EnumerationSource &Src, long &Nodes,
-             const std::function<bool()> &ShouldStop)
-      : Src(Src), Nodes(Nodes), ShouldStop(ShouldStop) {}
+             const std::function<bool()> &ShouldStop, double Lower,
+             const std::function<bool(ExprPtr, double)> &Emit)
+      : Src(Src), Nodes(Nodes), ShouldStop(ShouldStop), Lower(Lower),
+        Emit(Emit) {}
 
-  using Sink = std::function<bool(ExprPtr, double, TypeContext &)>;
+  /// Enumerates the window up to \p Upper. Returns false when the search
+  /// was stopped (node budget, ShouldStop, or Emit).
+  bool run(const TypePtr &Request, double Upper) {
+    TypePtr Req = Ctx.instantiate(Request);
+    return enumerate(ParentStart, 0, nullptr, Req, Upper, nullptr);
+  }
 
-  /// Enumerates at \p Request with remaining budget \p Budget (nats).
-  bool enumerate(int ParentIdx, int ArgIdx, TypeContext &Ctx,
-                 const TypeEnv *Env, const TypePtr &Request, double Budget,
-                 const Sink &Emit) {
+private:
+  /// The arguments of a spine still to fill after argument Idx, whose head
+  /// has type Rest with its first Idx arguments peeled and whose earlier
+  /// arguments cost CostSoFar; Outer is what follows the whole spine.
+  struct Pending {
+    int ChildParent;
+    const TypeEnv *Env;
+    TypePtr Rest;
+    int Idx;
+    double CostSoFar;
+    double Budget;
+    const Pending *Outer;
+  };
+
+  /// One preorder decision: a lambda (null Leaf), or a leaf applied to the
+  /// next Arity subtrees.
+  struct Decision {
+    ExprPtr Leaf;
+    int Arity;
+  };
+
+  /// Fills a hole of type \p Request with every subtree costing under
+  /// \p Budget, continuing each with \p K.
+  bool enumerate(int ParentIdx, int ArgIdx, const TypeEnv *Env,
+                 TypePtr Request, double Budget, const Pending *K) {
     if (Budget <= 0)
       return true;
     TypePtr Req = Ctx.resolve(Request);
 
     if (Req->isArrow()) {
       TypeEnv Frame{Req->arrowArgument(), Env};
-      return enumerate(ParentIdx, ArgIdx, Ctx, &Frame, Req->arrowResult(),
-                       Budget,
-                       [&](ExprPtr Body, double Cost, TypeContext &BodyCtx) {
-                         return Emit(Expr::abstraction(Body), Cost, BodyCtx);
-                       });
+      Program.push_back({nullptr, 0});
+      bool Go = enumerate(ParentIdx, ArgIdx, &Frame, Req->arrowResult(),
+                          Budget, K);
+      Program.pop_back();
+      return Go;
     }
 
-    std::vector<GrammarCandidate> Cands =
-        Src.candidates(ParentIdx, ArgIdx, Req, envToVector(Env), Ctx);
-    for (GrammarCandidate &C : Cands) {
+    const size_t Begin = Choices.size();
+    Src.candidates(ParentIdx, ArgIdx, Req, Env, Ctx, Choices);
+    const size_t End = Choices.size();
+    bool Go = true;
+    for (size_t I = Begin; Go && I < End; ++I) {
+      // A copy: the holes below push onto the same buffer.
+      const GrammarCandidate C = Choices[I];
       double Cost = -C.LogProb;
       if (Cost >= Budget)
         continue;
-      if (--Nodes <= 0)
-        return false;
-      // Deadline/cancellation poll at candidate-batch granularity. The
-      // branch on the empty default keeps the deterministic path free of
-      // clock reads entirely.
-      if (ShouldStop && ++SinceStopCheck >= StopCheckInterval) {
-        SinceStopCheck = 0;
-        if (ShouldStop())
-          return false;
+      if (--Nodes <= 0 || stopRequested()) {
+        Go = false;
+        break;
       }
+      TypeContext::Mark M = Ctx.mark();
+      TypePtr Ty = bindCandidate(C, Req, Ctx);
+      Program.push_back({C.Leaf, functionArity(Ty)});
       int ChildParent =
           C.ProductionIdx >= 0 ? C.ProductionIdx : ParentVariable;
-      std::vector<TypePtr> ArgTypes = functionArguments(C.Ty);
-      if (!enumerateApplication(ChildParent, C.Ctx, Env, C.Leaf, Cost,
-                                ArgTypes, 0, Budget, Emit))
-        return false;
+      Go = fill(ChildParent, Env, Ty, 0, Cost, Budget, K);
+      Program.pop_back();
+      Ctx.undo(M);
     }
-    return true;
+    Choices.resize(Begin);
+    return Go;
   }
 
-private:
-  /// Fills argument holes of \p Fn left to right. \p Env is the environment
-  /// at the spine's decision point — inner binders of earlier arguments are
-  /// not in scope here.
-  bool enumerateApplication(int ChildParent, TypeContext &Ctx,
-                            const TypeEnv *Env, ExprPtr Fn, double CostSoFar,
-                            const std::vector<TypePtr> &ArgTypes, size_t Idx,
-                            double Budget, const Sink &Emit) {
-    if (Idx == ArgTypes.size())
-      return Emit(Fn, CostSoFar, Ctx);
-    return enumerate(
-        ChildParent, static_cast<int>(Idx), Ctx, Env, ArgTypes[Idx],
-        Budget - CostSoFar,
-        [&](ExprPtr Arg, double ArgCost, TypeContext &ArgCtx) {
-          return enumerateApplication(ChildParent, ArgCtx, Env,
-                                      Expr::application(Fn, Arg),
-                                      CostSoFar + ArgCost, ArgTypes, Idx + 1,
-                                      Budget, Emit);
-        });
+  /// Polls ShouldStop (deadline, cancellation) once every
+  /// StopCheckInterval expansions. The branch on the empty default keeps
+  /// the deterministic path free of clock reads entirely.
+  bool stopRequested() {
+    if (!ShouldStop || ++SinceStopCheck < StopCheckInterval)
+      return false;
+    SinceStopCheck = 0;
+    return ShouldStop();
+  }
+
+  /// Fills the arguments of a spine left to right from argument \p Idx.
+  /// \p Env is the environment at the spine's decision point: inner
+  /// binders of earlier arguments are not in scope here.
+  bool fill(int ChildParent, const TypeEnv *Env, TypePtr Rest, int Idx,
+            double CostSoFar, double Budget, const Pending *K) {
+    if (!Rest->isArrow())
+      return finish(K, CostSoFar);
+    Pending Next{ChildParent, Env, Rest, Idx, CostSoFar, Budget, K};
+    return enumerate(ChildParent, Idx, Env, Rest->arrowArgument(),
+                     Budget - CostSoFar, &Next);
+  }
+
+  /// A subtree costing \p Cost is complete: fill the next pending hole,
+  /// or emit the program when none is left.
+  bool finish(const Pending *K, double Cost) {
+    if (K)
+      return fill(K->ChildParent, K->Env, K->Rest->arrowResult(), K->Idx + 1,
+                  K->CostSoFar + Cost, K->Budget, K->Outer);
+    if (Cost < Lower)
+      return true; // reported by an earlier window
+    size_t Pos = 0;
+    return Emit(build(Pos), -Cost);
+  }
+
+  /// Interns the subtree whose preorder decisions start at \p Pos.
+  ExprPtr build(size_t &Pos) const {
+    const Decision &D = Program[Pos++];
+    if (!D.Leaf)
+      return Expr::abstraction(build(Pos));
+    ExprPtr E = D.Leaf;
+    for (int I = 0; I < D.Arity; ++I)
+      E = Expr::application(E, build(Pos));
+    return E;
   }
 
   const EnumerationSource &Src;
   long &Nodes;
   const std::function<bool()> &ShouldStop;
+  const double Lower;
+  const std::function<bool(ExprPtr, double)> &Emit;
   long SinceStopCheck = 0;
+  TypeContext Ctx;
+  std::vector<GrammarCandidate> Choices;
+  std::vector<Decision> Program;
 };
 
 /// Builds the ShouldStop predicate for one search: cancellation first (one
@@ -308,15 +360,7 @@ void dc::enumerateWindow(const EnumerationSource &Src, const TypePtr &Request,
                          double Lower, double Upper, long &Nodes,
                          const std::function<bool(ExprPtr, double)> &Emit,
                          const std::function<bool()> &ShouldStop) {
-  TypeContext Ctx;
-  TypePtr Req = Ctx.instantiate(Request);
-  Enumerator E(Src, Nodes, ShouldStop);
-  E.enumerate(ParentStart, 0, Ctx, nullptr, Req, Upper,
-              [&](ExprPtr P, double Cost, TypeContext &) {
-                if (Cost < Lower)
-                  return true; // reported by an earlier window
-                return Emit(P, -Cost);
-              });
+  Enumerator(Src, Nodes, ShouldStop, Lower, Emit).run(Request, Upper);
 }
 
 void EnumerationStats::merge(const EnumerationStats &Other) {

@@ -1,7 +1,6 @@
 //===- core/Evaluator.cpp - Budgeted lambda calculus evaluator ------------===//
 
 #include "core/Evaluator.h"
-#include "core/Primitives.h"
 
 using namespace dc;
 
@@ -34,7 +33,7 @@ ValuePtr dc::evaluate(ExprPtr E, const EnvPtr &Env, EvalState &State) {
         return nullptr;
       return Value::makeReal(C);
     }
-    ValuePtr V = primitiveValue(E->name());
+    const ValuePtr &V = E->value();
     if (!V)
       State.fail();
     return V;
@@ -46,15 +45,16 @@ ValuePtr dc::evaluate(ExprPtr E, const EnvPtr &Env, EvalState &State) {
     return Value::makeClosure(E->body(), Env);
   case ExprKind::Application: {
     // `if` is the one special form: evaluate the condition, then only the
-    // selected branch. Detect a saturated (if c t f) spine.
-    auto [Head, Args] = applicationSpine(E);
-    if (isIfPrimitive(Head) && Args.size() == 3) {
-      ValuePtr Cond = evaluate(Args[0], Env, State);
+    // selected branch. A saturated (if c t f) is App(App(App(if, c), t), f).
+    ExprPtr IfT = E->fn();
+    if (IfT->isApplication() && IfT->fn()->isApplication() &&
+        isIfPrimitive(IfT->fn()->fn())) {
+      ValuePtr Cond = evaluate(IfT->fn()->arg(), Env, State);
       if (!Cond || !Cond->isBool()) {
         State.fail();
         return nullptr;
       }
-      return evaluate(Cond->asBool() ? Args[1] : Args[2], Env, State);
+      return evaluate(Cond->asBool() ? IfT->arg() : E->arg(), Env, State);
     }
     ValuePtr F = evaluate(E->fn(), Env, State);
     if (!F)
@@ -82,7 +82,10 @@ ValuePtr dc::applyValue(const ValuePtr &F, const ValuePtr &X,
     return evaluate(F->closureBody(), envExtend(F->closureEnv(), X), State);
 
   // Builtin: collect arguments until the declared arity is reached.
-  std::vector<ValuePtr> Args = F->builtinPending();
+  std::vector<ValuePtr> Args;
+  Args.reserve(F->builtinArity());
+  Args.insert(Args.end(), F->builtinPending().begin(),
+              F->builtinPending().end());
   Args.push_back(X);
   if (static_cast<int>(Args.size()) < F->builtinArity())
     return Value::makeBuiltinPartial(*F, std::move(Args));

@@ -14,16 +14,38 @@ namespace {
 
 constexpr double NegInf = -std::numeric_limits<double>::infinity();
 
-double logSumExp(const std::vector<double> &Xs) {
+/// log Σ exp(LogProb) over \p Cands, in order.
+double logSumExp(std::span<const GrammarCandidate> Cands) {
   double M = NegInf;
-  for (double X : Xs)
-    M = std::max(M, X);
+  for (const GrammarCandidate &C : Cands)
+    M = std::max(M, C.LogProb);
   if (M == NegInf)
     return NegInf;
   double S = 0;
-  for (double X : Xs)
-    S += std::exp(X - M);
+  for (const GrammarCandidate &C : Cands)
+    S += std::exp(C.LogProb - M);
   return M + std::log(S);
+}
+
+/// Binds the choice of \p Declared at \p Request on \p Ctx: a production's
+/// type is instantiated, a variable's resolved, and its return type is
+/// unified with the request. Returns the bound type, or null (with some of
+/// the attempt's bindings left on \p Ctx) when the return type does not
+/// unify.
+TypePtr unifyChoice(TypePtr Declared, bool IsVariable, TypePtr Request,
+                    TypeContext &Ctx) {
+  TypePtr T = IsVariable ? Ctx.apply(Declared) : Ctx.instantiate(Declared);
+  return Ctx.unify(functionReturn(T), Request) ? T : nullptr;
+}
+
+/// True when the choice of \p Declared fits \p Request; \p Ctx is left as
+/// it was.
+bool tryChoice(TypePtr Declared, bool IsVariable, TypePtr Request,
+               TypeContext &Ctx) {
+  TypeContext::Mark M = Ctx.mark();
+  bool Fits = unifyChoice(Declared, IsVariable, Request, Ctx) != nullptr;
+  Ctx.undo(M);
+  return Fits;
 }
 
 } // namespace
@@ -79,19 +101,17 @@ int Grammar::structureSize() const {
   return S;
 }
 
-std::vector<GrammarCandidate>
-Grammar::candidates(int /*ParentIdx*/, int /*ArgIdx*/, const TypePtr &Request,
-                    const std::vector<TypePtr> &Environment,
-                    const TypeContext &Ctx) const {
-  return holeCandidates(Prods, nullptr, LogVar, Request, Environment, Ctx);
+void Grammar::candidates(int /*ParentIdx*/, int /*ArgIdx*/, TypePtr Request,
+                         const TypeEnv *Environment, TypeContext &Ctx,
+                         std::vector<GrammarCandidate> &Out) const {
+  holeCandidates(Prods, nullptr, LogVar, Request, Environment, Ctx, Out);
 }
 
-std::vector<GrammarCandidate>
-dc::holeCandidates(const std::vector<Production> &Prods, const double *Row,
-                   double LogVariable, const TypePtr &Request,
-                   const std::vector<TypePtr> &Environment,
-                   const TypeContext &Ctx) {
-  std::vector<GrammarCandidate> Out;
+void dc::holeCandidates(const std::vector<Production> &Prods,
+                        const double *Row, double LogVariable,
+                        TypePtr Request, const TypeEnv *Environment,
+                        TypeContext &Ctx, std::vector<GrammarCandidate> &Out) {
+  const size_t Begin = Out.size();
 
   // Library productions whose (full-arity) return type unifies with the
   // request.
@@ -102,48 +122,44 @@ dc::holeCandidates(const std::vector<Production> &Prods, const double *Row,
     if (RequestHead && Prods[I].ReturnHead &&
         Prods[I].ReturnHead != RequestHead)
       continue;
-    TypeContext Local = Ctx;
-    TypePtr Inst = Local.instantiate(Prods[I].Ty);
-    if (!Local.unify(functionReturn(Inst), Request))
-      continue;
-    // Inst is stored unapplied; consumers resolve argument types lazily
-    // through the candidate's context.
-    Out.push_back({Prods[I].Program, Row ? Row[I] : Prods[I].LogWeight,
-                   std::move(Inst), std::move(Local), static_cast<int>(I)});
+    if (tryChoice(Prods[I].Ty, /*IsVariable=*/false, Request, Ctx))
+      Out.push_back({Prods[I].Program, Row ? Row[I] : Prods[I].LogWeight,
+                     Prods[I].Ty, static_cast<int>(I)});
   }
 
-  // In-scope variables. Each matching variable splits the variable mass.
-  std::vector<GrammarCandidate> Vars;
-  for (size_t I = 0; I < Environment.size(); ++I) {
-    // Environment is ordered outermost-first; de Bruijn $0 is innermost.
-    int DeBruijn = static_cast<int>(Environment.size() - 1 - I);
-    TypeContext Local = Ctx;
-    TypePtr VarTy = Local.apply(Environment[I]);
-    if (!Local.unify(functionReturn(VarTy), Request))
-      continue;
-    Vars.push_back({Expr::index(DeBruijn), LogVariable, Local.apply(VarTy),
-                    std::move(Local), -1});
+  // In-scope variables, walked from $0 outwards and then reversed, so they
+  // are listed outermost first. Each matching variable splits the variable
+  // mass.
+  const size_t FirstVar = Out.size();
+  int DeBruijn = 0;
+  for (const TypeEnv *Frame = Environment; Frame;
+       Frame = Frame->Outer, ++DeBruijn)
+    if (tryChoice(Frame->Ty, /*IsVariable=*/true, Request, Ctx))
+      Out.push_back({Expr::index(DeBruijn), LogVariable, Frame->Ty, -1});
+  std::reverse(Out.begin() + FirstVar, Out.end());
+  if (Out.size() > FirstVar) {
+    double Split = std::log(static_cast<double>(Out.size() - FirstVar));
+    for (size_t I = FirstVar; I < Out.size(); ++I)
+      Out[I].LogProb -= Split;
   }
-  if (!Vars.empty()) {
-    double Split = std::log(static_cast<double>(Vars.size()));
-    for (GrammarCandidate &V : Vars) {
-      V.LogProb -= Split;
-      Out.push_back(std::move(V));
-    }
-  }
-
-  if (Out.empty())
-    return Out;
 
   // Normalize.
-  std::vector<double> Raw;
-  Raw.reserve(Out.size());
-  for (const GrammarCandidate &C : Out)
-    Raw.push_back(C.LogProb);
-  double Z = logSumExp(Raw);
-  for (GrammarCandidate &C : Out)
+  std::span<GrammarCandidate> Added(Out.data() + Begin, Out.size() - Begin);
+  if (Added.empty())
+    return;
+  double Z = logSumExp(Added);
+  for (GrammarCandidate &C : Added)
     C.LogProb -= Z;
-  return Out;
+}
+
+TypePtr dc::bindCandidate(const GrammarCandidate &C, TypePtr Request,
+                          TypeContext &Ctx) {
+  const bool IsVariable = C.ProductionIdx < 0;
+  TypePtr T = unifyChoice(C.Declared, IsVariable, Request, Ctx);
+  assert(T && "a candidate binds as candidates() tried it");
+  // A variable's argument types are read off its type under the new
+  // bindings.
+  return IsVariable ? Ctx.apply(T) : T;
 }
 
 //===----------------------------------------------------------------------===//
@@ -152,75 +168,90 @@ dc::holeCandidates(const std::vector<Production> &Prods, const double *Row,
 
 namespace {
 
-bool walkImpl(const EnumerationSource &Src, TypePtr Request, TypeContext Ctx,
-              std::vector<TypePtr> &Env, ExprPtr E, int ParentIdx, int ArgIdx,
-              const DecisionCallback &OnDecision, int Depth) {
-  if (Depth > 256)
-    return false;
-  Request = Ctx.resolve(Request);
+/// One replay of a program's decisions. Each argument is walked from the
+/// context its head's choice left, and the bindings its subtree made are
+/// undone before the next argument.
+class DecisionWalk {
+public:
+  DecisionWalk(const EnumerationSource &Src,
+               const DecisionCallback &OnDecision)
+      : Src(Src), OnDecision(OnDecision) {}
 
-  if (Request->isArrow()) {
-    if (E->isAbstraction()) {
-      Env.push_back(Request->arrowArgument());
-      bool Ok = walkImpl(Src, Request->arrowResult(), std::move(Ctx), Env,
-                         E->body(), ParentIdx, ArgIdx, OnDecision, Depth + 1);
-      Env.pop_back();
-      return Ok;
-    }
-    // Eta-expand on the fly: E ≡ (λ (E↑ $0)).
-    ExprPtr Shifted = E->shift(1);
-    if (!Shifted)
-      return false;
-    ExprPtr Expanded = Expr::application(Shifted, Expr::index(0));
-    Env.push_back(Request->arrowArgument());
-    bool Ok = walkImpl(Src, Request->arrowResult(), std::move(Ctx), Env,
-                       Expanded, ParentIdx, ArgIdx, OnDecision, Depth + 1);
-    Env.pop_back();
-    return Ok;
+  bool run(const TypePtr &Request, ExprPtr Program) {
+    TypePtr Req = Ctx.instantiate(Request);
+    return walk(Req, nullptr, Program, ParentStart, 0, 0);
   }
 
-  auto [Head, Args] = applicationSpine(E);
-  if (Head->isAbstraction())
-    return false; // β-redexes are outside the grammar's support
-
-  std::vector<GrammarCandidate> Cands =
-      Src.candidates(ParentIdx, ArgIdx, Request, Env, Ctx);
-  int ChosenAt = -1;
-  for (size_t I = 0; I < Cands.size(); ++I)
-    if (Cands[I].Leaf == Head) {
-      ChosenAt = static_cast<int>(I);
-      break;
-    }
-  if (ChosenAt < 0)
-    return false;
-  const GrammarCandidate &Chosen = Cands[ChosenAt];
-
-  std::vector<TypePtr> ArgTypes = functionArguments(Chosen.Ty);
-  if (ArgTypes.size() != Args.size())
-    return false; // arity mismatch (over-application of a polymorphic head)
-
-  OnDecision(ParentIdx, ArgIdx, Chosen, Cands);
-
-  int ChildParent = Chosen.ProductionIdx >= 0 ? Chosen.ProductionIdx
-                                              : ParentVariable;
-  TypeContext Next = Chosen.Ctx;
-  for (size_t I = 0; I < Args.size(); ++I)
-    if (!walkImpl(Src, ArgTypes[I], Next, Env, Args[I], ChildParent,
-                  static_cast<int>(I), OnDecision, Depth + 1))
+private:
+  bool walk(TypePtr Request, const TypeEnv *Env, ExprPtr E, int ParentIdx,
+            int ArgIdx, int Depth) {
+    if (Depth > 256)
       return false;
-  return true;
-}
+    Request = Ctx.resolve(Request);
+
+    if (Request->isArrow()) {
+      TypeEnv Frame{Request->arrowArgument(), Env};
+      if (E->isAbstraction())
+        return walk(Request->arrowResult(), &Frame, E->body(), ParentIdx,
+                    ArgIdx, Depth + 1);
+      // Eta-expand on the fly: E ≡ (λ (E↑ $0)).
+      ExprPtr Shifted = E->shift(1);
+      if (!Shifted)
+        return false;
+      return walk(Request->arrowResult(), &Frame,
+                  Expr::application(Shifted, Expr::index(0)), ParentIdx,
+                  ArgIdx, Depth + 1);
+    }
+
+    auto [Head, Args] = applicationSpine(E);
+    if (Head->isAbstraction())
+      return false; // β-redexes are outside the grammar's support
+
+    // This hole's choices sit on top of Choices until it has reported.
+    const size_t Begin = Choices.size();
+    Src.candidates(ParentIdx, ArgIdx, Request, Env, Ctx, Choices);
+    std::span<const GrammarCandidate> All(Choices.data() + Begin,
+                                          Choices.size() - Begin);
+    auto Chosen = std::find_if(All.begin(), All.end(),
+                               [&](const GrammarCandidate &C) {
+                                 return C.Leaf == Head;
+                               });
+    TypePtr Ty = Chosen == All.end() ? nullptr
+                                     : bindCandidate(*Chosen, Request, Ctx);
+    // An arity mismatch is an over-application of a polymorphic head.
+    const bool Ok = Ty && functionArity(Ty) == static_cast<int>(Args.size());
+    if (Ok)
+      OnDecision(ParentIdx, ArgIdx, *Chosen, All);
+    const int ChildParent =
+        Ok && Chosen->ProductionIdx >= 0 ? Chosen->ProductionIdx
+                                         : ParentVariable;
+    Choices.resize(Begin);
+    if (!Ok)
+      return false;
+
+    for (size_t I = 0; I < Args.size(); ++I, Ty = Ty->arrowResult()) {
+      TypeContext::Mark M = Ctx.mark();
+      bool ArgOk = walk(Ty->arrowArgument(), Env, Args[I], ChildParent,
+                        static_cast<int>(I), Depth + 1);
+      Ctx.undo(M);
+      if (!ArgOk)
+        return false;
+    }
+    return true;
+  }
+
+  const EnumerationSource &Src;
+  const DecisionCallback &OnDecision;
+  TypeContext Ctx;
+  std::vector<GrammarCandidate> Choices;
+};
 
 } // namespace
 
 bool dc::walkProgramDecisions(const EnumerationSource &Src,
                               const TypePtr &Request, ExprPtr Program,
                               const DecisionCallback &OnDecision) {
-  TypeContext Ctx;
-  std::vector<TypePtr> Env;
-  TypePtr Req = Ctx.instantiate(Request);
-  return walkImpl(Src, Req, std::move(Ctx), Env, Program, ParentStart, 0,
-                  OnDecision, 0);
+  return DecisionWalk(Src, OnDecision).run(Request, Program);
 }
 
 double Grammar::logLikelihood(const TypePtr &Request, ExprPtr Program) const {
@@ -228,7 +259,7 @@ double Grammar::logLikelihood(const TypePtr &Request, ExprPtr Program) const {
   bool Ok = walkProgramDecisions(
       *this, Request, Program,
       [&](int, int, const GrammarCandidate &Chosen,
-          const std::vector<GrammarCandidate> &) { Total += Chosen.LogProb; });
+          std::span<const GrammarCandidate>) { Total += Chosen.LogProb; });
   return Ok ? Total : NegInf;
 }
 
@@ -239,39 +270,38 @@ double Grammar::logLikelihood(const TypePtr &Request, ExprPtr Program) const {
 namespace {
 
 ExprPtr sampleImpl(const EnumerationSource &Src, TypePtr Request,
-                   TypeContext &Ctx, std::vector<TypePtr> &Env, int ParentIdx,
-                   int ArgIdx, std::mt19937 &Rng, int DepthLeft) {
+                   TypeContext &Ctx, const TypeEnv *Env, int ParentIdx,
+                   int ArgIdx, std::mt19937 &Rng, int DepthLeft,
+                   std::vector<GrammarCandidate> &Choices) {
   if (DepthLeft <= 0)
     return nullptr;
   Request = Ctx.resolve(Request);
 
   if (Request->isArrow()) {
-    Env.push_back(Request->arrowArgument());
-    ExprPtr Body = sampleImpl(Src, Request->arrowResult(), Ctx, Env, ParentIdx,
-                              ArgIdx, Rng, DepthLeft - 1);
-    Env.pop_back();
+    TypeEnv Frame{Request->arrowArgument(), Env};
+    ExprPtr Body = sampleImpl(Src, Request->arrowResult(), Ctx, &Frame,
+                              ParentIdx, ArgIdx, Rng, DepthLeft - 1, Choices);
     return Body ? Expr::abstraction(Body) : nullptr;
   }
 
-  std::vector<GrammarCandidate> Cands =
-      Src.candidates(ParentIdx, ArgIdx, Request, Env, Ctx);
-  if (Cands.empty())
+  Choices.clear();
+  Src.candidates(ParentIdx, ArgIdx, Request, Env, Ctx, Choices);
+  if (Choices.empty())
     return nullptr;
   std::vector<double> Probs;
-  Probs.reserve(Cands.size());
-  for (const GrammarCandidate &C : Cands)
+  Probs.reserve(Choices.size());
+  for (const GrammarCandidate &C : Choices)
     Probs.push_back(std::exp(C.LogProb));
   std::discrete_distribution<int> Dist(Probs.begin(), Probs.end());
-  const GrammarCandidate &Chosen = Cands[Dist(Rng)];
+  const GrammarCandidate Chosen = Choices[Dist(Rng)];
 
-  Ctx = Chosen.Ctx;
+  TypePtr Ty = bindCandidate(Chosen, Request, Ctx);
   int ChildParent =
       Chosen.ProductionIdx >= 0 ? Chosen.ProductionIdx : ParentVariable;
   ExprPtr Out = Chosen.Leaf;
-  std::vector<TypePtr> ArgTypes = functionArguments(Chosen.Ty);
-  for (size_t I = 0; I < ArgTypes.size(); ++I) {
-    ExprPtr Arg = sampleImpl(Src, ArgTypes[I], Ctx, Env, ChildParent,
-                             static_cast<int>(I), Rng, DepthLeft - 1);
+  for (int I = 0; Ty->isArrow(); ++I, Ty = Ty->arrowResult()) {
+    ExprPtr Arg = sampleImpl(Src, Ty->arrowArgument(), Ctx, Env, ChildParent,
+                             I, Rng, DepthLeft - 1, Choices);
     if (!Arg)
       return nullptr;
     Out = Expr::application(Out, Arg);
@@ -285,9 +315,10 @@ ExprPtr dc::sampleFromSource(const EnumerationSource &Src,
                              const TypePtr &Request, std::mt19937 &Rng,
                              int MaxDepth) {
   TypeContext Ctx;
-  std::vector<TypePtr> Env;
+  std::vector<GrammarCandidate> Choices;
   TypePtr Req = Ctx.instantiate(Request);
-  return sampleImpl(Src, Req, Ctx, Env, ParentStart, 0, Rng, MaxDepth);
+  return sampleImpl(Src, Req, Ctx, nullptr, ParentStart, 0, Rng, MaxDepth,
+                    Choices);
 }
 
 ExprPtr Grammar::sample(const TypePtr &Request, std::mt19937 &Rng,

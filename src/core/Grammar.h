@@ -23,6 +23,7 @@
 #include "core/Program.h"
 
 #include <random>
+#include <span>
 #include <unordered_map>
 
 namespace dc {
@@ -38,12 +39,25 @@ struct Production {
   TypeName ReturnHead;
 };
 
-/// A typed, weighted choice available while generating at some hole.
+/// A typing environment: the types of the enclosing lambda binders as a
+/// list from the innermost ($0) outwards; nullptr is the empty one. Each
+/// frame lives on the stack of whoever opens the binder, so extending an
+/// environment allocates nothing, and a hole still waiting to be filled
+/// keeps the binders that were in scope where it was opened.
+struct TypeEnv {
+  TypePtr Ty;
+  const TypeEnv *Outer;
+};
+
+/// A weighted choice available while generating at some hole. It holds no
+/// type context: candidates() tries each choice on the caller's context and
+/// undoes it, and bindCandidate() binds the one taken.
 struct GrammarCandidate {
   ExprPtr Leaf;      ///< production expr, or Expr::index(i) for a variable
   double LogProb;    ///< normalized log probability of this choice
-  TypePtr Ty;        ///< the leaf's type after unification with the request
-  TypeContext Ctx;   ///< type context extended by that unification
+  /// What bindCandidate() binds: the production's declared type, or the
+  /// variable's binder type.
+  TypePtr Declared;
   int ProductionIdx; ///< index into productions(), or -1 for a variable
 };
 
@@ -63,30 +77,39 @@ class EnumerationSource {
 public:
   virtual ~EnumerationSource() = default;
 
-  /// Type-compatible choices for the hole, with normalized probabilities.
-  virtual std::vector<GrammarCandidate>
-  candidates(int ParentIdx, int ArgIdx, const TypePtr &Request,
-             const std::vector<TypePtr> &Environment,
-             const TypeContext &Ctx) const = 0;
+  /// Appends the type-compatible choices for the hole to \p Out, with
+  /// normalized probabilities. Each choice is tried on \p Ctx and undone,
+  /// so \p Ctx is unchanged on return.
+  virtual void candidates(int ParentIdx, int ArgIdx, TypePtr Request,
+                          const TypeEnv *Environment, TypeContext &Ctx,
+                          std::vector<GrammarCandidate> &Out) const = 0;
 };
 
 /// The choices at one hole, the body of both sources' candidates(): every
 /// production whose return type unifies with \p Request, then every
-/// in-scope variable that does (splitting \p LogVariable evenly), all
-/// normalized. Production I weighs \p Row[I], or its own LogWeight when
-/// \p Row is null.
-std::vector<GrammarCandidate>
-holeCandidates(const std::vector<Production> &Prods, const double *Row,
-               double LogVariable, const TypePtr &Request,
-               const std::vector<TypePtr> &Environment,
-               const TypeContext &Ctx);
+/// in-scope variable that does, outermost first (splitting \p LogVariable
+/// evenly), all normalized and appended to \p Out. Production I weighs
+/// \p Row[I], or its own LogWeight when \p Row is null.
+void holeCandidates(const std::vector<Production> &Prods, const double *Row,
+                    double LogVariable, TypePtr Request,
+                    const TypeEnv *Environment, TypeContext &Ctx,
+                    std::vector<GrammarCandidate> &Out);
+
+/// Binds the choice \p C at \p Request on \p Ctx, as candidates() tried
+/// it, and returns the chosen leaf's type: a production's type instantiated
+/// (its argument types resolve through \p Ctx), or a variable's type under
+/// the new bindings. Its arrows are the leaf's argument holes. The
+/// enumerator, the decision walk and the sampler all take a hole's choice
+/// through this function.
+TypePtr bindCandidate(const GrammarCandidate &C, TypePtr Request,
+                      TypeContext &Ctx);
 
 /// One grammar decision observed while replaying a program: at the slot
 /// (ParentIdx, ArgIdx), Chosen was selected among All.
 using DecisionCallback =
     std::function<void(int ParentIdx, int ArgIdx,
                        const GrammarCandidate &Chosen,
-                       const std::vector<GrammarCandidate> &All)>;
+                       std::span<const GrammarCandidate> All)>;
 
 /// Replays the generation decisions of \p Program at \p Request under
 /// \p Src, eta-expanding on the fly. Returns false when the program lies
@@ -134,10 +157,9 @@ public:
   /// penalty log P[D] of Eq. 4 is -λ times this.
   int structureSize() const;
 
-  std::vector<GrammarCandidate>
-  candidates(int ParentIdx, int ArgIdx, const TypePtr &Request,
-             const std::vector<TypePtr> &Environment,
-             const TypeContext &Ctx) const override;
+  void candidates(int ParentIdx, int ArgIdx, TypePtr Request,
+                  const TypeEnv *Environment, TypeContext &Ctx,
+                  std::vector<GrammarCandidate> &Out) const override;
 
   /// Log probability of generating \p Program at \p Request. Programs are
   /// eta-expanded on the fly, so partial applications score correctly.

@@ -19,7 +19,7 @@ LikelihoodSummary LikelihoodSummary::build(const Grammar &G,
   bool Ok = walkProgramDecisions(
       G, Request, Program,
       [&](int, int, const GrammarCandidate &Chosen,
-          const std::vector<GrammarCandidate> &All) {
+          std::span<const GrammarCandidate>All) {
         int MatchingVars = 0;
         std::vector<int> CandidateIdxs;
         for (const GrammarCandidate &C : All) {

@@ -11,13 +11,12 @@ using namespace dc;
 
 namespace {
 
-/// Process-wide primitive registry. Lookups run on every primitive
-/// evaluation — including from wake-phase worker threads — while
-/// registration happens only during (serial) domain construction, so a
-/// reader/writer lock keeps the common path to a shared acquire.
+/// Process-wide primitive registry: the node registered under each name.
+/// Each node carries its value, so evaluation never comes here; the lock
+/// serializes registration (domain construction, and tests that register
+/// while searches run) against lookups by name (the parser).
 struct Registry {
   std::shared_mutex Mutex;
-  std::unordered_map<std::string, ValuePtr> Values;
   std::unordered_map<std::string, ExprPtr> Exprs;
 
   static Registry &get() {
@@ -33,9 +32,8 @@ ExprPtr registerEntry(const std::string &Name, const TypePtr &Ty,
   auto It = R.Exprs.find(Name);
   if (It != R.Exprs.end())
     return It->second; // idempotent re-registration
-  ExprPtr E = Expr::primitive(Name, canonicalize(Ty));
+  ExprPtr E = Expr::primitive(Name, canonicalize(Ty), std::move(Val));
   R.Exprs.emplace(Name, E);
-  R.Values.emplace(Name, std::move(Val));
   return E;
 }
 
@@ -85,13 +83,6 @@ ExprPtr dc::definePrimitive(const std::string &Name, const TypePtr &Ty,
 ExprPtr dc::definePrimitive(const std::string &Name, const TypePtr &Ty,
                             ValuePtr Constant) {
   return registerEntry(Name, Ty, std::move(Constant));
-}
-
-ValuePtr dc::primitiveValue(const std::string &Name) {
-  Registry &R = Registry::get();
-  std::shared_lock<std::shared_mutex> Lock(R.Mutex);
-  auto It = R.Values.find(Name);
-  return It == R.Values.end() ? nullptr : It->second;
 }
 
 ExprPtr dc::lookupPrimitive(const std::string &Name) {
@@ -342,7 +333,7 @@ ExprPtr defFix() {
       {Type::arrow(Type::arrow(t0(), t1()), Type::arrow(t0(), t1())), t0()},
       t1());
   ExprPtr E = definePrimitive("fix", FixTy, Fn);
-  *Holder = primitiveValue("fix");
+  *Holder = E->value();
   return E;
 }
 

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The global primitive registry maps primitive names to their runtime
-/// semantics. Expression nodes store only the name and type; the evaluator
-/// resolves the value here. Domains register their own primitives at startup
-/// and receive interned Expr handles suitable for building grammars.
+/// The global primitive registry maps primitive names to interned Expr
+/// nodes. Registration creates each node with its runtime value, which the
+/// evaluator reads off the node. Domains register their own primitives at
+/// startup and receive interned Expr handles suitable for building
+/// grammars.
 ///
 /// This header also exposes the shared standard library: the functional core
 /// (map/fold/cons/...), arithmetic, the 1959-Lisp subset with the fixpoint
@@ -32,9 +33,6 @@ ExprPtr definePrimitive(const std::string &Name, const TypePtr &Ty,
 /// Registers a constant-valued primitive (arity 0 at runtime).
 ExprPtr definePrimitive(const std::string &Name, const TypePtr &Ty,
                         ValuePtr Constant);
-
-/// Runtime semantics for \p Name; nullptr when unregistered.
-ValuePtr primitiveValue(const std::string &Name);
 
 /// Interned Expr for a previously registered primitive; nullptr when
 /// unregistered. Used by the parser.

@@ -3,6 +3,7 @@
 #include "core/Program.h"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,7 +60,8 @@ public:
     return *Singleton;
   }
 
-  ExprPtr intern(ExprKey Key, const TypePtr &DeclType);
+  ExprPtr intern(ExprKey Key, const TypePtr &DeclType = nullptr,
+                 ValuePtr Val = nullptr);
 
 private:
   static constexpr size_t NumShards = 64;
@@ -78,17 +80,16 @@ namespace dc {
 class ExprArena {
 public:
   static Expr *create(ExprKind Kind, int Index, std::string Name,
-                      TypePtr DeclType, ExprPtr A, ExprPtr B, size_t Hash) {
+                      TypePtr DeclType, ValuePtr Val, ExprPtr A, ExprPtr B,
+                      size_t Hash) {
     auto *Node = new Expr();
     Node->TheKind = Kind;
     Node->IndexVal = Index;
     Node->Name = std::move(Name);
     Node->DeclType = std::move(DeclType);
-    Node->Body =
-        (Kind == ExprKind::Invented || Kind == ExprKind::Abstraction) ? A
-                                                                      : nullptr;
-    Node->Fn = Kind == ExprKind::Application ? A : nullptr;
-    Node->Arg = Kind == ExprKind::Application ? B : nullptr;
+    Node->Val = std::move(Val);
+    Node->Left = A;
+    Node->Right = B;
     Node->HashVal = Hash;
     return Node;
   }
@@ -97,7 +98,8 @@ public:
 
 namespace {
 
-ExprPtr ExprArenaImpl::intern(ExprKey Key, const TypePtr &DeclType) {
+ExprPtr ExprArenaImpl::intern(ExprKey Key, const TypePtr &DeclType,
+                              ValuePtr Val) {
   size_t Hash = ExprKeyHash()(Key);
   Shard &S = Shards[Hash % NumShards];
   std::lock_guard<std::mutex> Lock(S.Mutex);
@@ -105,23 +107,39 @@ ExprPtr ExprArenaImpl::intern(ExprKey Key, const TypePtr &DeclType) {
   if (It != S.Interned.end())
     return It->second;
   ExprPtr Node = dc::ExprArena::create(Key.Kind, Key.Index, Key.Name,
-                                       DeclType, Key.A, Key.B, Hash);
+                                       DeclType, std::move(Val), Key.A, Key.B,
+                                       Hash);
   S.Interned.emplace(std::move(Key), Node);
   return Node;
 }
+
+ExprPtr internIndex(int I) {
+  ExprKey K{ExprKind::Index, I, "", nullptr, nullptr};
+  return ExprArenaImpl::get().intern(std::move(K));
+}
+
+/// Indices below this come from a table: every hole of an enumeration
+/// asks for the in-scope variables' nodes.
+constexpr int NumSmallIndices = 32;
 
 } // namespace
 
 ExprPtr Expr::index(int I) {
   assert(I >= 0 && "negative de Bruijn index");
-  ExprKey K{ExprKind::Index, I, "", nullptr, nullptr};
-  return ExprArenaImpl::get().intern(std::move(K), nullptr);
+  static const std::array<ExprPtr, NumSmallIndices> Small = [] {
+    std::array<ExprPtr, NumSmallIndices> Table;
+    for (int J = 0; J < NumSmallIndices; ++J)
+      Table[J] = internIndex(J);
+    return Table;
+  }();
+  return I < NumSmallIndices ? Small[I] : internIndex(I);
 }
 
-ExprPtr Expr::primitive(const std::string &Name, const TypePtr &Ty) {
+ExprPtr Expr::primitive(const std::string &Name, const TypePtr &Ty,
+                        ValuePtr Value) {
   assert(Ty && "primitive requires a type");
   ExprKey K{ExprKind::Primitive, 0, Name, nullptr, nullptr};
-  return ExprArenaImpl::get().intern(std::move(K), Ty);
+  return ExprArenaImpl::get().intern(std::move(K), Ty, std::move(Value));
 }
 
 ExprPtr Expr::invented(ExprPtr Body) {
@@ -135,13 +153,13 @@ ExprPtr Expr::invented(ExprPtr Body) {
 ExprPtr Expr::abstraction(ExprPtr Body) {
   assert(Body && "abstraction requires a body");
   ExprKey K{ExprKind::Abstraction, 0, "", Body, nullptr};
-  return ExprArenaImpl::get().intern(std::move(K), nullptr);
+  return ExprArenaImpl::get().intern(std::move(K));
 }
 
 ExprPtr Expr::application(ExprPtr Fn, ExprPtr Arg) {
   assert(Fn && Arg && "application requires both sides");
   ExprKey K{ExprKind::Application, 0, "", Fn, Arg};
-  return ExprArenaImpl::get().intern(std::move(K), nullptr);
+  return ExprArenaImpl::get().intern(std::move(K));
 }
 
 ExprPtr Expr::applications(ExprPtr Fn, const std::vector<ExprPtr> &Args) {
@@ -210,9 +228,9 @@ int Expr::size() const {
   case ExprKind::Invented:
     return 1;
   case ExprKind::Abstraction:
-    return 1 + Body->size();
+    return 1 + body()->size();
   case ExprKind::Application:
-    return 1 + Fn->size() + Arg->size();
+    return 1 + fn()->size() + arg()->size();
   }
   return 0;
 }
@@ -224,9 +242,9 @@ int Expr::depth() const {
   case ExprKind::Invented:
     return 1;
   case ExprKind::Abstraction:
-    return 1 + Body->depth();
+    return 1 + body()->depth();
   case ExprKind::Application:
-    return 1 + std::max(Fn->depth(), Arg->depth());
+    return 1 + std::max(fn()->depth(), arg()->depth());
   }
   return 0;
 }
@@ -239,10 +257,10 @@ bool Expr::hasFreeVariableAbove(int Cutoff) const {
   case ExprKind::Invented:
     return false;
   case ExprKind::Abstraction:
-    return Body->hasFreeVariableAbove(Cutoff + 1);
+    return body()->hasFreeVariableAbove(Cutoff + 1);
   case ExprKind::Application:
-    return Fn->hasFreeVariableAbove(Cutoff) ||
-           Arg->hasFreeVariableAbove(Cutoff);
+    return fn()->hasFreeVariableAbove(Cutoff) ||
+           arg()->hasFreeVariableAbove(Cutoff);
   }
   return false;
 }
@@ -259,12 +277,12 @@ ExprPtr Expr::shift(int Delta, int Cutoff) const {
   case ExprKind::Invented:
     return this;
   case ExprKind::Abstraction: {
-    ExprPtr B = Body->shift(Delta, Cutoff + 1);
+    ExprPtr B = body()->shift(Delta, Cutoff + 1);
     return B ? abstraction(B) : nullptr;
   }
   case ExprKind::Application: {
-    ExprPtr F = Fn->shift(Delta, Cutoff);
-    ExprPtr X = Arg->shift(Delta, Cutoff);
+    ExprPtr F = fn()->shift(Delta, Cutoff);
+    ExprPtr X = arg()->shift(Delta, Cutoff);
     return (F && X) ? application(F, X) : nullptr;
   }
   }
@@ -286,11 +304,11 @@ ExprPtr Expr::substitute(int Target, ExprPtr Value) const {
   case ExprKind::Abstraction: {
     ExprPtr Shifted = Value->shift(1);
     assert(Shifted && "shift up cannot fail");
-    return abstraction(Body->substitute(Target + 1, Shifted));
+    return abstraction(body()->substitute(Target + 1, Shifted));
   }
   case ExprKind::Application:
-    return application(Fn->substitute(Target, Value),
-                       Arg->substitute(Target, Value));
+    return application(fn()->substitute(Target, Value),
+                       arg()->substitute(Target, Value));
   }
   return nullptr;
 }
@@ -346,11 +364,11 @@ ExprPtr Expr::stripInventions() const {
   case ExprKind::Primitive:
     return this;
   case ExprKind::Invented:
-    return Body->stripInventions();
+    return body()->stripInventions();
   case ExprKind::Abstraction:
-    return abstraction(Body->stripInventions());
+    return abstraction(body()->stripInventions());
   case ExprKind::Application:
-    return application(Fn->stripInventions(), Arg->stripInventions());
+    return application(fn()->stripInventions(), arg()->stripInventions());
   }
   return nullptr;
 }
@@ -366,11 +384,11 @@ void Expr::visit(const std::function<void(ExprPtr)> &Visit) const {
     // that need the body can recurse explicitly.
     break;
   case ExprKind::Abstraction:
-    Body->visit(Visit);
+    body()->visit(Visit);
     break;
   case ExprKind::Application:
-    Fn->visit(Visit);
-    Arg->visit(Visit);
+    fn()->visit(Visit);
+    arg()->visit(Visit);
     break;
   }
 }
@@ -399,17 +417,17 @@ TypePtr Expr::inferType(TypeContext &Ctx,
   case ExprKind::Abstraction: {
     TypePtr ArgTy = Ctx.makeVariable();
     Environment.push_back(ArgTy);
-    TypePtr BodyTy = Body->inferType(Ctx, Environment);
+    TypePtr BodyTy = body()->inferType(Ctx, Environment);
     Environment.pop_back();
     if (!BodyTy)
       return nullptr;
     return Type::arrow(Ctx.apply(ArgTy), BodyTy);
   }
   case ExprKind::Application: {
-    TypePtr FnTy = Fn->inferType(Ctx, Environment);
+    TypePtr FnTy = fn()->inferType(Ctx, Environment);
     if (!FnTy)
       return nullptr;
-    TypePtr ArgTy = Arg->inferType(Ctx, Environment);
+    TypePtr ArgTy = arg()->inferType(Ctx, Environment);
     if (!ArgTy)
       return nullptr;
     TypePtr Result = Ctx.makeVariable();
@@ -436,11 +454,11 @@ int Expr::inventionDepth() const {
   case ExprKind::Primitive:
     return 0;
   case ExprKind::Invented:
-    return 1 + Body->inventionDepth();
+    return 1 + body()->inventionDepth();
   case ExprKind::Abstraction:
-    return Body->inventionDepth();
+    return body()->inventionDepth();
   case ExprKind::Application:
-    return std::max(Fn->inventionDepth(), Arg->inventionDepth());
+    return std::max(fn()->inventionDepth(), arg()->inventionDepth());
   }
   return 0;
 }

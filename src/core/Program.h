@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,9 +35,14 @@ namespace dc {
 
 class Expr;
 class ExprArena;
+class Value;
 
 /// Interned handle; equality is identity.
 using ExprPtr = const Expr *;
+
+/// Shared immutable runtime value (core/Value.h); nullptr signals
+/// evaluation failure.
+using ValuePtr = std::shared_ptr<const Value>;
 
 /// Syntactic category of an expression node.
 enum class ExprKind : uint8_t {
@@ -71,6 +77,14 @@ public:
     return Name;
   }
 
+  /// Runtime value (Primitive nodes only), set once when the primitive is
+  /// registered (core/Primitives.h), so the evaluator reads it off the
+  /// node.
+  const ValuePtr &value() const {
+    assert(isPrimitive() && "not a primitive");
+    return Val;
+  }
+
   /// Declared polymorphic type (Primitive and Invented nodes).
   const TypePtr &declaredType() const {
     assert((isPrimitive() || isInvented()) && "node has no declared type");
@@ -80,19 +94,19 @@ public:
   /// Wrapped body (Invented and Abstraction nodes).
   ExprPtr body() const {
     assert((isInvented() || isAbstraction()) && "node has no body");
-    return Body;
+    return Left;
   }
 
   /// Function side of an application.
   ExprPtr fn() const {
     assert(isApplication() && "not an application");
-    return Fn;
+    return Left;
   }
 
   /// Argument side of an application.
   ExprPtr arg() const {
     assert(isApplication() && "not an application");
-    return Arg;
+    return Right;
   }
 
   size_t hash() const { return HashVal; }
@@ -101,8 +115,13 @@ public:
   // Factories (interned)
   //===--------------------------------------------------------------------===//
 
+  /// The node for $I; the small indices come from a table built once.
   static ExprPtr index(int I);
-  static ExprPtr primitive(const std::string &Name, const TypePtr &Ty);
+  /// Interns the primitive \p Name with its type and value. The registry
+  /// (definePrimitive, core/Primitives.h) is its only caller: a name is
+  /// one node, created with the value it was first registered with.
+  static ExprPtr primitive(const std::string &Name, const TypePtr &Ty,
+                           ValuePtr Value);
   /// Interns an invention wrapping \p Body; the type is inferred and cached.
   static ExprPtr invented(ExprPtr Body);
   static ExprPtr abstraction(ExprPtr Body);
@@ -180,9 +199,11 @@ private:
   int IndexVal = 0;
   std::string Name;
   TypePtr DeclType;
-  ExprPtr Body = nullptr;
-  ExprPtr Fn = nullptr;
-  ExprPtr Arg = nullptr;
+  ValuePtr Val;
+  /// An invention's or abstraction's body, or an application's function
+  /// (a node has at most one of them).
+  ExprPtr Left = nullptr;
+  ExprPtr Right = nullptr; ///< an application's argument
   size_t HashVal = 0;
 };
 

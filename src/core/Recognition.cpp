@@ -61,7 +61,7 @@ void RecognitionModel::walkDecisions(const TypePtr &Request, ExprPtr Program,
   bool Ok = walkProgramDecisions(
       Base, Request, Program,
       [&](int ParentIdx, int ArgIdx, const GrammarCandidate &Chosen,
-          const std::vector<GrammarCandidate> &All) {
+          std::span<const GrammarCandidate>All) {
         const int BaseIdx =
             headRow(Prior.slotIndex(ParentIdx, ArgIdx)) * NumChildren;
         // Candidate child classes at this hole (variable = last index).

@@ -296,21 +296,20 @@ TypePtr dc::t2() { return Type::variable(2); }
 // TypeContext
 //===----------------------------------------------------------------------===//
 
-TypePtr TypeContext::lookup(int Var) const {
-  if (!Substitution || Var < 0 ||
-      Var >= static_cast<int>(Substitution->size()))
-    return nullptr;
-  return (*Substitution)[Var];
+void TypeContext::bind(int Var, TypePtr T) {
+  if (Var >= static_cast<int>(Bindings.size()))
+    Bindings.resize(Var + 1);
+  Bindings[Var] = T;
+  Trail.push_back(Var);
 }
 
-void TypeContext::bind(int Var, TypePtr T) {
-  if (!Substitution)
-    Substitution = std::make_shared<std::vector<TypePtr>>();
-  else if (Substitution.use_count() > 1)
-    Substitution = std::make_shared<std::vector<TypePtr>>(*Substitution);
-  if (Var >= static_cast<int>(Substitution->size()))
-    Substitution->resize(Var + 1);
-  (*Substitution)[Var] = T;
+void TypeContext::undo(Mark M) {
+  assert(M.Trail <= Trail.size() && "mark already undone");
+  while (Trail.size() > M.Trail) {
+    Bindings[Trail.back()] = nullptr;
+    Trail.pop_back();
+  }
+  NextVar = M.NextVar;
 }
 
 TypePtr TypeContext::shallowResolve(TypePtr T) const {

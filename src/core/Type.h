@@ -14,9 +14,13 @@
 /// (core/Program.h): structurally equal types are one node, so equality is
 /// pointer identity and a TypePtr is a plain pointer with no refcount.
 /// Constructor names are interned too and compare by identity. Nodes are
-/// immutable and live for the whole process. Unification lives in
-/// TypeContext (core/TypeContext.h semantics are folded into this header to
-/// keep the dependency graph flat).
+/// immutable and live for the whole process.
+///
+/// Unification lives in TypeContext. A context keeps its bindings in place
+/// and records each one on an undo trail, the scheme of Prolog's WAM: a
+/// search that tries a choice takes a mark(), unifies, and undo()es back
+/// to the mark, so backtracking through the candidates of a hole costs
+/// what the bindings cost and never copies the context.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +29,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -157,11 +160,19 @@ TypePtr t2();      ///< Type variable 2.
 // TypeContext — substitution environment for unification
 //===----------------------------------------------------------------------===//
 
-/// Mutable unification context: maps type-variable ids to bindings and mints
-/// fresh variables. Copies are cheap enough for branch-and-bound enumeration
-/// (the substitution is a flat vector).
+/// Mutable unification state: a binding per type-variable id, kept in
+/// place, an undo trail of the variables bound, and the count of variables
+/// minted. A context belongs to one search (or sampler, walk or inference)
+/// on one thread; callers that try a choice and back out of it bracket it
+/// with mark() and undo().
 class TypeContext {
 public:
+  /// A point to undo() back to: the trail length and the variable count.
+  struct Mark {
+    size_t Trail;
+    int NextVar;
+  };
+
   TypeContext() = default;
 
   /// Mints a fresh, unbound type variable.
@@ -169,6 +180,15 @@ public:
 
   /// Number of variables allocated so far.
   int variableCount() const { return NextVar; }
+
+  /// The current point on the trail.
+  Mark mark() const { return {Trail.size(), NextVar}; }
+
+  /// Unbinds every variable bound since \p M and forgets the variables
+  /// minted since, so the context is as it was when \p M was taken. Marks
+  /// nest: undoing to an outer mark also undoes everything after inner
+  /// ones, and a mark is spent once the trail is undone past it.
+  void undo(Mark M);
 
   /// Binds every variable occurring in \p T to fresh variables, returning the
   /// renamed type. This is how polymorphic library entries are instantiated
@@ -185,24 +205,26 @@ public:
   TypePtr resolve(TypePtr T) const { return shallowResolve(T); }
 
   /// Attempts to unify \p A and \p B, extending the substitution. Returns
-  /// false (leaving the context in a valid but possibly partially-extended
-  /// state) when the types cannot be unified; callers that need rollback
-  /// should copy the context first.
+  /// false when the types cannot be unified; the context may then hold
+  /// some of the attempt's bindings, and undo() to a mark taken before the
+  /// call rolls them back.
   bool unify(TypePtr A, TypePtr B);
 
 private:
-  TypePtr lookup(int Var) const;
+  TypePtr lookup(int Var) const {
+    return Var >= 0 && Var < static_cast<int>(Bindings.size()) ? Bindings[Var]
+                                                               : nullptr;
+  }
   /// Walks variable chains until hitting an unbound variable or constructor.
   TypePtr shallowResolve(TypePtr T) const;
   bool occurs(int Var, TypePtr T) const;
   void bind(int Var, TypePtr T);
 
   int NextVar = 0;
-  /// Copy-on-write substitution, indexed by variable id (null entry or
-  /// out-of-range id = free variable). Contexts are copied once per
-  /// candidate during enumeration, so copies must be O(1); only a context
-  /// that actually binds a variable pays for a clone.
-  std::shared_ptr<std::vector<TypePtr>> Substitution;
+  /// Binding per variable id (null entry or out-of-range id = free).
+  std::vector<TypePtr> Bindings;
+  /// The variables bound, in binding order; undo() pops back to a mark.
+  std::vector<int> Trail;
 };
 
 /// Renames the variables of \p T to 0,1,2,... in order of first occurrence,

@@ -100,31 +100,31 @@ std::string Value::show() const {
 }
 
 ValuePtr Value::makeInt(long V) {
-  auto P = std::shared_ptr<Value>(new Value(ValueKind::Int));
+  auto P = make(ValueKind::Int);
   P->IntVal = V;
   return P;
 }
 
 ValuePtr Value::makeReal(double V) {
-  auto P = std::shared_ptr<Value>(new Value(ValueKind::Real));
+  auto P = make(ValueKind::Real);
   P->RealVal = V;
   return P;
 }
 
 ValuePtr Value::makeBool(bool V) {
-  auto P = std::shared_ptr<Value>(new Value(ValueKind::Bool));
+  auto P = make(ValueKind::Bool);
   P->BoolVal = V;
   return P;
 }
 
 ValuePtr Value::makeChar(char V) {
-  auto P = std::shared_ptr<Value>(new Value(ValueKind::Char));
+  auto P = make(ValueKind::Char);
   P->CharVal = V;
   return P;
 }
 
 ValuePtr Value::makeList(std::vector<ValuePtr> Elems) {
-  auto P = std::shared_ptr<Value>(new Value(ValueKind::List));
+  auto P = make(ValueKind::List);
   P->ListVal = std::move(Elems);
   return P;
 }
@@ -138,7 +138,7 @@ ValuePtr Value::makeString(const std::string &S) {
 }
 
 ValuePtr Value::makeClosure(ExprPtr Body, EnvPtr Env) {
-  auto P = std::shared_ptr<Value>(new Value(ValueKind::Closure));
+  auto P = make(ValueKind::Closure);
   P->Body = Body;
   P->Env = std::move(Env);
   return P;
@@ -146,7 +146,7 @@ ValuePtr Value::makeClosure(ExprPtr Body, EnvPtr Env) {
 
 ValuePtr Value::makeBuiltin(std::string Name, int Arity, BuiltinFn Fn) {
   assert(Arity >= 1 && "builtins must take at least one argument");
-  auto P = std::shared_ptr<Value>(new Value(ValueKind::Builtin));
+  auto P = make(ValueKind::Builtin);
   P->Name = std::move(Name);
   P->Arity = Arity;
   P->Fn = std::move(Fn);
@@ -156,7 +156,7 @@ ValuePtr Value::makeBuiltin(std::string Name, int Arity, BuiltinFn Fn) {
 ValuePtr Value::makeBuiltinPartial(const Value &Base,
                                    std::vector<ValuePtr> Pending) {
   assert(Base.isBuiltin() && "partial application requires a builtin");
-  auto P = std::shared_ptr<Value>(new Value(ValueKind::Builtin));
+  auto P = make(ValueKind::Builtin);
   P->Name = Base.Name;
   P->Arity = Base.Arity;
   P->Fn = Base.Fn;
@@ -166,7 +166,7 @@ ValuePtr Value::makeBuiltinPartial(const Value &Base,
 
 ValuePtr Value::makeOpaque(std::string Tag,
                            std::shared_ptr<const void> Payload) {
-  auto P = std::shared_ptr<Value>(new Value(ValueKind::Opaque));
+  auto P = make(ValueKind::Opaque);
   P->Name = std::move(Tag);
   P->Payload = std::move(Payload);
   return P;

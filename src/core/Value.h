@@ -25,11 +25,7 @@
 
 namespace dc {
 
-class Value;
 class EvalState;
-
-/// Shared immutable handle; nullptr signals evaluation failure.
-using ValuePtr = std::shared_ptr<const Value>;
 
 /// Environment for de Bruijn variables: a persistent cons list so extending
 /// is O(1) and shares structure with the parent scope.
@@ -167,7 +163,19 @@ public:
   static std::optional<std::string> toString(const ValuePtr &V);
 
 private:
-  explicit Value(ValueKind K) : TheKind(K) {}
+  /// Passkey: only the factories construct values, through make_shared,
+  /// so the value and its reference count share one allocation.
+  struct Key {
+    explicit Key() = default;
+  };
+
+public:
+  Value(Key, ValueKind K) : TheKind(K) {}
+
+private:
+  static std::shared_ptr<Value> make(ValueKind K) {
+    return std::make_shared<Value>(Key{}, K);
+  }
 
   ValueKind TheKind;
   long IntVal = 0;

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <string>
+#include <thread>
 
 using namespace dc;
 
@@ -196,4 +199,53 @@ TEST_F(EvaluatorTest, StringValues) {
   EXPECT_EQ(S->asList().size(), 2u);
   EXPECT_EQ(Value::toString(S).value(), "hi");
   EXPECT_EQ(S->show(), "\"hi\"");
+}
+
+TEST_F(EvaluatorTest, EvaluatesWhileAnotherThreadRegisters) {
+  // Evaluation reads each primitive's value off its node and takes no
+  // registry lock, so it runs on while another thread registers; the new
+  // primitives evaluate as soon as their nodes are looked up.
+  constexpr int NumNew = 64;
+  std::atomic<int> Registered{0};
+  std::thread Registrar([&] {
+    for (int I = 0; I < NumNew; ++I) {
+      long Offset = I;
+      definePrimitive("evaluator_test_add" + std::to_string(I),
+                      Type::arrow(tInt(), tInt()),
+                      [Offset](EvalState &, const std::vector<ValuePtr> &A)
+                          -> ValuePtr {
+                        return A[0]->isInt()
+                                   ? Value::makeInt(A[0]->asInt() + Offset)
+                                   : nullptr;
+                      });
+      Registered.store(I + 1, std::memory_order_release);
+    }
+  });
+  std::vector<std::thread> Evaluators;
+  std::atomic<int> Wrong{0};
+  for (int W = 0; W < 2; ++W)
+    Evaluators.emplace_back([&] {
+      ExprPtr P = parseProgram(
+          "(lambda (map (lambda (if (> $0 1) (* $0 2) 0)) $0))");
+      for (int Round = 0; Round < 200; ++Round) {
+        ValuePtr Out = runProgram(
+            P, {Value::makeList({Value::makeInt(1), Value::makeInt(3)})});
+        if (!Out || Out->asList().size() != 2 ||
+            Out->asList()[1]->asInt() != 6)
+          ++Wrong;
+        int Known = Registered.load(std::memory_order_acquire);
+        if (Known == 0)
+          continue;
+        int I = Round % Known;
+        ExprPtr Add =
+            lookupPrimitive("evaluator_test_add" + std::to_string(I));
+        ValuePtr Sum = Add ? runProgram(Add, {Value::makeInt(10)}) : nullptr;
+        if (!Sum || Sum->asInt() != 10 + I)
+          ++Wrong;
+      }
+    });
+  Registrar.join();
+  for (std::thread &T : Evaluators)
+    T.join();
+  EXPECT_EQ(Wrong.load(), 0);
 }

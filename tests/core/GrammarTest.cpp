@@ -31,27 +31,31 @@ protected:
 
 TEST_F(GrammarTest, CandidatesRespectTypes) {
   TypeContext Ctx;
-  std::vector<TypePtr> Env;
-  auto Cands = G.candidates(ParentStart, 0, tBool(), Env, Ctx);
-  // Booleans can come from: if, =, >, is-square, is-prime, is-nil. The
-  // candidate's type is stored unapplied; resolve it through its context.
+  std::vector<GrammarCandidate> Cands;
+  G.candidates(ParentStart, 0, tBool(), nullptr, Ctx, Cands);
+  // Booleans can come from: if, =, >, is-square, is-prime, is-nil. A
+  // candidate holds no context: bind it on one, then resolve its type.
   for (const auto &C : Cands) {
-    TypeContext Local = C.Ctx;
-    TypePtr Ret = Local.apply(functionReturn(C.Ty));
+    TypeContext Local = Ctx;
+    TypePtr Ret = Local.apply(functionReturn(bindCandidate(C, tBool(), Local)));
     EXPECT_EQ(Ret->show(), "bool") << C.Leaf->show();
   }
   EXPECT_FALSE(Cands.empty());
+  // Trying the candidates left the caller's context as it was.
+  EXPECT_EQ(Ctx.variableCount(), 0);
 }
 
 TEST_F(GrammarTest, CandidatesIncludeTypeMatchingVariables) {
   TypeContext Ctx;
-  std::vector<TypePtr> Env = {tInt(), tList(tInt())};
-  auto Cands = G.candidates(ParentStart, 0, tInt(), Env, Ctx);
+  // Outermost first: the int is $1, the list is $0.
+  TypeEnv Outer{tInt(), nullptr};
+  TypeEnv Inner{tList(tInt()), &Outer};
+  std::vector<GrammarCandidate> Cands;
+  G.candidates(ParentStart, 0, tInt(), &Inner, Ctx, Cands);
   bool SawVariable = false;
   for (const auto &C : Cands)
     if (C.ProductionIdx == -1) {
       SawVariable = true;
-      // Env is outermost-first: the int is $1, the list is $0.
       EXPECT_EQ(C.Leaf->show(), "$1");
     }
   EXPECT_TRUE(SawVariable);
@@ -59,8 +63,9 @@ TEST_F(GrammarTest, CandidatesIncludeTypeMatchingVariables) {
 
 TEST_F(GrammarTest, CandidateProbabilitiesNormalize) {
   TypeContext Ctx;
-  std::vector<TypePtr> Env = {tInt()};
-  auto Cands = G.candidates(ParentStart, 0, tInt(), Env, Ctx);
+  TypeEnv Env{tInt(), nullptr};
+  std::vector<GrammarCandidate> Cands;
+  G.candidates(ParentStart, 0, tInt(), &Env, Ctx, Cands);
   double Total = 0;
   for (const auto &C : Cands)
     Total += std::exp(C.LogProb);
@@ -196,7 +201,7 @@ TEST_F(GrammarTest, ContextualGrammarMatchesBaseWhenUntrained) {
   double Bigram = 0;
   bool Ok = walkProgramDecisions(CG, Req, P,
                                  [&](int, int, const GrammarCandidate &C,
-                                     const std::vector<GrammarCandidate> &) {
+                                     std::span<const GrammarCandidate>) {
                                    Bigram += C.LogProb;
                                  });
   ASSERT_TRUE(Ok);
@@ -216,13 +221,13 @@ TEST_F(GrammarTest, ContextualGrammarSlotWeightsBite) {
   double BadScore = 0;
   walkProgramDecisions(CG, Req, parseProgram("(lambda (+ $0 1))"),
                        [&](int, int, const GrammarCandidate &C,
-                           const std::vector<GrammarCandidate> &) {
+                           std::span<const GrammarCandidate>) {
                          BadScore += C.LogProb;
                        });
   double GoodScore = 0;
   walkProgramDecisions(CG, Req, parseProgram("(lambda (+ 1 $0))"),
                        [&](int, int, const GrammarCandidate &C,
-                           const std::vector<GrammarCandidate> &) {
+                           std::span<const GrammarCandidate>) {
                          GoodScore += C.LogProb;
                        });
   EXPECT_LT(BadScore, GoodScore - 10)

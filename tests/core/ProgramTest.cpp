@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
+
 using namespace dc;
 
 namespace {
@@ -222,4 +225,42 @@ TEST_F(ProgramTest, RequireNormalFormDiesOnExhaustion) {
   ASSERT_NE(Omega, nullptr);
   EXPECT_DEATH((void)requireNormalForm(Omega->betaNormalForm(8)),
                "exhausted its step budget");
+}
+
+TEST_F(ProgramTest, ConcurrentInterningYieldsOneNode) {
+  // Every thread builds the same terms, in a different order, from the
+  // index table (small indices), the arena (large ones) and applications
+  // and abstractions over them; all must come back with the same nodes.
+  constexpr int NumThreads = 8;
+  constexpr int NumShapes = 96;
+  ExprPtr Plus = lookupPrimitive("+");
+  auto Build = [Plus](int Shape) {
+    ExprPtr E = Expr::index(Shape % 48);
+    for (int Depth = 0; Depth < Shape % 4; ++Depth)
+      E = Depth % 2 ? Expr::abstraction(E)
+                    : Expr::application(Expr::application(Plus, E),
+                                        Expr::index(Shape % 40));
+    return E;
+  };
+  std::vector<std::vector<ExprPtr>> Seen(NumThreads,
+                                         std::vector<ExprPtr>(NumShapes));
+  std::vector<std::thread> Threads;
+  for (int W = 0; W < NumThreads; ++W)
+    Threads.emplace_back([&, W] {
+      for (int I = 0; I < NumShapes; ++I) {
+        int Shape = (I * 7 + W * 13) % NumShapes;
+        Seen[W][Shape] = Build(Shape);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (int W = 1; W < NumThreads; ++W)
+    EXPECT_EQ(Seen[W], Seen[0]) << "thread " << W;
+  std::set<std::string> Shown;
+  std::set<ExprPtr> Nodes(Seen[0].begin(), Seen[0].end());
+  for (ExprPtr E : Seen[0])
+    Shown.insert(E->show());
+  EXPECT_EQ(Nodes.size(), Shown.size());
+  for (int I : {0, 31, 32, 47})
+    EXPECT_EQ(Expr::index(I)->index(), I);
 }

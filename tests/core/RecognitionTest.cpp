@@ -86,7 +86,7 @@ TEST_F(RecognitionTest, GuidanceIsTaskConditioned) {
     double LL = 0;
     bool Ok = walkProgramDecisions(Q, Req, P,
                                    [&](int, int, const GrammarCandidate &C,
-                                       const std::vector<GrammarCandidate> &) {
+                                       std::span<const GrammarCandidate>) {
                                      LL += C.LogProb;
                                    });
     return Ok ? LL : -1e9;
@@ -171,7 +171,7 @@ TEST_F(RecognitionTest, AppliedVariableArgumentsHaveTheirOwnRows) {
   ASSERT_TRUE(walkProgramDecisions(
       Trained, Req, Program,
       [&](int ParentIdx, int ArgIdx, const GrammarCandidate &,
-          const std::vector<GrammarCandidate> &) {
+          std::span<const GrammarCandidate>) {
         Read.insert(Trained.slotIndex(ParentIdx, ArgIdx));
       }));
   EXPECT_EQ(Moved, Read);
@@ -352,13 +352,12 @@ public:
   explicit VariableHoleCounter(const EnumerationSource &Inner)
       : Inner(Inner) {}
 
-  std::vector<GrammarCandidate>
-  candidates(int ParentIdx, int ArgIdx, const TypePtr &Request,
-             const std::vector<TypePtr> &Environment,
-             const TypeContext &Ctx) const override {
+  void candidates(int ParentIdx, int ArgIdx, TypePtr Request,
+                  const TypeEnv *Environment, TypeContext &Ctx,
+                  std::vector<GrammarCandidate> &Out) const override {
     if (ParentIdx == ParentVariable)
       ++Holes;
-    return Inner.candidates(ParentIdx, ArgIdx, Request, Environment, Ctx);
+    Inner.candidates(ParentIdx, ArgIdx, Request, Environment, Ctx, Out);
   }
 
   mutable long Holes = 0; ///< single-threaded enumeration only

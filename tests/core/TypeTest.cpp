@@ -176,6 +176,73 @@ TEST(TypeContext, InstantiateIsTheSameFromColdAndWarmMemo) {
   EXPECT_EQ(Count, 4);
 }
 
+TEST(TypeContext, NestedMarksUndoInnerThenOuter) {
+  TypeContext Ctx;
+  TypePtr A = Ctx.makeVariable();
+  TypePtr B = Ctx.makeVariable();
+  TypePtr C = Ctx.makeVariable();
+  TypeContext::Mark Outer = Ctx.mark();
+  ASSERT_TRUE(Ctx.unify(A, tInt()));
+  TypeContext::Mark Inner = Ctx.mark();
+  ASSERT_TRUE(Ctx.unify(B, tList(A)));
+  EXPECT_EQ(Ctx.apply(B), tList(tInt()));
+  Ctx.undo(Inner);
+  EXPECT_EQ(Ctx.apply(A), tInt()) << "bound before the inner mark";
+  EXPECT_EQ(Ctx.apply(B), B);
+  // A second inner branch from the same point, then back out of both.
+  ASSERT_TRUE(Ctx.unify(C, tBool()));
+  ASSERT_TRUE(Ctx.unify(B, tChar()));
+  Ctx.undo(Outer);
+  EXPECT_EQ(Ctx.apply(A), A);
+  EXPECT_EQ(Ctx.apply(B), B);
+  EXPECT_EQ(Ctx.apply(C), C);
+  EXPECT_EQ(Ctx.variableCount(), 3);
+}
+
+TEST(TypeContext, UndoRollsBackAFailedUnify) {
+  TypeContext Ctx;
+  TypePtr A = Ctx.makeVariable();
+  TypePtr B = Ctx.makeVariable();
+  TypeContext::Mark M = Ctx.mark();
+  // Binds A := int and B := bool, then fails on bool against int.
+  EXPECT_FALSE(Ctx.unify(Type::arrows({A, B}, tBool()),
+                         Type::arrows({tInt(), tBool()}, tInt())));
+  EXPECT_EQ(Ctx.apply(A), tInt()) << "the failed attempt left its bindings";
+  Ctx.undo(M);
+  EXPECT_EQ(Ctx.apply(A), A);
+  EXPECT_EQ(Ctx.apply(B), B);
+  EXPECT_TRUE(Ctx.unify(A, tBool())) << "A is free again";
+}
+
+TEST(TypeContext, UndoRestoresTheVariableCount) {
+  TypeContext Ctx;
+  Ctx.makeVariable();
+  TypeContext::Mark M = Ctx.mark();
+  Ctx.instantiate(Type::arrows({Type::arrow(t0(), t1()), tList(t0())},
+                               tList(t1())));
+  Ctx.makeVariable();
+  EXPECT_EQ(Ctx.variableCount(), 4);
+  Ctx.undo(M);
+  EXPECT_EQ(Ctx.variableCount(), 1);
+  EXPECT_EQ(Ctx.makeVariable(), Type::variable(1));
+}
+
+TEST(TypeContext, InstantiateAfterUndoEqualsInstantiateBefore) {
+  TypePtr Poly = Type::arrows({Type::arrow(t0(), t1()), tList(t0())},
+                              tList(t1()));
+  TypeContext Ctx;
+  Ctx.makeVariable();
+  TypeContext::Mark M = Ctx.mark();
+  TypePtr Before = Ctx.instantiate(Poly);
+  ASSERT_TRUE(Ctx.unify(functionReturn(Before), tList(tInt())));
+  EXPECT_EQ(Ctx.apply(Before)->show(), "(t1 -> int) -> list(t1) -> list(int)");
+  Ctx.undo(M);
+  TypePtr After = Ctx.instantiate(Poly);
+  EXPECT_EQ(After, Before);
+  EXPECT_EQ(Ctx.apply(After), After) << "its variables are free again";
+  EXPECT_EQ(Ctx.variableCount(), 3);
+}
+
 TEST(Type, CanonicalizeIsIdempotent) {
   TypePtr Messy = Type::arrows(
       {Type::variable(9), tList(Type::variable(4))}, Type::variable(9));

@@ -42,8 +42,9 @@ void ContextualGrammar::candidates(int ParentIdx, int ArgIdx,
                                    TypePtr Request,
                                    const TypeEnv *Environment,
                                    TypeContext &Ctx,
-                                   std::vector<GrammarCandidate> &Out) const {
+                                   std::vector<GrammarCandidate> &Out,
+                                   ProductionFilterMemo *Memo) const {
   const double *Row = row(slotIndex(ParentIdx, ArgIdx));
   holeCandidates(Prods, Row, Row[Prods.size()], Request, Environment, Ctx,
-                 Out);
+                 Out, Memo);
 }

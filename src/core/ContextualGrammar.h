@@ -58,7 +58,8 @@ public:
 
   void candidates(int ParentIdx, int ArgIdx, TypePtr Request,
                   const TypeEnv *Environment, TypeContext &Ctx,
-                  std::vector<GrammarCandidate> &Out) const override;
+                  std::vector<GrammarCandidate> &Out,
+                  ProductionFilterMemo *Memo) const override;
 
 private:
   std::vector<Production> Prods;

@@ -6,7 +6,9 @@
 // mark taken before it. Nothing is allocated per hole: pending argument
 // holes are frames on the C++ stack, choices share one buffer used as a
 // stack, and the program is a preorder stack of decisions that is
-// interned only when a program is emitted inside its window.
+// interned only when a program is emitted inside its window. A search's
+// windows share one ProductionFilterMemo, so a hole tries the library's
+// productions only the first time the search meets its applied request.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,9 +48,10 @@ class Enumerator {
 public:
   Enumerator(const EnumerationSource &Src, long &Nodes,
              const std::function<bool()> &ShouldStop, double Lower,
-             const std::function<bool(ExprPtr, double)> &Emit)
+             const std::function<bool(ExprPtr, double)> &Emit,
+             ProductionFilterMemo *Memo)
       : Src(Src), Nodes(Nodes), ShouldStop(ShouldStop), Lower(Lower),
-        Emit(Emit) {}
+        Emit(Emit), Memo(Memo) {}
 
   /// Enumerates the window up to \p Upper. Returns false when the search
   /// was stopped (node budget, ShouldStop, or Emit).
@@ -96,7 +99,7 @@ private:
     }
 
     const size_t Begin = Choices.size();
-    Src.candidates(ParentIdx, ArgIdx, Req, Env, Ctx, Choices);
+    Src.candidates(ParentIdx, ArgIdx, Req, Env, Ctx, Choices, Memo);
     const size_t End = Choices.size();
     bool Go = true;
     for (size_t I = Begin; Go && I < End; ++I) {
@@ -172,6 +175,7 @@ private:
   const std::function<bool()> &ShouldStop;
   const double Lower;
   const std::function<bool(ExprPtr, double)> &Emit;
+  ProductionFilterMemo *const Memo;
   long SinceStopCheck = 0;
   TypeContext Ctx;
   std::vector<GrammarCandidate> Choices;
@@ -250,7 +254,8 @@ void recordSearchMetrics(long NodesExpanded, long ProgramsEnumerated,
 template <typename TestFn, typename FoldFn>
 void searchWindow(const EnumerationSource &Src, TypePtr Request,
                   double Lower, double Upper, long &Nodes,
-                  const std::function<bool()> &ShouldStop, int NumThreads,
+                  const std::function<bool()> &ShouldStop,
+                  ProductionFilterMemo &Memo, int NumThreads,
                   size_t NumTasks, TestFn &&Test, FoldFn &&Fold) {
   std::vector<std::pair<ExprPtr, double>> Batch;
   std::vector<double> LL;
@@ -270,7 +275,7 @@ void searchWindow(const EnumerationSource &Src, TypePtr Request,
                       Flush();
                     return true;
                   },
-                  ShouldStop);
+                  ShouldStop, &Memo);
   // Candidates enumerated before an interruption still get tested: a
   // request that found its solution just before the deadline reports it.
   Flush();
@@ -282,7 +287,10 @@ void searchWindow(const EnumerationSource &Src, TypePtr Request,
 /// deadline. Stops once every task of the group is solved and
 /// ExtraWindowsAfterSolution more windows are searched, or when a budget
 /// runs out. Fills Out[I] and Effort[I] for the group's tasks only (so
-/// groups may run concurrently) and returns the group's counters.
+/// groups may run concurrently) and returns the group's counters. The
+/// group's windows share one production filter memo: its source, and so
+/// its production list, is fixed for the search, and the memo stays on
+/// this thread (only candidate testing fans out).
 EnumerationStats searchGroup(const EnumerationSource &Src,
                              const std::vector<TaskPtr> &Tasks,
                              const std::vector<size_t> &Group,
@@ -299,6 +307,7 @@ EnumerationStats searchGroup(const EnumerationSource &Src,
   bool Interrupted = false;
   const std::function<bool()> ShouldStop =
       makeShouldStop(Params, Deadline, Interrupted);
+  ProductionFilterMemo Memo;
 
   // Folds one candidate (with its per-task likelihood row) into the
   // group's frontiers, in enumeration order.
@@ -318,7 +327,7 @@ EnumerationStats searchGroup(const EnumerationSource &Src,
     ++Windows;
     searchWindow(
         Src, Tasks[Group.front()]->request(), Lower, Upper, Nodes, ShouldStop,
-        Params.NumThreads, Group.size(),
+        Memo, Params.NumThreads, Group.size(),
         [&](size_t K, ExprPtr P) { return Tasks[Group[K]]->logLikelihood(P); },
         Fold);
     if (std::all_of(Group.begin(), Group.end(),
@@ -359,8 +368,9 @@ EnumerationStats searchGroup(const EnumerationSource &Src,
 void dc::enumerateWindow(const EnumerationSource &Src, const TypePtr &Request,
                          double Lower, double Upper, long &Nodes,
                          const std::function<bool(ExprPtr, double)> &Emit,
-                         const std::function<bool()> &ShouldStop) {
-  Enumerator(Src, Nodes, ShouldStop, Lower, Emit).run(Request, Upper);
+                         const std::function<bool()> &ShouldStop,
+                         ProductionFilterMemo *Memo) {
+  Enumerator(Src, Nodes, ShouldStop, Lower, Emit, Memo).run(Request, Upper);
 }
 
 void EnumerationStats::merge(const EnumerationStats &Other) {

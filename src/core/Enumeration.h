@@ -89,11 +89,15 @@ struct EnumerationStats {
 /// reaches zero. \p Emit returns false to abort the search. When
 /// \p ShouldStop is non-empty it is polled every few hundred candidate
 /// expansions (deadline / cancellation checks live there); returning true
-/// aborts the window.
+/// aborts the window. \p Memo, when not null, is the search's production
+/// filter (see ProductionFilterMemo): windows of one search under one
+/// \p Src may share it, and the programs and priors are the same with or
+/// without it.
 void enumerateWindow(const EnumerationSource &Src, const TypePtr &Request,
                      double Lower, double Upper, long &Nodes,
                      const std::function<bool(ExprPtr, double)> &Emit,
-                     const std::function<bool()> &ShouldStop = {});
+                     const std::function<bool()> &ShouldStop = {},
+                     ProductionFilterMemo *Memo = nullptr);
 
 /// Searches for solutions to a single task under \p Src (typically the
 /// task-conditioned bigram grammar from the recognition model).

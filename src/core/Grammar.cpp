@@ -48,7 +48,48 @@ bool tryChoice(TypePtr Declared, bool IsVariable, TypePtr Request,
   return Fits;
 }
 
+/// Calls \p OnFit(I), in index order, for each production I whose
+/// (full-arity) return type unifies with \p Request; \p Ctx is left as it
+/// was.
+template <typename FitFn>
+void forEachFit(const std::vector<Production> &Prods, TypePtr Request,
+                TypeContext &Ctx, FitFn &&OnFit) {
+  TypeName RequestHead = Request->isConstructor() ? Request->head() : nullptr;
+  for (size_t I = 0; I < Prods.size(); ++I) {
+    // Cheap rejection: a concrete return head can only unify with the same
+    // concrete request head.
+    if (RequestHead && Prods[I].ReturnHead &&
+        Prods[I].ReturnHead != RequestHead)
+      continue;
+    if (tryChoice(Prods[I].Ty, /*IsVariable=*/false, Request, Ctx))
+      OnFit(I);
+  }
+}
+
 } // namespace
+
+std::span<const uint32_t>
+ProductionFilterMemo::fits(const std::vector<Production> &Prods,
+                           TypePtr Request, TypeContext &Ctx) {
+  assert((!Source || Source == &Prods) &&
+         "a production filter memo serves one production list");
+  Source = &Prods;
+  TypePtr Key = Ctx.apply(Request);
+  // Trials mint variables from variableCount() up; a request variable
+  // among them would make the answer depend on more than the key.
+  assert(Key->maxVariable() < Ctx.variableCount() &&
+         "a request's variables were minted by its context");
+  const uint64_t KeyBits = reinterpret_cast<uintptr_t>(Key);
+  if (const Range *R = Ranges.find(KeyBits))
+    return {Indices.data() + R->Begin, R->Count};
+  const size_t Begin = Indices.size();
+  forEachFit(Prods, Request, Ctx, [&](size_t I) {
+    Indices.push_back(static_cast<uint32_t>(I));
+  });
+  const Range R{Begin, Indices.size() - Begin};
+  Ranges.insert(KeyBits, R);
+  return {Indices.data() + R.Begin, R.Count};
+}
 
 Grammar Grammar::uniform(const std::vector<ExprPtr> &Prims,
                          double LogVariable) {
@@ -103,29 +144,30 @@ int Grammar::structureSize() const {
 
 void Grammar::candidates(int /*ParentIdx*/, int /*ArgIdx*/, TypePtr Request,
                          const TypeEnv *Environment, TypeContext &Ctx,
-                         std::vector<GrammarCandidate> &Out) const {
-  holeCandidates(Prods, nullptr, LogVar, Request, Environment, Ctx, Out);
+                         std::vector<GrammarCandidate> &Out,
+                         ProductionFilterMemo *Memo) const {
+  holeCandidates(Prods, nullptr, LogVar, Request, Environment, Ctx, Out,
+                 Memo);
 }
 
 void dc::holeCandidates(const std::vector<Production> &Prods,
                         const double *Row, double LogVariable,
                         TypePtr Request, const TypeEnv *Environment,
-                        TypeContext &Ctx, std::vector<GrammarCandidate> &Out) {
+                        TypeContext &Ctx, std::vector<GrammarCandidate> &Out,
+                        ProductionFilterMemo *Memo) {
   const size_t Begin = Out.size();
 
   // Library productions whose (full-arity) return type unifies with the
-  // request.
-  TypeName RequestHead = Request->isConstructor() ? Request->head() : nullptr;
-  for (size_t I = 0; I < Prods.size(); ++I) {
-    // Cheap rejection: a concrete return head can only unify with the same
-    // concrete request head.
-    if (RequestHead && Prods[I].ReturnHead &&
-        Prods[I].ReturnHead != RequestHead)
-      continue;
-    if (tryChoice(Prods[I].Ty, /*IsVariable=*/false, Request, Ctx))
-      Out.push_back({Prods[I].Program, Row ? Row[I] : Prods[I].LogWeight,
-                     Prods[I].Ty, static_cast<int>(I)});
-  }
+  // request, in index order.
+  auto Add = [&](size_t I) {
+    Out.push_back({Prods[I].Program, Row ? Row[I] : Prods[I].LogWeight,
+                   Prods[I].Ty, static_cast<int>(I)});
+  };
+  if (Memo)
+    for (uint32_t I : Memo->fits(Prods, Request, Ctx))
+      Add(I);
+  else
+    forEachFit(Prods, Request, Ctx, Add);
 
   // In-scope variables, walked from $0 outwards and then reversed, so they
   // are listed outermost first. Each matching variable splits the variable
@@ -209,7 +251,7 @@ private:
 
     // This hole's choices sit on top of Choices until it has reported.
     const size_t Begin = Choices.size();
-    Src.candidates(ParentIdx, ArgIdx, Request, Env, Ctx, Choices);
+    Src.candidates(ParentIdx, ArgIdx, Request, Env, Ctx, Choices, nullptr);
     std::span<const GrammarCandidate> All(Choices.data() + Begin,
                                           Choices.size() - Begin);
     auto Chosen = std::find_if(All.begin(), All.end(),
@@ -285,7 +327,7 @@ ExprPtr sampleImpl(const EnumerationSource &Src, TypePtr Request,
   }
 
   Choices.clear();
-  Src.candidates(ParentIdx, ArgIdx, Request, Env, Ctx, Choices);
+  Src.candidates(ParentIdx, ArgIdx, Request, Env, Ctx, Choices, nullptr);
   if (Choices.empty())
     return nullptr;
   std::vector<double> Probs;

@@ -15,16 +15,24 @@
 /// A Grammar both scores programs (likelihood / likelihood summaries for θ
 /// re-estimation) and samples them (dream-phase fantasies).
 ///
+/// Both sources, the unigram Grammar and the bigram ContextualGrammar,
+/// build a hole's choices with one body, holeCandidates(). A search passes
+/// it a ProductionFilterMemo, which remembers which productions fit each
+/// request with its bindings applied, so the productions are trial-unified
+/// once per distinct request in a search rather than at every hole; the
+/// weights, the in-scope variables and the normalization stay per hole.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DC_CORE_GRAMMAR_H
 #define DC_CORE_GRAMMAR_H
 
+#include "core/Hash.h"
 #include "core/Program.h"
 
+#include <cstdint>
 #include <random>
 #include <span>
-#include <unordered_map>
 
 namespace dc {
 
@@ -68,6 +76,46 @@ enum : int {
   ParentVariable = -1, ///< generating an argument of an applied variable
 };
 
+/// Which productions fit each hole request, remembered for the length of
+/// one search. Whether production I fits depends only on I's declared type
+/// and on the request with the context's bindings applied: a production is
+/// tried on variables numbered from the context's next free id, which are
+/// unbound and occur nowhere in the request. So holeCandidates() keys the
+/// memo on the interned applied request and trial-unifies the productions
+/// the first time it sees one; later holes with that request read the
+/// indices that fit. A memo serves one production list on one thread: a
+/// search (searchGroup in core/Enumeration.cpp) owns one for all its
+/// windows. It allocates per distinct request, never per lookup.
+class ProductionFilterMemo {
+public:
+  /// Number of distinct requests remembered.
+  size_t size() const { return Ranges.size(); }
+
+private:
+  friend void holeCandidates(const std::vector<Production> &Prods,
+                             const double *Row, double LogVariable,
+                             TypePtr Request, const TypeEnv *Environment,
+                             TypeContext &Ctx,
+                             std::vector<GrammarCandidate> &Out,
+                             ProductionFilterMemo *Memo);
+
+  /// The indices, ascending, of the productions of \p Prods that fit
+  /// \p Request on \p Ctx, which is left as it was.
+  std::span<const uint32_t> fits(const std::vector<Production> &Prods,
+                                 TypePtr Request, TypeContext &Ctx);
+
+  struct Range {
+    size_t Begin;
+    size_t Count;
+  };
+  /// The production list this memo serves, set on first use.
+  const std::vector<Production> *Source = nullptr;
+  /// The fitting indices of each applied request (keyed by its address)
+  /// as a range of Indices.
+  FlatKeyMap<Range> Ranges;
+  std::vector<uint32_t> Indices;
+};
+
 /// Interface shared by Grammar (unigram) and ContextualGrammar (bigram) so
 /// one enumerator serves both. The (ParentIdx, ArgIdx) pair identifies the
 /// syntactic slot being filled: ParentIdx is the production index of the
@@ -79,21 +127,27 @@ public:
 
   /// Appends the type-compatible choices for the hole to \p Out, with
   /// normalized probabilities. Each choice is tried on \p Ctx and undone,
-  /// so \p Ctx is unchanged on return.
+  /// so \p Ctx is unchanged on return. \p Memo, when not null, is the
+  /// search's production filter (see holeCandidates()).
   virtual void candidates(int ParentIdx, int ArgIdx, TypePtr Request,
                           const TypeEnv *Environment, TypeContext &Ctx,
-                          std::vector<GrammarCandidate> &Out) const = 0;
+                          std::vector<GrammarCandidate> &Out,
+                          ProductionFilterMemo *Memo) const = 0;
 };
 
 /// The choices at one hole, the body of both sources' candidates(): every
 /// production whose return type unifies with \p Request, then every
 /// in-scope variable that does, outermost first (splitting \p LogVariable
 /// evenly), all normalized and appended to \p Out. Production I weighs
-/// \p Row[I], or its own LogWeight when \p Row is null.
+/// \p Row[I], or its own LogWeight when \p Row is null. With a \p Memo,
+/// which productions fit is read from it (and filled on a new request);
+/// without one every production is tried. The choices are the same bits
+/// either way.
 void holeCandidates(const std::vector<Production> &Prods, const double *Row,
                     double LogVariable, TypePtr Request,
                     const TypeEnv *Environment, TypeContext &Ctx,
-                    std::vector<GrammarCandidate> &Out);
+                    std::vector<GrammarCandidate> &Out,
+                    ProductionFilterMemo *Memo);
 
 /// Binds the choice \p C at \p Request on \p Ctx, as candidates() tried
 /// it, and returns the chosen leaf's type: a production's type instantiated
@@ -159,7 +213,8 @@ public:
 
   void candidates(int ParentIdx, int ArgIdx, TypePtr Request,
                   const TypeEnv *Environment, TypeContext &Ctx,
-                  std::vector<GrammarCandidate> &Out) const override;
+                  std::vector<GrammarCandidate> &Out,
+                  ProductionFilterMemo *Memo) const override;
 
   /// Log probability of generating \p Program at \p Request. Programs are
   /// eta-expanded on the fly, so partial applications score correctly.

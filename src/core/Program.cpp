@@ -1,121 +1,149 @@
 //===- core/Program.cpp - Hash-consed lambda calculus programs ------------===//
+//
+// Every Expr is interned in one process-wide arena (ExprArena below),
+// sharded under 64 mutexes so that parallel searches interning the
+// programs they emit do not serialize on one lock. Each shard is an
+// open-addressing table of slots, each a node and its mixed hash, kept at
+// most half full and doubled when it would pass that. A probe compares a
+// slot's hash before it reads the node, so walking past other nodes'
+// slots touches only the slot array, and a lookup borrows the caller's
+// fields (the primitive name as a string_view) so a hit allocates
+// nothing.
+//
+// Expr::hash() is the structural hash hashCombine builds over (kind,
+// index, name, children), unchanged because tables elsewhere key on it.
+// An application's hash keeps its aligned child pointers' zero low bits,
+// so the shard and the probe start come from mixHash() of it instead:
+// the shard from its low 6 bits, the probe start from the bits above.
+//
+//===----------------------------------------------------------------------===//
 
 #include "core/Program.h"
+#include "core/Hash.h"
 
 #include <algorithm>
 #include <array>
 #include <mutex>
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
 
 using namespace dc;
 
 namespace {
 
-/// Combines hashes in the boost::hash_combine style.
-size_t hashCombine(size_t Seed, size_t V) {
-  return Seed ^ (V + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
-}
-
-/// Structural interning key. Primitive identity is (name, canonical type
-/// string) so two registrations of the same primitive intern to one node.
+/// The fields that identify a node, borrowed from the caller. A primitive
+/// is identified by its name alone: the registry creates one node per
+/// name.
 struct ExprKey {
   ExprKind Kind;
   int Index;
-  std::string Name;
-  const Expr *A;
-  const Expr *B;
-
-  bool operator==(const ExprKey &O) const {
-    return Kind == O.Kind && Index == O.Index && Name == O.Name &&
-           A == O.A && B == O.B;
-  }
+  std::string_view Name;
+  ExprPtr A;
+  ExprPtr B;
 };
 
-struct ExprKeyHash {
-  size_t operator()(const ExprKey &K) const {
-    size_t H = std::hash<int>()(static_cast<int>(K.Kind));
-    H = hashCombine(H, std::hash<int>()(K.Index));
-    H = hashCombine(H, std::hash<std::string>()(K.Name));
-    H = hashCombine(H, std::hash<const void *>()(K.A));
-    H = hashCombine(H, std::hash<const void *>()(K.B));
-    return H;
-  }
-};
-
-/// Global arena owning every Expr ever created. Programs live for the whole
-/// process; that is the standard hash-consing trade-off and it keeps
-/// ExprPtr trivially copyable.
-///
-/// The intern table is sharded by key hash, each shard behind its own
-/// mutex: parallel wake-phase enumeration interns nodes from many worker
-/// threads at once, and a single table lock would serialize the hottest
-/// allocation path in the system. Nodes are immutable after construction
-/// and published under the shard lock, so readers on other threads always
-/// observe fully-built nodes.
-class ExprArenaImpl {
-public:
-  static ExprArenaImpl &get() {
-    static ExprArenaImpl *Singleton = new ExprArenaImpl();
-    return *Singleton;
-  }
-
-  ExprPtr intern(ExprKey Key, const TypePtr &DeclType = nullptr,
-                 ValuePtr Val = nullptr);
-
-private:
-  static constexpr size_t NumShards = 64;
-  struct Shard {
-    std::mutex Mutex;
-    std::unordered_map<ExprKey, ExprPtr, ExprKeyHash> Interned;
-  };
-  Shard Shards[NumShards];
-};
+/// The structural hash Expr::hash() reports.
+size_t keyHash(const ExprKey &K) {
+  size_t H = std::hash<int>()(static_cast<int>(K.Kind));
+  H = hashCombine(H, std::hash<int>()(K.Index));
+  H = hashCombine(H, std::hash<std::string_view>()(K.Name));
+  H = hashCombine(H, std::hash<const void *>()(K.A));
+  H = hashCombine(H, std::hash<const void *>()(K.B));
+  return H;
+}
 
 } // namespace
 
-// The friend declared in the header; it has access to Expr's private fields
-// and performs the actual node construction on behalf of the interner.
 namespace dc {
+
+/// The arena owning every Expr ever created (see the file comment).
+/// Programs live for the whole process, the standard hash-consing
+/// trade-off, which keeps ExprPtr trivially copyable. Nodes are immutable
+/// after construction and published under their shard's lock, so readers
+/// on other threads always see fully built nodes.
 class ExprArena {
 public:
-  static Expr *create(ExprKind Kind, int Index, std::string Name,
-                      TypePtr DeclType, ValuePtr Val, ExprPtr A, ExprPtr B,
-                      size_t Hash) {
-    auto *Node = new Expr();
-    Node->TheKind = Kind;
-    Node->IndexVal = Index;
-    Node->Name = std::move(Name);
-    Node->DeclType = std::move(DeclType);
-    Node->Val = std::move(Val);
-    Node->Left = A;
-    Node->Right = B;
-    Node->HashVal = Hash;
-    return Node;
+  static ExprArena &get() {
+    static ExprArena *Singleton = new ExprArena();
+    return *Singleton;
   }
+
+  ExprPtr intern(const ExprKey &Key, TypePtr DeclType = nullptr,
+                 ValuePtr Val = nullptr);
+
+private:
+  static constexpr int ShardBits = 6;
+  static constexpr size_t NumShards = size_t(1) << ShardBits;
+
+  /// A node with mixHash() of its Expr::hash(); a null Node is empty.
+  struct Slot {
+    uint64_t Mixed = 0;
+    ExprPtr Node = nullptr;
+  };
+  struct Shard {
+    std::mutex Mutex;
+    std::vector<Slot> Slots; ///< a power of two long, at most half full
+    size_t Count = 0;
+  };
+
+  static bool sameKey(ExprPtr N, const ExprKey &Key) {
+    return N->TheKind == Key.Kind && N->IndexVal == Key.Index &&
+           N->Left == Key.A && N->Right == Key.B && N->Name == Key.Name;
+  }
+  /// Doubles \p S's slot array, placing every node again.
+  static void grow(Shard &S);
+
+  Shard Shards[NumShards];
 };
+
 } // namespace dc
 
-namespace {
+void ExprArena::grow(Shard &S) {
+  std::vector<Slot> Old(std::max<size_t>(64, S.Slots.size() * 2));
+  Old.swap(S.Slots);
+  const size_t Mask = S.Slots.size() - 1;
+  for (const Slot &E : Old) {
+    if (!E.Node)
+      continue;
+    size_t I = (E.Mixed >> ShardBits) & Mask;
+    while (S.Slots[I].Node)
+      I = (I + 1) & Mask;
+    S.Slots[I] = E;
+  }
+}
 
-ExprPtr ExprArenaImpl::intern(ExprKey Key, const TypePtr &DeclType,
-                              ValuePtr Val) {
-  size_t Hash = ExprKeyHash()(Key);
-  Shard &S = Shards[Hash % NumShards];
+ExprPtr ExprArena::intern(const ExprKey &Key, TypePtr DeclType,
+                          ValuePtr Val) {
+  const size_t Hash = keyHash(Key);
+  const uint64_t Mixed = mixHash(Hash);
+  Shard &S = Shards[Mixed & (NumShards - 1)];
   std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Interned.find(Key);
-  if (It != S.Interned.end())
-    return It->second;
-  ExprPtr Node = dc::ExprArena::create(Key.Kind, Key.Index, Key.Name,
-                                       DeclType, std::move(Val), Key.A, Key.B,
-                                       Hash);
-  S.Interned.emplace(std::move(Key), Node);
+  if ((S.Count + 1) * 2 > S.Slots.size())
+    grow(S);
+  const size_t Mask = S.Slots.size() - 1;
+  size_t I = (Mixed >> ShardBits) & Mask;
+  for (; S.Slots[I].Node; I = (I + 1) & Mask)
+    if (S.Slots[I].Mixed == Mixed && sameKey(S.Slots[I].Node, Key))
+      return S.Slots[I].Node;
+
+  auto *Node = new Expr();
+  Node->TheKind = Key.Kind;
+  Node->IndexVal = Key.Index;
+  Node->Name = Key.Name;
+  Node->DeclType = DeclType;
+  Node->Val = std::move(Val);
+  Node->Left = Key.A;
+  Node->Right = Key.B;
+  Node->HashVal = Hash;
+  S.Slots[I] = {Mixed, Node};
+  ++S.Count;
   return Node;
 }
 
+namespace {
+
 ExprPtr internIndex(int I) {
-  ExprKey K{ExprKind::Index, I, "", nullptr, nullptr};
-  return ExprArenaImpl::get().intern(std::move(K));
+  return ExprArena::get().intern({ExprKind::Index, I, {}, nullptr, nullptr});
 }
 
 /// Indices below this come from a table: every hole of an enumeration
@@ -138,28 +166,27 @@ ExprPtr Expr::index(int I) {
 ExprPtr Expr::primitive(const std::string &Name, const TypePtr &Ty,
                         ValuePtr Value) {
   assert(Ty && "primitive requires a type");
-  ExprKey K{ExprKind::Primitive, 0, Name, nullptr, nullptr};
-  return ExprArenaImpl::get().intern(std::move(K), Ty, std::move(Value));
+  return ExprArena::get().intern(
+      {ExprKind::Primitive, 0, Name, nullptr, nullptr}, Ty, std::move(Value));
 }
 
 ExprPtr Expr::invented(ExprPtr Body) {
   assert(Body && "invention requires a body");
-  ExprKey K{ExprKind::Invented, 0, "", Body, nullptr};
   TypePtr Ty = Body->inferType();
   assert(Ty && "invention body must be well typed");
-  return ExprArenaImpl::get().intern(std::move(K), canonicalize(Ty));
+  return ExprArena::get().intern({ExprKind::Invented, 0, {}, Body, nullptr},
+                                 canonicalize(Ty));
 }
 
 ExprPtr Expr::abstraction(ExprPtr Body) {
   assert(Body && "abstraction requires a body");
-  ExprKey K{ExprKind::Abstraction, 0, "", Body, nullptr};
-  return ExprArenaImpl::get().intern(std::move(K));
+  return ExprArena::get().intern(
+      {ExprKind::Abstraction, 0, {}, Body, nullptr});
 }
 
 ExprPtr Expr::application(ExprPtr Fn, ExprPtr Arg) {
   assert(Fn && Arg && "application requires both sides");
-  ExprKey K{ExprKind::Application, 0, "", Fn, Arg};
-  return ExprArenaImpl::get().intern(std::move(K));
+  return ExprArena::get().intern({ExprKind::Application, 0, {}, Fn, Arg});
 }
 
 ExprPtr Expr::applications(ExprPtr Fn, const std::vector<ExprPtr> &Args) {

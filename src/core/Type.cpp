@@ -1,6 +1,7 @@
 //===- core/Type.cpp - Polymorphic types implementation -------------------===//
 
 #include "core/Type.h"
+#include "core/Hash.h"
 
 #include <algorithm>
 #include <iterator>
@@ -12,11 +13,6 @@
 using namespace dc;
 
 namespace {
-
-/// Combines hashes in the boost::hash_combine style.
-size_t hashCombine(size_t Seed, size_t V) {
-  return Seed ^ (V + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
-}
 
 /// The fields that identify a node, borrowed from the caller so a lookup
 /// that hits allocates nothing.
@@ -263,19 +259,6 @@ std::vector<TypePtr> dc::functionArguments(TypePtr T) {
   for (; T->isArrow(); T = T->arrowResult())
     Out.push_back(T->arrowArgument());
   return Out;
-}
-
-TypePtr dc::functionReturn(TypePtr T) {
-  while (T->isArrow())
-    T = T->arrowResult();
-  return T;
-}
-
-int dc::functionArity(TypePtr T) {
-  int N = 0;
-  for (; T->isArrow(); T = T->arrowResult())
-    ++N;
-  return N;
 }
 
 //===----------------------------------------------------------------------===//

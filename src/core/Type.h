@@ -137,10 +137,19 @@ private:
 std::vector<TypePtr> functionArguments(TypePtr T);
 
 /// Returns the final return type of \p T after stripping all arrows.
-TypePtr functionReturn(TypePtr T);
+inline TypePtr functionReturn(TypePtr T) {
+  while (T->isArrow())
+    T = T->arrowResult();
+  return T;
+}
 
 /// Number of curried arguments of \p T.
-int functionArity(TypePtr T);
+inline int functionArity(TypePtr T) {
+  int N = 0;
+  for (; T->isArrow(); T = T->arrowResult())
+    ++N;
+  return N;
+}
 
 //===----------------------------------------------------------------------===//
 // Common ground types

@@ -52,7 +52,6 @@ uint64_t packKey(VsId V, uint32_t Low) {
   return static_cast<uint64_t>(V) << 32 | Low;
 }
 
-using KeyMap = dc::detail::VsKeyMap<VsId>;
 } // namespace
 
 VersionTable::VersionTable() {
@@ -93,22 +92,22 @@ VsId VersionTable::intern(const VsNode &Key, std::span<const VsId> Members) {
   uint64_t H = static_cast<uint64_t>(Key.Kind);
   switch (Key.Kind) {
   case VsKind::Index:
-    H = KeyMap::mix(H << 32 ^ static_cast<uint32_t>(Key.Index));
+    H = mixHash(H << 32 ^ static_cast<uint32_t>(Key.Index));
     break;
   case VsKind::Terminal:
-    H = KeyMap::mix(H ^ reinterpret_cast<uintptr_t>(Key.Leaf));
+    H = mixHash(H ^ reinterpret_cast<uintptr_t>(Key.Leaf));
     break;
   case VsKind::Abstraction:
-    H = KeyMap::mix(H << 32 ^ static_cast<uint32_t>(Key.Body));
+    H = mixHash(H << 32 ^ static_cast<uint32_t>(Key.Body));
     break;
   case VsKind::Application:
-    H = KeyMap::mix(KeyMap::mix(H << 32 ^ static_cast<uint32_t>(Key.Fn)) ^
-                    static_cast<uint32_t>(Key.Arg));
+    H = mixHash(mixHash(H << 32 ^ static_cast<uint32_t>(Key.Fn)) ^
+                static_cast<uint32_t>(Key.Arg));
     break;
   default:
     for (VsId M : Members)
       H = (H ^ static_cast<uint32_t>(M)) * 0x9e3779b97f4a7c15ull;
-    H = KeyMap::mix(H);
+    H = mixHash(H);
     break;
   }
   const uint32_t Hash = static_cast<uint32_t>(H);

@@ -26,6 +26,7 @@
 #ifndef DC_VS_VERSIONSPACE_H
 #define DC_VS_VERSIONSPACE_H
 
+#include "core/Hash.h"
 #include "core/Program.h"
 
 #include <algorithm>
@@ -148,74 +149,6 @@ struct ExtractionScope {
   /// the cone before the private memo.
   const ExtractionMemo *Shared = nullptr;
 };
-
-namespace detail {
-
-/// Open-addressing hash map from packed 64-bit keys to trivially copyable
-/// values: the version table's operator memos. The all-ones key is
-/// reserved for empty slots.
-template <class Value> class VsKeyMap {
-public:
-  static constexpr uint64_t EmptyKey = ~uint64_t(0);
-
-  const Value *find(uint64_t Key) const {
-    if (Slots.empty())
-      return nullptr;
-    const size_t Mask = Slots.size() - 1;
-    for (size_t I = mix(Key) & Mask;; I = (I + 1) & Mask) {
-      if (Slots[I].Key == Key)
-        return &Slots[I].Val;
-      if (Slots[I].Key == EmptyKey)
-        return nullptr;
-    }
-  }
-  /// Inserts \p Key, which must be absent and not EmptyKey.
-  void insert(uint64_t Key, const Value &Val) {
-    if ((Count + 1) * 2 > Slots.size())
-      grow();
-    place(Key, Val);
-    ++Count;
-  }
-  /// Frees the storage.
-  void release() {
-    std::vector<Slot>().swap(Slots);
-    Count = 0;
-  }
-
-  /// splitmix64's finalizer.
-  static uint64_t mix(uint64_t X) {
-    X ^= X >> 30;
-    X *= 0xbf58476d1ce4e5b9ull;
-    X ^= X >> 27;
-    X *= 0x94d049bb133111ebull;
-    return X ^ (X >> 31);
-  }
-
-private:
-  struct Slot {
-    uint64_t Key = EmptyKey;
-    Value Val{};
-  };
-  void place(uint64_t Key, const Value &Val) {
-    const size_t Mask = Slots.size() - 1;
-    size_t I = mix(Key) & Mask;
-    while (Slots[I].Key != EmptyKey)
-      I = (I + 1) & Mask;
-    Slots[I] = {Key, Val};
-  }
-  void grow() {
-    std::vector<Slot> Old(std::max<size_t>(16, Slots.size() * 2));
-    Old.swap(Slots);
-    for (const Slot &S : Old)
-      if (S.Key != EmptyKey)
-        place(S.Key, S.Val);
-  }
-
-  std::vector<Slot> Slots;
-  size_t Count = 0;
-};
-
-} // namespace detail
 
 /// Arena of hash-consed version spaces with memoized refactoring operators.
 class VersionTable {
@@ -359,13 +292,13 @@ private:
   struct PoolRange {
     uint32_t Begin = 0, Count = 0;
   };
-  detail::VsKeyMap<VsId> IncorporateMemo;
-  detail::VsKeyMap<VsId> ShiftMemo;
-  detail::VsKeyMap<VsId> IntersectionMemo;
-  detail::VsKeyMap<PoolRange> SubstitutionMemo;
+  FlatKeyMap<VsId> IncorporateMemo;
+  FlatKeyMap<VsId> ShiftMemo;
+  FlatKeyMap<VsId> IntersectionMemo;
+  FlatKeyMap<PoolRange> SubstitutionMemo;
   std::vector<std::pair<VsId, VsId>> SubstitutionPool;
   std::vector<VsId> InversionMemo;
-  detail::VsKeyMap<VsId> InversionNMemo;
+  FlatKeyMap<VsId> InversionNMemo;
 };
 
 /// A final table's parent edges in CSR form: for each node, the nodes that

@@ -53,7 +53,8 @@ struct WindowCount {
 };
 
 /// One enumerateWindow over [0, 11) nats, counting what it allocates.
-WindowCount countWindow(const Grammar &G, TypePtr Request) {
+WindowCount countWindow(const Grammar &G, TypePtr Request,
+                        ProductionFilterMemo *Memo = nullptr) {
   WindowCount Out;
   long NodesLeft = 1000000;
   const std::function<bool(ExprPtr, double)> Emit = [&](ExprPtr, double) {
@@ -61,7 +62,7 @@ WindowCount countWindow(const Grammar &G, TypePtr Request) {
     return true;
   };
   const long Before = Allocations;
-  enumerateWindow(G, Request, 0, 11, NodesLeft, Emit);
+  enumerateWindow(G, Request, 0, 11, NodesLeft, Emit, {}, Memo);
   Out.Allocations = Allocations - Before;
   Out.Nodes = 1000000 - NodesLeft;
   return Out;
@@ -93,5 +94,34 @@ TEST(AllocationTest, WarmWindowAllocatesNothingPerHole) {
     EXPECT_EQ(Warm.Nodes, C.Nodes) << C.Request->show();
     EXPECT_EQ(Warm.Programs, Cold.Programs) << C.Request->show();
     EXPECT_LE(Warm.Allocations, 64) << C.Request->show();
+  }
+}
+
+TEST(AllocationTest, WarmMemoAllocatesNothingPerHole) {
+  // A search's production filter memo grows once per distinct request it
+  // meets and is only read after that: a window over a warm memo
+  // allocates no more than one without it, and filling a fresh memo costs
+  // at most one allocation per request remembered.
+  const Grammar G = uniformListGrammar();
+  for (TypePtr Request : {Type::arrow(tList(tInt()), tList(tInt())),
+                          Type::arrow(tInt(), tInt())}) {
+    // Warm the arenas and the instantiation memo, with and without a memo.
+    ProductionFilterMemo Throwaway;
+    countWindow(G, Request, &Throwaway);
+    const WindowCount Plain = countWindow(G, Request);
+
+    ProductionFilterMemo Memo;
+    const WindowCount Filling = countWindow(G, Request, &Memo);
+    const WindowCount Warm = countWindow(G, Request, &Memo);
+    EXPECT_EQ(Memo.size(), Throwaway.size()) << Request->show();
+    EXPECT_GT(Memo.size(), 0u) << Request->show();
+    EXPECT_EQ(Filling.Nodes, Plain.Nodes) << Request->show();
+    EXPECT_EQ(Warm.Nodes, Plain.Nodes) << Request->show();
+    EXPECT_EQ(Warm.Programs, Plain.Programs) << Request->show();
+    EXPECT_LE(Filling.Allocations,
+              Plain.Allocations + static_cast<long>(Memo.size()))
+        << Request->show();
+    EXPECT_LE(Warm.Allocations, Plain.Allocations) << Request->show();
+    EXPECT_LE(Warm.Allocations, 64) << Request->show();
   }
 }

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 using namespace dc;
 
@@ -32,7 +34,7 @@ protected:
 TEST_F(GrammarTest, CandidatesRespectTypes) {
   TypeContext Ctx;
   std::vector<GrammarCandidate> Cands;
-  G.candidates(ParentStart, 0, tBool(), nullptr, Ctx, Cands);
+  G.candidates(ParentStart, 0, tBool(), nullptr, Ctx, Cands, nullptr);
   // Booleans can come from: if, =, >, is-square, is-prime, is-nil. A
   // candidate holds no context: bind it on one, then resolve its type.
   for (const auto &C : Cands) {
@@ -51,7 +53,7 @@ TEST_F(GrammarTest, CandidatesIncludeTypeMatchingVariables) {
   TypeEnv Outer{tInt(), nullptr};
   TypeEnv Inner{tList(tInt()), &Outer};
   std::vector<GrammarCandidate> Cands;
-  G.candidates(ParentStart, 0, tInt(), &Inner, Ctx, Cands);
+  G.candidates(ParentStart, 0, tInt(), &Inner, Ctx, Cands, nullptr);
   bool SawVariable = false;
   for (const auto &C : Cands)
     if (C.ProductionIdx == -1) {
@@ -65,11 +67,149 @@ TEST_F(GrammarTest, CandidateProbabilitiesNormalize) {
   TypeContext Ctx;
   TypeEnv Env{tInt(), nullptr};
   std::vector<GrammarCandidate> Cands;
-  G.candidates(ParentStart, 0, tInt(), &Env, Ctx, Cands);
+  G.candidates(ParentStart, 0, tInt(), &Env, Ctx, Cands, nullptr);
   double Total = 0;
   for (const auto &C : Cands)
     Total += std::exp(C.LogProb);
   EXPECT_NEAR(Total, 1.0, 1e-9);
+}
+
+namespace {
+
+/// Expects \p Memoized to list \p Plain's choices, the log probabilities
+/// bit for bit.
+void expectSameChoices(const std::vector<GrammarCandidate> &Plain,
+                       const std::vector<GrammarCandidate> &Memoized,
+                       const std::string &What) {
+  ASSERT_EQ(Memoized.size(), Plain.size()) << What;
+  for (size_t I = 0; I < Plain.size(); ++I) {
+    EXPECT_EQ(Memoized[I].Leaf, Plain[I].Leaf) << What << ", choice " << I;
+    EXPECT_EQ(Memoized[I].Declared, Plain[I].Declared)
+        << What << ", choice " << I;
+    EXPECT_EQ(Memoized[I].ProductionIdx, Plain[I].ProductionIdx)
+        << What << ", choice " << I;
+    EXPECT_EQ(std::bit_cast<uint64_t>(Memoized[I].LogProb),
+              std::bit_cast<uint64_t>(Plain[I].LogProb))
+        << What << ", choice " << I;
+  }
+}
+
+bool hasLeaf(const std::vector<GrammarCandidate> &Cands, ExprPtr Leaf) {
+  for (const GrammarCandidate &C : Cands)
+    if (C.Leaf == Leaf)
+      return true;
+  return false;
+}
+
+} // namespace
+
+TEST_F(GrammarTest, MemoizedCandidatesMatchPlain) {
+  // Two pair-building productions: against pair(t, list(t)) the one
+  // returning pair(a, a) fails the occurs check and the other fits.
+  auto Pair = [](TypePtr A, TypePtr B) {
+    return Type::constructor("pair", {A, B});
+  };
+  auto NeverRun = [](EvalState &, const std::vector<ValuePtr> &) {
+    return ValuePtr();
+  };
+  ExprPtr Dup = definePrimitive("grammar_test_dup",
+                                Type::arrow(t0(), Pair(t0(), t0())), NeverRun);
+  ExprPtr Zip = definePrimitive(
+      "grammar_test_pair", Type::arrows({t0(), t1()}, Pair(t0(), t1())),
+      NeverRun);
+
+  // Distinct weights everywhere, so a row or weight mix-up shows.
+  Grammar Wide = G;
+  Wide.addProduction(Dup);
+  Wide.addProduction(Zip);
+  for (size_t I = 0; I < Wide.productions().size(); ++I)
+    Wide.productions()[I].LogWeight = -0.125 * static_cast<double>(I % 7);
+  ContextualGrammar Guide(Wide);
+  for (int S = 0; S < Guide.slotCount(); ++S)
+    for (int C = 0; C < Guide.childCount(); ++C)
+      Guide.row(S)[C] = std::sin(31.0 * S + C);
+  const int PlusIdx = Wide.productionIndex(lookupPrimitive("+"));
+  ASSERT_GE(PlusIdx, 0);
+  // A second library, searched on the same thread with its own memo.
+  Grammar Small = Grammar::uniform(
+      {lookupPrimitive("+"), lookupPrimitive("1"), lookupPrimitive("car"),
+       lookupPrimitive("cons"), Zip});
+
+  // A context with t0 bound to int, t1 free, and t2 bound to list(t1).
+  TypeContext Ctx;
+  TypePtr A = Ctx.makeVariable();
+  TypePtr B = Ctx.makeVariable();
+  TypePtr C = Ctx.makeVariable();
+  ASSERT_TRUE(Ctx.unify(A, tInt()));
+  ASSERT_TRUE(Ctx.unify(C, tList(B)));
+  const TypeEnv Outer{tInt(), nullptr};
+  const TypeEnv Inner{tList(A), &Outer};
+  const TypeEnv Poly{B, &Inner};
+
+  struct Hole {
+    const char *What;
+    TypePtr Request;
+    const TypeEnv *Env;
+  };
+  const Hole Holes[] = {
+      {"int", tInt(), nullptr},
+      {"list(int)", tList(tInt()), nullptr},
+      {"bool with binders", tBool(), &Inner},
+      {"t0, bound to int", A, &Outer},
+      {"list(t0)", tList(A), &Inner},
+      {"free t1", B, &Poly},
+      {"list(t2), t2 bound to list(t1)", tList(C), &Poly},
+      {"pair(t1, list(t1))", Pair(B, tList(B)), nullptr},
+      {"pair(t1, t1)", Pair(B, B), &Poly},
+      {"int with binders", tInt(), &Poly},
+  };
+  // The applied requests: int, list(int), bool, t1, list(list(t1)),
+  // pair(t1, list(t1)) and pair(t1, t1).
+  constexpr size_t DistinctRequests = 7;
+
+  struct Source {
+    const char *Name;
+    const EnumerationSource &Src;
+    int ParentIdx;
+    int ArgIdx;
+    ProductionFilterMemo *Memo;
+  };
+  ProductionFilterMemo WideMemo, GuideMemo, SmallMemo;
+  // The guide's two rows share its memo: one production list.
+  const Source Sources[] = {
+      {"grammar", Wide, ParentStart, 0, &WideMemo},
+      {"guide start row", Guide, ParentStart, 0, &GuideMemo},
+      {"guide + row", Guide, PlusIdx, 1, &GuideMemo},
+      {"second library", Small, ParentStart, 0, &SmallMemo},
+  };
+
+  for (int Pass = 0; Pass < 2; ++Pass)
+    for (const Hole &H : Holes)
+      for (const Source &S : Sources) {
+        const std::string What = std::string(S.Name) + " at " + H.What +
+                                 (Pass ? " (memo warm)" : "");
+        std::vector<GrammarCandidate> Plain, Memoized;
+        S.Src.candidates(S.ParentIdx, S.ArgIdx, H.Request, H.Env, Ctx, Plain,
+                         nullptr);
+        S.Src.candidates(S.ParentIdx, S.ArgIdx, H.Request, H.Env, Ctx,
+                         Memoized, S.Memo);
+        expectSameChoices(Plain, Memoized, What);
+        // Every trial was undone.
+        EXPECT_EQ(Ctx.variableCount(), 3) << What;
+        EXPECT_EQ(Ctx.apply(A), tInt()) << What;
+        EXPECT_EQ(Ctx.apply(B), B) << What;
+        EXPECT_EQ(Ctx.apply(C), tList(B)) << What;
+        if (H.Request == Pair(B, tList(B))) {
+          EXPECT_FALSE(hasLeaf(Memoized, Dup)) << What;
+          EXPECT_TRUE(hasLeaf(Memoized, Zip)) << What;
+        }
+        if (&S.Src == &Wide && H.Request == Pair(B, B)) {
+          EXPECT_TRUE(hasLeaf(Memoized, Dup)) << What;
+        }
+      }
+  EXPECT_EQ(WideMemo.size(), DistinctRequests);
+  EXPECT_EQ(GuideMemo.size(), DistinctRequests);
+  EXPECT_EQ(SmallMemo.size(), DistinctRequests);
 }
 
 TEST_F(GrammarTest, LikelihoodOfSimplePrograms) {

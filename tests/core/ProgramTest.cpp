@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string_view>
 #include <thread>
 
 using namespace dc;
@@ -263,4 +265,83 @@ TEST_F(ProgramTest, ConcurrentInterningYieldsOneNode) {
   EXPECT_EQ(Nodes.size(), Shown.size());
   for (int I : {0, 31, 32, 47})
     EXPECT_EQ(Expr::index(I)->index(), I);
+}
+
+TEST_F(ProgramTest, ConcurrentInterningThroughRegrowth) {
+  // Enough distinct applications and abstractions that every shard's slot
+  // array doubles several times while 8 threads intern them, each in its
+  // own order: every structure must still map to exactly one node.
+  constexpr int NumThreads = 8;
+  constexpr int Side = 160;
+  constexpr int NumApps = Side * Side;
+  constexpr int NumShapes = 2 * NumApps;
+  // Indices from 100 up are interned by the arena, not the small table.
+  auto App = [](int K) {
+    return Expr::application(Expr::index(100 + K / Side),
+                             Expr::index(100 + K % Side));
+  };
+  auto Build = [&](int Shape) {
+    return Shape < NumApps ? App(Shape)
+                           : Expr::abstraction(App(Shape - NumApps));
+  };
+  // Strides coprime with NumShapes (2^11 * 5^2); the last one walks
+  // backwards.
+  const int Strides[] = {1, 7919, 12347, NumShapes - 1};
+  std::vector<std::vector<ExprPtr>> Seen(NumThreads,
+                                         std::vector<ExprPtr>(NumShapes));
+  std::vector<std::thread> Threads;
+  for (int W = 0; W < NumThreads; ++W)
+    Threads.emplace_back([&, W] {
+      const long Stride = Strides[W % 4];
+      for (long I = 0; I < NumShapes; ++I) {
+        const int Shape = static_cast<int>((I * Stride + W * 997) % NumShapes);
+        Seen[W][Shape] = Build(Shape);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (int W = 1; W < NumThreads; ++W)
+    EXPECT_EQ(Seen[W], Seen[0]) << "thread " << W;
+  EXPECT_EQ(std::set<ExprPtr>(Seen[0].begin(), Seen[0].end()).size(),
+            static_cast<size_t>(NumShapes));
+  for (int K = 0; K < NumApps; ++K) {
+    ExprPtr A = Seen[0][K];
+    ASSERT_TRUE(A->isApplication()) << K;
+    EXPECT_EQ(A->fn(), Expr::index(100 + K / Side)) << K;
+    EXPECT_EQ(A->arg(), Expr::index(100 + K % Side)) << K;
+    ASSERT_TRUE(Seen[0][NumApps + K]->isAbstraction()) << K;
+    EXPECT_EQ(Seen[0][NumApps + K]->body(), A) << K;
+  }
+}
+
+TEST_F(ProgramTest, HashValuesAreUnchanged) {
+  // Tables outside the arena key on Expr::hash() (the version-space
+  // cache), so the arena may spread it as it likes but never change it.
+  // A leaf's hash depends on its fields alone; these were computed before
+  // the arena's table was rewritten.
+  EXPECT_EQ(Expr::index(0)->hash(), 0xfbb39133fee37998ull);
+  EXPECT_EQ(Expr::index(31)->hash(), 0xfbb39133f98a1401ull);
+  EXPECT_EQ(Expr::index(40)->hash(), 0xfbb39133fdce1c6bull);
+  EXPECT_EQ(Expr::index(1000)->hash(), 0xfbb39133ce494ab0ull);
+  EXPECT_EQ(lookupPrimitive("+")->hash(), 0x0256bae83ef38e26ull);
+  EXPECT_EQ(lookupPrimitive("map")->hash(), 0x61893c022db3bda6ull);
+  EXPECT_EQ(lookupPrimitive("1")->hash(), 0xdf9a7230815438cfull);
+  // An application's or abstraction's hash folds in its children's
+  // addresses, (kind, index, name, fn or body, arg) combined in order.
+  auto Combine = [](size_t Seed, size_t V) {
+    return Seed ^ (V + 0x9e3779b97f4a7c15ull + (Seed << 6) + (Seed >> 2));
+  };
+  auto Structural = [&](ExprKind Kind, ExprPtr A, ExprPtr B) {
+    size_t H = static_cast<size_t>(Kind);
+    H = Combine(H, 0);
+    H = Combine(H, std::hash<std::string_view>()(""));
+    H = Combine(H, reinterpret_cast<size_t>(A));
+    return Combine(H, reinterpret_cast<size_t>(B));
+  };
+  ExprPtr Plus = lookupPrimitive("+");
+  ExprPtr App = Expr::application(Plus, Expr::index(0));
+  EXPECT_EQ(App->hash(), Structural(ExprKind::Application, Plus,
+                                     Expr::index(0)));
+  EXPECT_EQ(Expr::abstraction(App)->hash(),
+            Structural(ExprKind::Abstraction, App, nullptr));
 }

@@ -354,10 +354,11 @@ public:
 
   void candidates(int ParentIdx, int ArgIdx, TypePtr Request,
                   const TypeEnv *Environment, TypeContext &Ctx,
-                  std::vector<GrammarCandidate> &Out) const override {
+                  std::vector<GrammarCandidate> &Out,
+                  ProductionFilterMemo *Memo) const override {
     if (ParentIdx == ParentVariable)
       ++Holes;
-    Inner.candidates(ParentIdx, ArgIdx, Request, Environment, Ctx, Out);
+    Inner.candidates(ParentIdx, ArgIdx, Request, Environment, Ctx, Out, Memo);
   }
 
   mutable long Holes = 0; ///< single-threaded enumeration only

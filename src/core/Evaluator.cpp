@@ -6,9 +6,52 @@ using namespace dc;
 
 namespace {
 
-/// True when \p E is the `if` primitive (whose branches must stay lazy).
-bool isIfPrimitive(ExprPtr E) {
-  return E->isPrimitive() && E->name() == "if";
+/// Calls builtin \p Fn on the N = Fn.builtinArity() arguments of the
+/// saturated spine \p E = (f a1 ... aN), evaluated under \p Env; E's own
+/// step and depth guard are evaluate()'s.
+///
+/// The curried path would spend, besides the arguments, one step on each
+/// of the N-1 inner applications, one on the head and one on each of the N
+/// applies: 2N in all. Its inner applications nest N-1 guards below this
+/// node and the head one more, so the head's guard is its deepest. It
+/// evaluates a_k inside the N-k applications above a_k's own, and runs the
+/// builtin inside the last apply's guard. This charges the same steps and
+/// puts every argument and the call at the same depth, so results, budgets
+/// and depth limits are those of the curried path.
+ValuePtr callSaturated(ExprPtr E, const Value &Fn, const EnvPtr &Env,
+                       EvalState &State) {
+  const int N = Fn.builtinArity();
+  if (!State.tick(2L * N) || !State.fitsDepth(N)) {
+    State.fail();
+    return nullptr;
+  }
+  ExprPtr ArgExprs[MaxBuiltinArity];
+  for (int K = N - 1; K >= 0; --K, E = E->fn())
+    ArgExprs[K] = E->arg();
+  ValuePtr Args[MaxBuiltinArity];
+  for (int K = 0; K < N; ++K) {
+    EvalState::DepthGuard Spine(State, N - 1 - K);
+    Args[K] = evaluate(ArgExprs[K], Env, State);
+    if (!Args[K])
+      return nullptr;
+  }
+  EvalState::DepthGuard Apply(State);
+  ValuePtr Out = Fn.builtinFn()(State, std::span<const ValuePtr>(Args, N));
+  if (!Out)
+    State.fail();
+  return Out;
+}
+
+/// Evaluates closure body \p Body under \p Env extended with \p X.
+ValuePtr evaluateBody(ExprPtr Body, const EnvPtr &Env, const ValuePtr &X,
+                      EvalState &State) {
+  if (Body->mayCapture())
+    return evaluate(Body, envExtend(Env, X), State);
+  // Nothing in the body can capture its environment, so the frame dies
+  // with this call: it lives on the stack, and its tail borrows Env, which
+  // the caller keeps alive. Lookups copy the heads, never the frame.
+  const EnvNode Frame{X, EnvPtr(EnvPtr(), Env.get())};
+  return evaluate(Body, EnvPtr(EnvPtr(), &Frame), State);
 }
 
 } // namespace
@@ -27,7 +70,7 @@ ValuePtr dc::evaluate(ExprPtr E, const EnvPtr &Env, EvalState &State) {
   }
   case ExprKind::Primitive: {
     // The symbolic-regression constant placeholder reads the fit tape.
-    if (E->name() == "REAL") {
+    if (E->special() == SpecialPrimitive::Real) {
       double C;
       if (!State.nextConstant(C))
         return nullptr;
@@ -48,13 +91,23 @@ ValuePtr dc::evaluate(ExprPtr E, const EnvPtr &Env, EvalState &State) {
     // selected branch. A saturated (if c t f) is App(App(App(if, c), t), f).
     ExprPtr IfT = E->fn();
     if (IfT->isApplication() && IfT->fn()->isApplication() &&
-        isIfPrimitive(IfT->fn()->fn())) {
+        IfT->fn()->fn()->special() == SpecialPrimitive::If) {
       ValuePtr Cond = evaluate(IfT->fn()->arg(), Env, State);
       if (!Cond || !Cond->isBool()) {
         State.fail();
         return nullptr;
       }
       return evaluate(Cond->asBool() ? IfT->arg() : E->arg(), Env, State);
+    }
+    int N = 1;
+    ExprPtr Head = E->fn();
+    for (; Head->isApplication(); Head = Head->fn())
+      ++N;
+    if (Head->isPrimitive()) {
+      const Value *H = Head->value().get();
+      if (H && H->isBuiltin() && H->builtinPendingCount() == 0 &&
+          H->builtinArity() == N)
+        return callSaturated(E, *H, Env, State);
     }
     ValuePtr F = evaluate(E->fn(), Env, State);
     if (!F)
@@ -79,17 +132,16 @@ ValuePtr dc::applyValue(const ValuePtr &F, const ValuePtr &X,
     return nullptr;
   }
   if (F->isClosure())
-    return evaluate(F->closureBody(), envExtend(F->closureEnv(), X), State);
+    return evaluateBody(F->closureBody(), F->closureEnv(), X, State);
 
   // Builtin: collect arguments until the declared arity is reached.
-  std::vector<ValuePtr> Args;
-  Args.reserve(F->builtinArity());
-  Args.insert(Args.end(), F->builtinPending().begin(),
-              F->builtinPending().end());
-  Args.push_back(X);
-  if (static_cast<int>(Args.size()) < F->builtinArity())
-    return Value::makeBuiltinPartial(*F, std::move(Args));
-  ValuePtr Out = F->builtinFn()(State, Args);
+  const int Have = F->builtinPendingCount() + 1;
+  if (Have < F->builtinArity())
+    return Value::makeBuiltinPartial(F, X);
+  ValuePtr Args[MaxBuiltinArity];
+  F->builtinPendingInto(Args);
+  Args[Have - 1] = X;
+  ValuePtr Out = F->builtinFn()(State, std::span<const ValuePtr>(Args, Have));
   if (!Out)
     State.fail();
   return Out;
@@ -98,11 +150,24 @@ ValuePtr dc::applyValue(const ValuePtr &F, const ValuePtr &X,
 ValuePtr dc::runProgram(ExprPtr E, const std::vector<ValuePtr> &Inputs,
                         long StepBudget) {
   EvalState State(StepBudget);
-  ValuePtr V = evaluate(E, nullptr, State);
-  for (const ValuePtr &In : Inputs) {
+  ValuePtr V;
+  size_t Next = 0;
+  if (E->isAbstraction() && !Inputs.empty()) {
+    // A program is usually a λ applied at once to its first input: run its
+    // body without the closure. evaluate(E) and applyValue would each
+    // take a step and a guard one level down, then evaluate the body
+    // inside the apply's guard.
+    if (!State.tick(2))
+      return nullptr;
+    EvalState::DepthGuard Apply(State);
+    V = evaluateBody(E->body(), nullptr, Inputs[Next++], State);
+  } else {
+    V = evaluate(E, nullptr, State);
+  }
+  for (; Next < Inputs.size(); ++Next) {
     if (!V || State.failed())
       return nullptr;
-    V = applyValue(V, In, State);
+    V = applyValue(V, Inputs[Next], State);
   }
   if (State.failed())
     return nullptr;

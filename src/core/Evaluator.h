@@ -10,6 +10,18 @@
 /// the fixpoint combinators, which are handled natively so that recursive
 /// programs written with the Y combinator terminate under a step budget.
 ///
+/// Semantically every application is curried: each node evaluated and each
+/// value applied costs one step and one level of depth. Three shortcuts
+/// keep evaluation from allocating beyond the values a program produces,
+/// and each charges exactly what the curried path would:
+///  - a builtin given exactly its arity, `(f a1 ... an)` with `f` a
+///    registered primitive, is called in place with its arguments in a
+///    stack array, instead of through n-1 partial applications;
+///  - a closure whose body cannot build a closure (Expr::mayCapture)
+///    binds its argument in a stack frame instead of a heap EnvNode;
+///  - runProgram runs a λ program's body on its first input without
+///    building the λ's closure.
+///
 /// Failure (runtime type error, out-of-range access, exhausted budget) is
 /// signalled by returning a null ValuePtr — no exceptions cross this API.
 ///
@@ -39,6 +51,18 @@ public:
     return true;
   }
 
+  /// Consumes \p Steps steps at once; succeeds exactly when that many
+  /// tick()s would.
+  bool tick(long Steps) {
+    const bool Ok = StepsLeft >= Steps && !Failed;
+    StepsLeft -= Steps;
+    Failed = !Ok;
+    return Ok;
+  }
+
+  /// True when \p Levels more nested DepthGuards fit under the limit.
+  bool fitsDepth(int Levels) const { return DepthLeft >= Levels; }
+
   /// Marks the evaluation as failed; subsequent results are null.
   void fail() { Failed = true; }
   bool failed() const { return Failed; }
@@ -64,17 +88,21 @@ public:
     return true;
   }
 
-  /// RAII depth guard used around recursive eval/apply calls.
+  /// RAII depth guard used around recursive eval/apply calls; \p Levels
+  /// stands for that many nested guards.
   class DepthGuard {
   public:
-    explicit DepthGuard(EvalState &S) : State(S) {
-      if (State.DepthLeft-- <= 0)
+    explicit DepthGuard(EvalState &S, int Levels = 1)
+        : State(S), Levels(Levels) {
+      if (State.DepthLeft < Levels)
         State.Failed = true;
+      State.DepthLeft -= Levels;
     }
-    ~DepthGuard() { ++State.DepthLeft; }
+    ~DepthGuard() { State.DepthLeft += Levels; }
 
   private:
     EvalState &State;
+    int Levels;
   };
 
 private:

@@ -11,13 +11,19 @@ using namespace dc;
 
 namespace {
 
-/// Process-wide primitive registry: the node registered under each name.
-/// Each node carries its value, so evaluation never comes here; the lock
-/// serializes registration (domain construction, and tests that register
-/// while searches run) against lookups by name (the parser).
+/// Process-wide primitive registry: the node registered under each name,
+/// and the owning reference to its value. Each node carries a non-owning
+/// alias of its value, so evaluation never comes here; the lock serializes
+/// registration (domain construction, and tests that register while
+/// searches run) against lookups by name (the parser). The registry is
+/// never destroyed, so a registered value lives as long as the process.
 struct Registry {
+  struct Entry {
+    ExprPtr Node;
+    ValuePtr Owner;
+  };
   std::shared_mutex Mutex;
-  std::unordered_map<std::string, ExprPtr> Exprs;
+  std::unordered_map<std::string, Entry> Entries;
 
   static Registry &get() {
     static Registry *Singleton = new Registry();
@@ -25,15 +31,29 @@ struct Registry {
   }
 };
 
+/// The evaluator's tag for the primitive named \p Name.
+SpecialPrimitive specialFor(const std::string &Name) {
+  if (Name == "if")
+    return SpecialPrimitive::If;
+  if (Name == "REAL")
+    return SpecialPrimitive::Real;
+  return SpecialPrimitive::None;
+}
+
 ExprPtr registerEntry(const std::string &Name, const TypePtr &Ty,
                       ValuePtr Val) {
   Registry &R = Registry::get();
   std::unique_lock<std::shared_mutex> Lock(R.Mutex);
-  auto It = R.Exprs.find(Name);
-  if (It != R.Exprs.end())
-    return It->second; // idempotent re-registration
-  ExprPtr E = Expr::primitive(Name, canonicalize(Ty), std::move(Val));
-  R.Exprs.emplace(Name, E);
+  auto It = R.Entries.find(Name);
+  if (It != R.Entries.end())
+    return It->second.Node; // idempotent re-registration
+  // The node's copy shares no reference count (an aliasing shared_ptr with
+  // an empty owner): the copies evaluation makes of `0`, `nil` or `map`
+  // then touch no count, shared by no two threads.
+  ValuePtr Immortal(ValuePtr(), Val.get());
+  ExprPtr E = Expr::primitive(Name, canonicalize(Ty), std::move(Immortal),
+                              specialFor(Name));
+  R.Entries.emplace(Name, Registry::Entry{E, std::move(Val)});
   return E;
 }
 
@@ -41,14 +61,14 @@ ExprPtr registerEntry(const std::string &Name, const TypePtr &Ty,
 // Argument checking helpers
 //===----------------------------------------------------------------------===//
 
-bool allInts(const std::vector<ValuePtr> &A) {
+bool allInts(std::span<const ValuePtr> A) {
   for (const ValuePtr &V : A)
     if (!V->isInt())
       return false;
   return true;
 }
 
-bool allNumeric(const std::vector<ValuePtr> &A) {
+bool allNumeric(std::span<const ValuePtr> A) {
   for (const ValuePtr &V : A)
     if (!V->isInt() && !V->isReal())
       return false;
@@ -88,8 +108,8 @@ ExprPtr dc::definePrimitive(const std::string &Name, const TypePtr &Ty,
 ExprPtr dc::lookupPrimitive(const std::string &Name) {
   Registry &R = Registry::get();
   std::shared_lock<std::shared_mutex> Lock(R.Mutex);
-  auto It = R.Exprs.find(Name);
-  return It == R.Exprs.end() ? nullptr : It->second;
+  auto It = R.Entries.find(Name);
+  return It == R.Entries.end() ? nullptr : It->second.Node;
 }
 
 ExprPtr dc::intPrimitive(long N) {
@@ -111,7 +131,7 @@ ExprPtr defIf() {
   // when `if` is passed around unapplied.
   return definePrimitive(
       "if", Type::arrows({tBool(), t0(), t0()}, t0()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isBool())
           return nullptr;
         return A[0]->asBool() ? A[1] : A[2];
@@ -121,7 +141,7 @@ ExprPtr defIf() {
 ExprPtr defCons() {
   return definePrimitive(
       "cons", Type::arrows({t0(), tList(t0())}, tList(t0())),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[1]->isList())
           return nullptr;
         std::vector<ValuePtr> L;
@@ -136,7 +156,7 @@ ExprPtr defCons() {
 ExprPtr defCar() {
   return definePrimitive(
       "car", Type::arrows({tList(t0())}, t0()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isList() || A[0]->asList().empty())
           return nullptr;
         return A[0]->asList().front();
@@ -146,7 +166,7 @@ ExprPtr defCar() {
 ExprPtr defCdr() {
   return definePrimitive(
       "cdr", Type::arrows({tList(t0())}, tList(t0())),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isList() || A[0]->asList().empty())
           return nullptr;
         const auto &L = A[0]->asList();
@@ -161,7 +181,7 @@ ExprPtr defNil() {
 ExprPtr defIsNil() {
   return definePrimitive(
       "is-nil", Type::arrows({tList(t0())}, tBool()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isList())
           return nullptr;
         return Value::makeBool(A[0]->asList().empty());
@@ -171,7 +191,7 @@ ExprPtr defIsNil() {
 ExprPtr defMap() {
   return definePrimitive(
       "map", Type::arrows({Type::arrow(t0(), t1()), tList(t0())}, tList(t1())),
-      [](EvalState &S, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &S, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[1]->isList() || !A[0]->isCallable())
           return nullptr;
         std::vector<ValuePtr> Out;
@@ -192,7 +212,7 @@ ExprPtr defFold() {
       "fold",
       Type::arrows({Type::arrows({t0(), t1()}, t1()), t1(), tList(t0())},
                    t1()),
-      [](EvalState &S, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &S, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[2]->isList() || !A[0]->isCallable())
           return nullptr;
         ValuePtr Acc = A[1];
@@ -212,7 +232,7 @@ ExprPtr defFold() {
 ExprPtr defLength() {
   return definePrimitive(
       "length", Type::arrows({tList(t0())}, tInt()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isList())
           return nullptr;
         return Value::makeInt(static_cast<long>(A[0]->asList().size()));
@@ -222,7 +242,7 @@ ExprPtr defLength() {
 ExprPtr defIndex() {
   return definePrimitive(
       "index", Type::arrows({tInt(), tList(t0())}, t0()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isInt() || !A[1]->isList())
           return nullptr;
         long I = A[0]->asInt();
@@ -236,7 +256,7 @@ ExprPtr defIndex() {
 ExprPtr defEq() {
   return definePrimitive(
       "=", Type::arrows({tInt(), tInt()}, tBool()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!allInts(A))
           return nullptr;
         return Value::makeBool(A[0]->asInt() == A[1]->asInt());
@@ -246,7 +266,7 @@ ExprPtr defEq() {
 ExprPtr defPlus() {
   return definePrimitive(
       "+", Type::arrows({tInt(), tInt()}, tInt()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!allInts(A))
           return nullptr;
         return Value::makeInt(A[0]->asInt() + A[1]->asInt());
@@ -256,7 +276,7 @@ ExprPtr defPlus() {
 ExprPtr defMinus() {
   return definePrimitive(
       "-", Type::arrows({tInt(), tInt()}, tInt()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!allInts(A))
           return nullptr;
         return Value::makeInt(A[0]->asInt() - A[1]->asInt());
@@ -266,7 +286,7 @@ ExprPtr defMinus() {
 ExprPtr defTimes() {
   return definePrimitive(
       "*", Type::arrows({tInt(), tInt()}, tInt()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!allInts(A))
           return nullptr;
         return Value::makeInt(A[0]->asInt() * A[1]->asInt());
@@ -276,7 +296,7 @@ ExprPtr defTimes() {
 ExprPtr defMod() {
   return definePrimitive(
       "mod", Type::arrows({tInt(), tInt()}, tInt()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!allInts(A) || A[1]->asInt() == 0)
           return nullptr;
         long M = A[0]->asInt() % A[1]->asInt();
@@ -289,7 +309,7 @@ ExprPtr defMod() {
 ExprPtr defGt() {
   return definePrimitive(
       ">", Type::arrows({tInt(), tInt()}, tBool()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!allInts(A))
           return nullptr;
         return Value::makeBool(A[0]->asInt() > A[1]->asInt());
@@ -299,7 +319,7 @@ ExprPtr defGt() {
 ExprPtr defIsSquare() {
   return definePrimitive(
       "is-square", Type::arrows({tInt()}, tBool()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isInt())
           return nullptr;
         return Value::makeBool(isSquareLong(A[0]->asInt()));
@@ -309,7 +329,7 @@ ExprPtr defIsSquare() {
 ExprPtr defIsPrime() {
   return definePrimitive(
       "is-prime", Type::arrows({tInt()}, tBool()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isInt())
           return nullptr;
         return Value::makeBool(isPrimeLong(A[0]->asInt()));
@@ -321,9 +341,9 @@ ExprPtr defFix() {
   // natively so strict evaluation terminates under the step budget.
   auto Holder = std::make_shared<ValuePtr>();
   BuiltinFn Fn = [Holder](EvalState &S,
-                          const std::vector<ValuePtr> &A) -> ValuePtr {
+                          std::span<const ValuePtr> A) -> ValuePtr {
     // (fix f) x  ==>  (f (fix f)) x
-    ValuePtr Self = Value::makeBuiltinPartial(**Holder, {A[0]});
+    ValuePtr Self = Value::makeBuiltinPartial(*Holder, A[0]);
     ValuePtr Unrolled = applyValue(A[0], Self, S);
     if (!Unrolled)
       return nullptr;
@@ -340,7 +360,7 @@ ExprPtr defFix() {
 ExprPtr defEmpty() {
   return definePrimitive(
       "empty?", Type::arrows({tList(t0())}, tBool()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isList())
           return nullptr;
         return Value::makeBool(A[0]->asList().empty());
@@ -351,7 +371,7 @@ ExprPtr defFilter() {
   return definePrimitive(
       "filter",
       Type::arrows({Type::arrow(t0(), tBool()), tList(t0())}, tList(t0())),
-      [](EvalState &S, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &S, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[1]->isList() || !A[0]->isCallable())
           return nullptr;
         std::vector<ValuePtr> Out;
@@ -369,7 +389,7 @@ ExprPtr defFilter() {
 ExprPtr defRange() {
   return definePrimitive(
       "range", Type::arrows({tInt()}, tList(tInt())),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isInt())
           return nullptr;
         long N = A[0]->asInt();
@@ -386,7 +406,7 @@ ExprPtr defRange() {
 ExprPtr defAppend() {
   return definePrimitive(
       "append", Type::arrows({tList(t0()), tList(t0())}, tList(t0())),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isList() || !A[1]->isList())
           return nullptr;
         std::vector<ValuePtr> Out = A[0]->asList();
@@ -402,7 +422,7 @@ ExprPtr defZip() {
       Type::arrows({Type::arrows({t0(), t1()}, t2()), tList(t0()),
                     tList(t1())},
                    tList(t2())),
-      [](EvalState &S, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &S, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isCallable() || !A[1]->isList() || !A[2]->isList())
           return nullptr;
         const auto &L = A[1]->asList();
@@ -431,7 +451,7 @@ ExprPtr defRealBinary(const std::string &Name,
                       double (*Op)(double, double)) {
   return definePrimitive(
       Name, Type::arrows({tReal(), tReal()}, tReal()),
-      [Op](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [Op](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!allNumeric(A))
           return nullptr;
         double R = Op(A[0]->asReal(), A[1]->asReal());
@@ -469,7 +489,7 @@ std::vector<ExprPtr> dc::prims::realArithmetic() {
       realPrimitive("1.", 1.0),
       realPrimitive("pi", 3.14159265358979323846),
       definePrimitive("sqrt.", Type::arrows({tReal()}, tReal()),
-                      [](EvalState &, const std::vector<ValuePtr> &A)
+                      [](EvalState &, std::span<const ValuePtr> A)
                           -> ValuePtr {
                         if (!A[0]->isInt() && !A[0]->isReal())
                           return nullptr;
@@ -479,7 +499,7 @@ std::vector<ExprPtr> dc::prims::realArithmetic() {
                         return Value::makeReal(R);
                       }),
       definePrimitive("square.", Type::arrows({tReal()}, tReal()),
-                      [](EvalState &, const std::vector<ValuePtr> &A)
+                      [](EvalState &, std::span<const ValuePtr> A)
                           -> ValuePtr {
                         if (!A[0]->isInt() && !A[0]->isReal())
                           return nullptr;

@@ -11,6 +11,13 @@
 /// startup and receive interned Expr handles suitable for building
 /// grammars.
 ///
+/// A registered value is immortal: the registry, which is never destroyed,
+/// holds its one owning reference, and the node holds a non-owning alias (a
+/// shared_ptr with an empty owner). So the copies evaluation makes of a
+/// primitive's value touch no reference count, and serve workers share
+/// none. Registration also tags the evaluator's special primitives, `if`
+/// and `REAL` (Expr::special).
+///
 /// This header also exposes the shared standard library: the functional core
 /// (map/fold/cons/...), arithmetic, the 1959-Lisp subset with the fixpoint
 /// combinator, and real-valued arithmetic for physics/regression.
@@ -26,7 +33,7 @@ namespace dc {
 
 /// Registers (or re-fetches, when already present with the same name) a
 /// primitive with native semantics. \p Fn receives functionArity(Ty)
-/// evaluated arguments.
+/// (at most MaxBuiltinArity) evaluated arguments.
 ExprPtr definePrimitive(const std::string &Name, const TypePtr &Ty,
                         BuiltinFn Fn);
 

@@ -69,7 +69,8 @@ public:
   }
 
   ExprPtr intern(const ExprKey &Key, TypePtr DeclType = nullptr,
-                 ValuePtr Val = nullptr);
+                 ValuePtr Val = nullptr,
+                 SpecialPrimitive Special = SpecialPrimitive::None);
 
 private:
   static constexpr int ShardBits = 6;
@@ -98,6 +99,9 @@ private:
 
 } // namespace dc
 
+// The evaluator's tag and capture flag sit in the padding after the kind.
+static_assert(sizeof(Expr) <= 88, "an Expr node outgrew 88 bytes");
+
 void ExprArena::grow(Shard &S) {
   std::vector<Slot> Old(std::max<size_t>(64, S.Slots.size() * 2));
   Old.swap(S.Slots);
@@ -113,7 +117,7 @@ void ExprArena::grow(Shard &S) {
 }
 
 ExprPtr ExprArena::intern(const ExprKey &Key, TypePtr DeclType,
-                          ValuePtr Val) {
+                          ValuePtr Val, SpecialPrimitive Special) {
   const size_t Hash = keyHash(Key);
   const uint64_t Mixed = mixHash(Hash);
   Shard &S = Shards[Mixed & (NumShards - 1)];
@@ -128,6 +132,11 @@ ExprPtr ExprArena::intern(const ExprKey &Key, TypePtr DeclType,
 
   auto *Node = new Expr();
   Node->TheKind = Key.Kind;
+  Node->Special = Special;
+  Node->MayCapture =
+      Key.Kind == ExprKind::Abstraction ||
+      (Key.Kind == ExprKind::Application &&
+       (Key.A->MayCapture || Key.B->MayCapture));
   Node->IndexVal = Key.Index;
   Node->Name = Key.Name;
   Node->DeclType = DeclType;
@@ -164,10 +173,11 @@ ExprPtr Expr::index(int I) {
 }
 
 ExprPtr Expr::primitive(const std::string &Name, const TypePtr &Ty,
-                        ValuePtr Value) {
+                        ValuePtr Value, SpecialPrimitive Special) {
   assert(Ty && "primitive requires a type");
   return ExprArena::get().intern(
-      {ExprKind::Primitive, 0, Name, nullptr, nullptr}, Ty, std::move(Value));
+      {ExprKind::Primitive, 0, Name, nullptr, nullptr}, Ty, std::move(Value),
+      Special);
 }
 
 ExprPtr Expr::invented(ExprPtr Body) {

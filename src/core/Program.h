@@ -53,6 +53,14 @@ enum class ExprKind : uint8_t {
   Application, ///< (f x)
 };
 
+/// The primitives the evaluator treats specially (core/Evaluator.h),
+/// tagged once when the registry creates their nodes.
+enum class SpecialPrimitive : uint8_t {
+  None,
+  If,   ///< `if`, whose branches are evaluated lazily
+  Real, ///< `REAL`, the symbolic-regression constant placeholder
+};
+
 /// One interned λ-calculus node.
 class Expr {
 public:
@@ -111,17 +119,29 @@ public:
 
   size_t hash() const { return HashVal; }
 
+  /// The evaluator's tag for this node: None except on the `if` and
+  /// `REAL` primitives.
+  SpecialPrimitive special() const { return Special; }
+
+  /// True when evaluating this node can build a closure over its
+  /// environment: an abstraction sits in it outside any invention
+  /// (invention bodies are closed and evaluate under the empty
+  /// environment). A closure whose body cannot capture binds its argument
+  /// in a stack frame (core/Evaluator.cpp). Computed at intern time.
+  bool mayCapture() const { return MayCapture; }
+
   //===--------------------------------------------------------------------===//
   // Factories (interned)
   //===--------------------------------------------------------------------===//
 
   /// The node for $I; the small indices come from a table built once.
   static ExprPtr index(int I);
-  /// Interns the primitive \p Name with its type and value. The registry
-  /// (definePrimitive, core/Primitives.h) is its only caller: a name is
-  /// one node, created with the value it was first registered with.
+  /// Interns the primitive \p Name with its type, value and evaluator tag.
+  /// The registry (definePrimitive, core/Primitives.h) is its only caller:
+  /// a name is one node, created with the value it was first registered
+  /// with.
   static ExprPtr primitive(const std::string &Name, const TypePtr &Ty,
-                           ValuePtr Value);
+                           ValuePtr Value, SpecialPrimitive Special);
   /// Interns an invention wrapping \p Body; the type is inferred and cached.
   static ExprPtr invented(ExprPtr Body);
   static ExprPtr abstraction(ExprPtr Body);
@@ -196,6 +216,9 @@ private:
   Expr() = default;
 
   ExprKind TheKind = ExprKind::Index;
+  // The two flags fill padding, so a node stays 88 bytes.
+  SpecialPrimitive Special = SpecialPrimitive::None;
+  bool MayCapture = false;
   int IndexVal = 0;
   std::string Name;
   TypePtr DeclType;

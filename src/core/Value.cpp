@@ -6,6 +6,7 @@
 #include <sstream>
 
 using namespace dc;
+using namespace dc::layout;
 
 EnvPtr dc::envExtend(EnvPtr Env, ValuePtr V) {
   auto Node = std::make_shared<EnvNode>();
@@ -23,6 +24,13 @@ ValuePtr dc::envLookup(const EnvPtr &Env, int I) {
   return Cur ? Cur->Head : nullptr;
 }
 
+// The layout sizes Value.h promises, on 64-bit targets.
+static_assert(sizeof(void *) != 8 || sizeof(ScalarValue) == 16);
+static_assert(sizeof(void *) != 8 || sizeof(ListValue) <= 32);
+static_assert(sizeof(void *) != 8 || sizeof(ClosureValue) == 32);
+static_assert(sizeof(void *) != 8 || sizeof(BuiltinPartial) == 48);
+static_assert(sizeof(void *) != 8 || sizeof(OpaqueValue) <= 56);
+
 bool Value::equals(const Value &Other) const {
   if (TheKind != Other.TheKind) {
     // Int/Real compare numerically across kinds; everything else requires
@@ -33,18 +41,19 @@ bool Value::equals(const Value &Other) const {
   }
   switch (TheKind) {
   case ValueKind::Int:
-    return IntVal == Other.IntVal;
+    return asInt() == Other.asInt();
   case ValueKind::Real:
-    return std::fabs(RealVal - Other.RealVal) < 1e-9;
+    return std::fabs(asReal() - Other.asReal()) < 1e-9;
   case ValueKind::Bool:
-    return BoolVal == Other.BoolVal;
+    return asBool() == Other.asBool();
   case ValueKind::Char:
-    return CharVal == Other.CharVal;
+    return asChar() == Other.asChar();
   case ValueKind::List: {
-    if (ListVal.size() != Other.ListVal.size())
+    const std::vector<ValuePtr> &L = asList(), &R = Other.asList();
+    if (L.size() != R.size())
       return false;
-    for (size_t I = 0; I < ListVal.size(); ++I)
-      if (!ListVal[I]->equals(*Other.ListVal[I]))
+    for (size_t I = 0; I < L.size(); ++I)
+      if (!L[I]->equals(*R[I]))
         return false;
     return true;
   }
@@ -52,7 +61,7 @@ bool Value::equals(const Value &Other) const {
   case ValueKind::Builtin:
     return this == &Other;
   case ValueKind::Opaque:
-    return Payload.get() == Other.Payload.get();
+    return opaquePayload().get() == Other.opaquePayload().get();
   }
   return false;
 }
@@ -60,73 +69,67 @@ bool Value::equals(const Value &Other) const {
 std::string Value::show() const {
   switch (TheKind) {
   case ValueKind::Int:
-    return std::to_string(IntVal);
+    return std::to_string(asInt());
   case ValueKind::Real: {
     std::ostringstream OS;
-    OS << RealVal;
+    OS << asReal();
     return OS.str();
   }
   case ValueKind::Bool:
-    return BoolVal ? "true" : "false";
+    return asBool() ? "true" : "false";
   case ValueKind::Char:
-    return std::string("'") + CharVal + "'";
+    return std::string("'") + asChar() + "'";
   case ValueKind::List: {
     // Character lists print as quoted strings for readability.
-    bool AllChars = !ListVal.empty();
-    for (const ValuePtr &E : ListVal)
+    const std::vector<ValuePtr> &L = asList();
+    bool AllChars = !L.empty();
+    for (const ValuePtr &E : L)
       AllChars = AllChars && E->isChar();
     if (AllChars) {
       std::string S = "\"";
-      for (const ValuePtr &E : ListVal)
+      for (const ValuePtr &E : L)
         S += E->asChar();
       return S + "\"";
     }
     std::string S = "[";
-    for (size_t I = 0; I < ListVal.size(); ++I) {
+    for (size_t I = 0; I < L.size(); ++I) {
       if (I)
         S += ", ";
-      S += ListVal[I]->show();
+      S += L[I]->show();
     }
     return S + "]";
   }
   case ValueKind::Closure:
-    return "<closure " + Body->show() + ">";
+    return "<closure " + closureBody()->show() + ">";
   case ValueKind::Builtin:
-    return "<builtin " + Name + ">";
+    return "<builtin " + builtinName() + ">";
   case ValueKind::Opaque:
-    return "<" + Name + ">";
+    return "<" + opaqueTag() + ">";
   }
   return "<?>";
 }
 
-ValuePtr Value::makeInt(long V) {
-  auto P = make(ValueKind::Int);
-  P->IntVal = V;
-  return P;
+void Value::builtinPendingInto(ValuePtr *Out) const {
+  const Value *V = this;
+  for (int I = builtinPendingCount() - 1; I >= 0; --I) {
+    const auto &P = static_cast<const BuiltinPartial &>(*V);
+    Out[I] = P.Arg;
+    V = P.Prev.get();
+  }
 }
+
+ValuePtr Value::makeInt(long V) { return std::make_shared<ScalarValue>(V); }
 
 ValuePtr Value::makeReal(double V) {
-  auto P = make(ValueKind::Real);
-  P->RealVal = V;
-  return P;
+  return std::make_shared<ScalarValue>(V);
 }
 
-ValuePtr Value::makeBool(bool V) {
-  auto P = make(ValueKind::Bool);
-  P->BoolVal = V;
-  return P;
-}
+ValuePtr Value::makeBool(bool V) { return std::make_shared<ScalarValue>(V); }
 
-ValuePtr Value::makeChar(char V) {
-  auto P = make(ValueKind::Char);
-  P->CharVal = V;
-  return P;
-}
+ValuePtr Value::makeChar(char V) { return std::make_shared<ScalarValue>(V); }
 
 ValuePtr Value::makeList(std::vector<ValuePtr> Elems) {
-  auto P = make(ValueKind::List);
-  P->ListVal = std::move(Elems);
-  return P;
+  return std::make_shared<ListValue>(std::move(Elems));
 }
 
 ValuePtr Value::makeString(const std::string &S) {
@@ -138,38 +141,28 @@ ValuePtr Value::makeString(const std::string &S) {
 }
 
 ValuePtr Value::makeClosure(ExprPtr Body, EnvPtr Env) {
-  auto P = make(ValueKind::Closure);
-  P->Body = Body;
-  P->Env = std::move(Env);
-  return P;
+  return std::make_shared<ClosureValue>(Body, std::move(Env));
 }
 
 ValuePtr Value::makeBuiltin(std::string Name, int Arity, BuiltinFn Fn) {
-  assert(Arity >= 1 && "builtins must take at least one argument");
-  auto P = make(ValueKind::Builtin);
-  P->Name = std::move(Name);
-  P->Arity = Arity;
-  P->Fn = std::move(Fn);
-  return P;
+  assert(Arity >= 1 && Arity <= MaxBuiltinArity &&
+         "builtins take 1..MaxBuiltinArity arguments");
+  return std::make_shared<BuiltinDefinition>(std::move(Name), Arity,
+                                             std::move(Fn));
 }
 
-ValuePtr Value::makeBuiltinPartial(const Value &Base,
-                                   std::vector<ValuePtr> Pending) {
-  assert(Base.isBuiltin() && "partial application requires a builtin");
-  auto P = make(ValueKind::Builtin);
-  P->Name = Base.Name;
-  P->Arity = Base.Arity;
-  P->Fn = Base.Fn;
-  P->Pending = std::move(Pending);
-  return P;
+ValuePtr Value::makeBuiltinPartial(ValuePtr F, ValuePtr Arg) {
+  assert(F && F->isBuiltin() && "partial application requires a builtin");
+  const int Pending = F->builtinPendingCount() + 1;
+  assert(Pending < F->builtinArity() && "a saturated builtin is a call");
+  const BuiltinDefinition *Def = &definitionOf(*F);
+  return std::make_shared<BuiltinPartial>(Def, Pending, std::move(F),
+                                          std::move(Arg));
 }
 
 ValuePtr Value::makeOpaque(std::string Tag,
                            std::shared_ptr<const void> Payload) {
-  auto P = make(ValueKind::Opaque);
-  P->Name = std::move(Tag);
-  P->Payload = std::move(Payload);
-  return P;
+  return std::make_shared<OpaqueValue>(std::move(Tag), std::move(Payload));
 }
 
 std::optional<std::string> Value::toString(const ValuePtr &V) {

@@ -10,6 +10,14 @@
 /// bodies, partially-applied builtins, and opaque domain objects (turtle
 /// states, towers, regexes, ...). Values are immutable and shared.
 ///
+/// Each value is one make_shared of a layout sized to its kind, behind the
+/// accessors of Value: 16 bytes for a scalar, 32 for a list or a closure,
+/// 48 for a partial application, 56 for an opaque (on 64-bit targets). A
+/// builtin's name, arity and native function live once, in the value
+/// definePrimitive registers (core/Primitives.h); a partial application is
+/// (definition, the previous partial, one argument), so applying a builtin
+/// copies no function, name or argument vector.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DC_CORE_VALUE_H
@@ -20,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,10 +51,14 @@ EnvPtr envExtend(EnvPtr Env, ValuePtr V);
 ValuePtr envLookup(const EnvPtr &Env, int I);
 
 /// Native implementation of a builtin primitive. Receives exactly `arity`
-/// evaluated arguments; returns nullptr to signal a runtime error (the error
-/// propagates and the program fails on the current task).
+/// evaluated arguments, in order; returns nullptr to signal a runtime error
+/// (the error propagates and the program fails on the current task).
 using BuiltinFn =
-    std::function<ValuePtr(EvalState &, const std::vector<ValuePtr> &)>;
+    std::function<ValuePtr(EvalState &, std::span<const ValuePtr>)>;
+
+/// The most arguments a builtin may take: the evaluator gathers a
+/// saturated call's arguments in a stack array of this size.
+constexpr int MaxBuiltinArity = 8;
 
 /// Discriminator for Value.
 enum class ValueKind : uint8_t {
@@ -59,7 +72,17 @@ enum class ValueKind : uint8_t {
   Opaque,  ///< domain-specific payload (turtle state, regex node, ...)
 };
 
-/// One immutable runtime value.
+namespace layout {
+struct ScalarValue;
+struct ListValue;
+struct ClosureValue;
+struct BuiltinDefinition;
+struct BuiltinPartial;
+struct OpaqueValue;
+} // namespace layout
+
+/// One immutable runtime value: the header each kind's layout (namespace
+/// `layout` below) starts with.
 class Value {
 public:
   ValueKind kind() const { return TheKind; }
@@ -74,62 +97,34 @@ public:
   /// True for closures and builtins (things that can be applied).
   bool isCallable() const { return isClosure() || isBuiltin(); }
 
-  long asInt() const {
-    assert(isInt() && "not an int");
-    return IntVal;
-  }
-  double asReal() const {
-    assert((isReal() || isInt()) && "not numeric");
-    return isInt() ? static_cast<double>(IntVal) : RealVal;
-  }
-  bool asBool() const {
-    assert(isBool() && "not a bool");
-    return BoolVal;
-  }
-  char asChar() const {
-    assert(isChar() && "not a char");
-    return CharVal;
-  }
-  const std::vector<ValuePtr> &asList() const {
-    assert(isList() && "not a list");
-    return ListVal;
-  }
+  inline long asInt() const;
+  inline double asReal() const;
+  inline bool asBool() const;
+  inline char asChar() const;
+  inline const std::vector<ValuePtr> &asList() const;
 
-  ExprPtr closureBody() const {
-    assert(isClosure() && "not a closure");
-    return Body;
-  }
-  const EnvPtr &closureEnv() const {
-    assert(isClosure() && "not a closure");
-    return Env;
-  }
+  inline ExprPtr closureBody() const;
+  inline const EnvPtr &closureEnv() const;
 
-  const std::string &builtinName() const {
-    assert(isBuiltin() && "not a builtin");
-    return Name;
-  }
+  inline const std::string &builtinName() const;
   int builtinArity() const {
     assert(isBuiltin() && "not a builtin");
     return Arity;
   }
-  const BuiltinFn &builtinFn() const {
-    assert(isBuiltin() && "not a builtin");
-    return Fn;
-  }
-  const std::vector<ValuePtr> &builtinPending() const {
+  /// Arguments this builtin value has collected: 0 for the registered
+  /// definition, k for a partial application to k arguments.
+  int builtinPendingCount() const {
     assert(isBuiltin() && "not a builtin");
     return Pending;
   }
+  inline const BuiltinFn &builtinFn() const;
+  /// The collected arguments, in order, copied into \p Out (which holds at
+  /// least builtinPendingCount() values).
+  void builtinPendingInto(ValuePtr *Out) const;
 
   /// Tag identifying the domain payload type (e.g. "turtle", "regex").
-  const std::string &opaqueTag() const {
-    assert(isOpaque() && "not opaque");
-    return Name;
-  }
-  const std::shared_ptr<const void> &opaquePayload() const {
-    assert(isOpaque() && "not opaque");
-    return Payload;
-  }
+  inline const std::string &opaqueTag() const;
+  inline const std::shared_ptr<const void> &opaquePayload() const;
 
   /// Structural equality; callables compare by identity (never equal unless
   /// the same object), opaques by payload pointer identity unless the domain
@@ -151,10 +146,11 @@ public:
   /// Builds list(char) from a std::string.
   static ValuePtr makeString(const std::string &S);
   static ValuePtr makeClosure(ExprPtr Body, EnvPtr Env);
+  /// A builtin definition taking \p Arity (1..MaxBuiltinArity) arguments.
   static ValuePtr makeBuiltin(std::string Name, int Arity, BuiltinFn Fn);
-  /// A builtin with some arguments already collected.
-  static ValuePtr makeBuiltinPartial(const Value &Base,
-                                     std::vector<ValuePtr> Pending);
+  /// \p F (a builtin definition or partial application that still lacks
+  /// two or more arguments) with \p Arg collected as its next argument.
+  static ValuePtr makeBuiltinPartial(ValuePtr F, ValuePtr Arg);
   static ValuePtr makeOpaque(std::string Tag,
                              std::shared_ptr<const void> Payload);
 
@@ -162,35 +158,143 @@ public:
   /// is not a character list.
   static std::optional<std::string> toString(const ValuePtr &V);
 
-private:
-  /// Passkey: only the factories construct values, through make_shared,
-  /// so the value and its reference count share one allocation.
-  struct Key {
-    explicit Key() = default;
-  };
-
-public:
-  Value(Key, ValueKind K) : TheKind(K) {}
+protected:
+  explicit Value(ValueKind K) : TheKind(K) {}
+  /// A builtin's header also carries its arity and collected arguments.
+  Value(int Arity, int Pending)
+      : TheKind(ValueKind::Builtin), Arity(static_cast<uint8_t>(Arity)),
+        Pending(static_cast<uint8_t>(Pending)) {}
 
 private:
-  static std::shared_ptr<Value> make(ValueKind K) {
-    return std::make_shared<Value>(Key{}, K);
-  }
-
   ValueKind TheKind;
-  long IntVal = 0;
-  double RealVal = 0;
-  bool BoolVal = false;
-  char CharVal = 0;
-  std::vector<ValuePtr> ListVal;
-  ExprPtr Body = nullptr;
+  uint8_t Arity = 0;   ///< builtins only
+  uint8_t Pending = 0; ///< builtins only
+};
+
+namespace layout {
+
+/// Int, Real, Bool and Char: 16 bytes.
+struct ScalarValue final : Value {
+  explicit ScalarValue(long V) : Value(ValueKind::Int), Int(V) {}
+  explicit ScalarValue(double V) : Value(ValueKind::Real), Real(V) {}
+  explicit ScalarValue(bool V) : Value(ValueKind::Bool), Bool(V) {}
+  explicit ScalarValue(char V) : Value(ValueKind::Char), Char(V) {}
+  union {
+    long Int;
+    double Real;
+    bool Bool;
+    char Char;
+  };
+};
+
+/// 32 bytes; the elements live in the vector's own buffer.
+struct ListValue final : Value {
+  explicit ListValue(std::vector<ValuePtr> Elems)
+      : Value(ValueKind::List), Elems(std::move(Elems)) {}
+  std::vector<ValuePtr> Elems;
+};
+
+/// 32 bytes.
+struct ClosureValue final : Value {
+  ClosureValue(ExprPtr Body, EnvPtr Env)
+      : Value(ValueKind::Closure), Body(Body), Env(std::move(Env)) {}
+  ExprPtr Body;
   EnvPtr Env;
+};
+
+/// A builtin as registered: its name and native function, stored once.
+struct BuiltinDefinition final : Value {
+  BuiltinDefinition(std::string Name, int Arity, BuiltinFn Fn)
+      : Value(Arity, 0), Name(std::move(Name)), Fn(std::move(Fn)) {}
   std::string Name;
-  int Arity = 0;
   BuiltinFn Fn;
-  std::vector<ValuePtr> Pending;
+};
+
+/// A builtin applied to Pending (>= 1) arguments: 48 bytes. Prev is the
+/// value it was built from (the definition when Pending is 1), Arg the
+/// last argument.
+struct BuiltinPartial final : Value {
+  BuiltinPartial(const BuiltinDefinition *Def, int Pending, ValuePtr Prev,
+                 ValuePtr Arg)
+      : Value(Def->builtinArity(), Pending), Def(Def), Prev(std::move(Prev)),
+        Arg(std::move(Arg)) {}
+  const BuiltinDefinition *Def;
+  ValuePtr Prev;
+  ValuePtr Arg;
+};
+
+/// 56 bytes.
+struct OpaqueValue final : Value {
+  OpaqueValue(std::string Tag, std::shared_ptr<const void> Payload)
+      : Value(ValueKind::Opaque), Tag(std::move(Tag)),
+        Payload(std::move(Payload)) {}
+  std::string Tag;
   std::shared_ptr<const void> Payload;
 };
+
+/// The definition behind a builtin value.
+inline const BuiltinDefinition &definitionOf(const Value &V) {
+  assert(V.isBuiltin() && "not a builtin");
+  return V.builtinPendingCount() == 0
+             ? static_cast<const BuiltinDefinition &>(V)
+             : *static_cast<const BuiltinPartial &>(V).Def;
+}
+
+} // namespace layout
+
+long Value::asInt() const {
+  assert(isInt() && "not an int");
+  return static_cast<const layout::ScalarValue *>(this)->Int;
+}
+
+double Value::asReal() const {
+  assert((isReal() || isInt()) && "not numeric");
+  const auto *S = static_cast<const layout::ScalarValue *>(this);
+  return isInt() ? static_cast<double>(S->Int) : S->Real;
+}
+
+bool Value::asBool() const {
+  assert(isBool() && "not a bool");
+  return static_cast<const layout::ScalarValue *>(this)->Bool;
+}
+
+char Value::asChar() const {
+  assert(isChar() && "not a char");
+  return static_cast<const layout::ScalarValue *>(this)->Char;
+}
+
+const std::vector<ValuePtr> &Value::asList() const {
+  assert(isList() && "not a list");
+  return static_cast<const layout::ListValue *>(this)->Elems;
+}
+
+ExprPtr Value::closureBody() const {
+  assert(isClosure() && "not a closure");
+  return static_cast<const layout::ClosureValue *>(this)->Body;
+}
+
+const EnvPtr &Value::closureEnv() const {
+  assert(isClosure() && "not a closure");
+  return static_cast<const layout::ClosureValue *>(this)->Env;
+}
+
+const std::string &Value::builtinName() const {
+  return layout::definitionOf(*this).Name;
+}
+
+const BuiltinFn &Value::builtinFn() const {
+  return layout::definitionOf(*this).Fn;
+}
+
+const std::string &Value::opaqueTag() const {
+  assert(isOpaque() && "not opaque");
+  return static_cast<const layout::OpaqueValue *>(this)->Tag;
+}
+
+const std::shared_ptr<const void> &Value::opaquePayload() const {
+  assert(isOpaque() && "not opaque");
+  return static_cast<const layout::OpaqueValue *>(this)->Payload;
+}
 
 } // namespace dc
 

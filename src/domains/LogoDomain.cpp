@@ -29,7 +29,7 @@ const TurtleState *unwrapTurtle(const ValuePtr &V) {
 
 /// move(length, angle, turtle): draw `length` forward, then rotate by
 /// `angle` — the paper's combined FWRT primitive.
-ValuePtr logoMove(EvalState &, const std::vector<ValuePtr> &A) {
+ValuePtr logoMove(EvalState &, std::span<const ValuePtr> A) {
   const TurtleState *T = unwrapTurtle(A[2]);
   if (!T || (!A[0]->isReal() && !A[0]->isInt()) ||
       (!A[1]->isReal() && !A[1]->isInt()))
@@ -68,7 +68,7 @@ std::vector<ExprPtr> logoPrimitives() {
     char O = Op;
     Out.push_back(definePrimitive(
         Name, Type::arrows({tReal(), tInt()}, tReal()),
-        [O](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+        [O](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
           if ((!A[0]->isReal() && !A[0]->isInt()) || !A[1]->isInt())
             return nullptr;
           long N = A[1]->asInt();
@@ -84,7 +84,7 @@ std::vector<ExprPtr> logoPrimitives() {
   // Bounded iteration: (logo-for n body turtle).
   Out.push_back(definePrimitive(
       "logo-for", Type::arrows({tInt(), Step, TT}, TT),
-      [](EvalState &S, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &S, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isInt() || !A[1]->isCallable())
           return nullptr;
         long N = A[0]->asInt();
@@ -101,7 +101,7 @@ std::vector<ExprPtr> logoPrimitives() {
   // Embed: run a sub-drawing, then restore position and heading.
   Out.push_back(definePrimitive(
       "logo-embed", Type::arrows({Step, TT}, TT),
-      [](EvalState &S, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &S, std::span<const ValuePtr> A) -> ValuePtr {
         const TurtleState *T = unwrapTurtle(A[1]);
         if (!T || !A[0]->isCallable())
           return nullptr;
@@ -127,15 +127,14 @@ ValuePtr dc::initialTurtle() {
   return wrapTurtle(std::make_shared<TurtleState>());
 }
 
-std::vector<int> dc::renderTurtle(const ValuePtr &Turtle, int Size) {
+TurtleRaster dc::rasterizeTurtle(const ValuePtr &Turtle) {
+  TurtleRaster Raster;
   const TurtleState *T = unwrapTurtle(Turtle);
-  std::vector<int> Cells;
   if (!T)
-    return Cells;
+    return Raster;
   // Center the canvas at the start position; 2 pixels per cell.
   const double Scale = 1.0;
-  const double Offset = Size / 2.0;
-  std::vector<char> Grid(Size * Size, 0);
+  const double Offset = LogoCanvasSize / 2.0;
   for (const TurtleState::Segment &S : T->Segments) {
     double Len = std::hypot(S.X1 - S.X0, S.Y1 - S.Y0);
     int Steps = std::max(2, static_cast<int>(Len * 2));
@@ -145,12 +144,18 @@ std::vector<int> dc::renderTurtle(const ValuePtr &Turtle, int Size) {
       double Y = (S.Y0 + U * (S.Y1 - S.Y0)) * Scale + Offset;
       int CX = static_cast<int>(std::floor(X));
       int CY = static_cast<int>(std::floor(Y));
-      if (CX >= 0 && CX < Size && CY >= 0 && CY < Size)
-        Grid[CY * Size + CX] = 1;
+      if (CX >= 0 && CX < LogoCanvasSize && CY >= 0 && CY < LogoCanvasSize)
+        Raster.set(CY * LogoCanvasSize + CX);
     }
   }
-  for (int I = 0; I < Size * Size; ++I)
-    if (Grid[I])
+  return Raster;
+}
+
+std::vector<int> dc::renderTurtle(const ValuePtr &Turtle) {
+  const TurtleRaster Raster = rasterizeTurtle(Turtle);
+  std::vector<int> Cells;
+  for (int I = 0; I < static_cast<int>(Raster.size()); ++I)
+    if (Raster.test(I))
       Cells.push_back(I);
   return Cells;
 }
@@ -164,15 +169,22 @@ LogoTask::LogoTask(std::string Name, std::vector<int> TargetCells)
   for (int C : Cells)
     CellValues.push_back(Value::makeInt(C));
   Examples.push_back({{initialTurtle()}, Value::makeList(CellValues)});
+  // renderTurtle's cells are distinct, ascending and on the canvas; a
+  // target list of any other shape equals no rendering.
+  const int Canvas = LogoCanvasSize * LogoCanvasSize;
+  Matchable = std::adjacent_find(Cells.begin(), Cells.end(),
+                                 std::greater_equal<int>()) == Cells.end() &&
+              (Cells.empty() || (Cells.front() >= 0 && Cells.back() < Canvas));
+  if (Matchable)
+    for (int C : Cells)
+      Target.set(C);
 }
 
 double LogoTask::logLikelihood(ExprPtr Program) const {
   ValuePtr Out = runProgram(Program, {initialTurtle()}, StepBudget);
-  if (!Out)
+  if (!Out || !Matchable || rasterizeTurtle(Out) != Target)
     return -std::numeric_limits<double>::infinity();
-  std::vector<int> Got = renderTurtle(Out);
-  return Got == Cells ? 0.0
-                      : -std::numeric_limits<double>::infinity();
+  return 0.0;
 }
 
 std::vector<float> LogoFeaturizer::featurize(const Task &T) const {
@@ -192,41 +204,7 @@ std::vector<float> LogoFeaturizer::featurize(const Task &T) const {
   return F;
 }
 
-DomainSpec dc::makeLogoDomain(unsigned Seed) {
-  (void)Seed; // the corpus is deterministic ground-truth programs
-  DomainSpec D;
-  D.Name = "logo";
-  D.BasePrimitives = logoPrimitives();
-  D.Featurizer = std::make_shared<LogoFeaturizer>();
-  D.Search.InitialBudget = 8.0;
-  D.Search.BudgetStep = 1.5;
-  D.Search.MaxBudget = 14.0;
-  D.Search.NodeBudget = 250000;
-  D.Search.ExtraWindowsAfterSolution = 1;
-
-  // Dreamed programs become image-matching tasks.
-  D.Hook = [](ExprPtr Program, const TaskPtr &Seed2,
-              std::mt19937 &) -> TaskPtr {
-    ValuePtr Out = runProgram(Program, {initialTurtle()},
-                              Seed2->stepBudget());
-    if (!Out)
-      return nullptr;
-    std::vector<int> Cells = renderTurtle(Out);
-    if (Cells.empty() || Cells.size() > 600)
-      return nullptr;
-    std::string Sig = "logo";
-    for (int C : Cells) {
-      Sig += ':';
-      Sig += std::to_string(C);
-    }
-    return std::make_shared<LogoTask>("fantasy-" + Sig, std::move(Cells));
-  };
-
-  // Ground-truth corpus: program sources drawn with the same primitives.
-  struct Figure {
-    const char *Name;
-    std::string Source;
-  };
+std::vector<LogoFigure> dc::logoCorpusFigures() {
   auto Polygon = [](int N) {
     return "(lambda (logo-for " + std::to_string(N) +
            " (lambda (logo-move logo-ul (logo-div logo-ua " +
@@ -237,7 +215,7 @@ DomainSpec dc::makeLogoDomain(unsigned Seed) {
            " (lambda (logo-move (logo-div logo-ul " + std::to_string(K) +
            ") (logo-div logo-ua " + std::to_string(N) + ") $0)) $0))";
   };
-  std::vector<Figure> Figures = {
+  return {
       {"line", "(lambda (logo-move logo-ul logo-za $0))"},
       {"short-line",
        "(lambda (logo-move (logo-div logo-ul 2) logo-za $0))"},
@@ -274,9 +252,41 @@ DomainSpec dc::makeLogoDomain(unsigned Seed) {
        "(logo-for 3 (lambda (logo-move logo-ul (logo-div logo-ua 3) $0)) "
        "$0)) $0)))"},
   };
+}
 
+DomainSpec dc::makeLogoDomain(unsigned Seed) {
+  (void)Seed; // the corpus is deterministic ground-truth programs
+  DomainSpec D;
+  D.Name = "logo";
+  D.BasePrimitives = logoPrimitives();
+  D.Featurizer = std::make_shared<LogoFeaturizer>();
+  D.Search.InitialBudget = 8.0;
+  D.Search.BudgetStep = 1.5;
+  D.Search.MaxBudget = 14.0;
+  D.Search.NodeBudget = 250000;
+  D.Search.ExtraWindowsAfterSolution = 1;
+
+  // Dreamed programs become image-matching tasks.
+  D.Hook = [](ExprPtr Program, const TaskPtr &Seed2,
+              std::mt19937 &) -> TaskPtr {
+    ValuePtr Out = runProgram(Program, {initialTurtle()},
+                              Seed2->stepBudget());
+    if (!Out)
+      return nullptr;
+    std::vector<int> Cells = renderTurtle(Out);
+    if (Cells.empty() || Cells.size() > 600)
+      return nullptr;
+    std::string Sig = "logo";
+    for (int C : Cells) {
+      Sig += ':';
+      Sig += std::to_string(C);
+    }
+    return std::make_shared<LogoTask>("fantasy-" + Sig, std::move(Cells));
+  };
+
+  // Ground-truth corpus: program sources drawn with the same primitives.
   int Index = 0;
-  for (const Figure &Fig : Figures) {
+  for (const LogoFigure &Fig : logoCorpusFigures()) {
     std::string Err;
     ExprPtr P = parseProgram(Fig.Source, &Err);
     assert(P && "logo ground-truth program failed to parse");

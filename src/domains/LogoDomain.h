@@ -22,6 +22,8 @@
 
 #include "domains/Domain.h"
 
+#include <bitset>
+
 namespace dc {
 
 /// Immutable turtle state threaded through LOGO programs as an opaque
@@ -42,10 +44,19 @@ TypePtr tTurtle();
 /// Fresh turtle at the canvas origin.
 ValuePtr initialTurtle();
 
-/// Rasterizes the turtle's trace onto a Size×Size grid and returns the
-/// sorted list of occupied cell indices (the image representation used for
-/// matching, featurization, and dreaming).
-std::vector<int> renderTurtle(const ValuePtr &Turtle, int Size = 32);
+/// Side of the square canvas LOGO images are drawn on.
+constexpr int LogoCanvasSize = 32;
+
+/// The canvas cells a turtle's trace crosses: bit i is cell i.
+using TurtleRaster = std::bitset<LogoCanvasSize * LogoCanvasSize>;
+
+/// Rasterizes the turtle's trace onto the canvas, on the caller's stack:
+/// what LogoTask::logLikelihood compares, once per scored program.
+TurtleRaster rasterizeTurtle(const ValuePtr &Turtle);
+
+/// The sorted indices of rasterizeTurtle's occupied cells (the image
+/// representation of the corpus, featurization, and dreaming).
+std::vector<int> renderTurtle(const ValuePtr &Turtle);
 
 /// Task: match a target cell set; used both for the corpus and for dreams.
 class LogoTask : public Task {
@@ -56,6 +67,8 @@ public:
 
 private:
   std::vector<int> Cells;
+  TurtleRaster Target;    ///< Cells as a raster
+  bool Matchable = false; ///< Cells has the shape of a rendering
 };
 
 /// Featurizer: downsampled occupancy grid of the target image.
@@ -64,6 +77,17 @@ public:
   int dimension() const override { return 16 * 16; }
   std::vector<float> featurize(const Task &T) const override;
 };
+
+/// One ground-truth figure of the corpus: a task name and the program
+/// that draws it.
+struct LogoFigure {
+  const char *Name;
+  std::string Source;
+};
+
+/// The corpus figures, in the order makeLogoDomain renders each one into
+/// its task's target image.
+std::vector<LogoFigure> logoCorpusFigures();
 
 /// Builds the LOGO domain: polygons, stars, lines, and nested/embedded
 /// figures, split into train and test.

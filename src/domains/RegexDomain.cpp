@@ -205,7 +205,7 @@ std::vector<ExprPtr> regexPrimitives() {
   auto Unary = [&](const char *Name, RegexNode::Kind K) {
     Out.push_back(definePrimitive(
         Name, Type::arrows({R}, R),
-        [K](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+        [K](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
           RegexPtr X = unwrapRegex(A[0]);
           if (!X)
             return nullptr;
@@ -217,7 +217,7 @@ std::vector<ExprPtr> regexPrimitives() {
   auto Binary = [&](const char *Name, RegexNode::Kind K) {
     Out.push_back(definePrimitive(
         Name, Type::arrows({R, R}, R),
-        [K](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+        [K](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
           RegexPtr X = unwrapRegex(A[0]);
           RegexPtr Y = unwrapRegex(A[1]);
           if (!X || !Y)

@@ -13,7 +13,7 @@ int dc::countRealPlaceholders(ExprPtr Program) {
   case ExprKind::Index:
     return 0;
   case ExprKind::Primitive:
-    return Program->name() == "REAL" ? 1 : 0;
+    return Program->special() == SpecialPrimitive::Real ? 1 : 0;
   case ExprKind::Invented:
     return countRealPlaceholders(Program->body());
   case ExprKind::Abstraction:

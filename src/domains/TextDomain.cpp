@@ -24,14 +24,14 @@ std::vector<ExprPtr> textPrimitives() {
 
   Out.push_back(definePrimitive(
       "char-eq?", Type::arrows({tChar(), tChar()}, tBool()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isChar() || !A[1]->isChar())
           return nullptr;
         return Value::makeBool(A[0]->asChar() == A[1]->asChar());
       }));
   Out.push_back(definePrimitive(
       "char-upcase", Type::arrows({tChar()}, tChar()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isChar())
           return nullptr;
         return Value::makeChar(static_cast<char>(
@@ -39,7 +39,7 @@ std::vector<ExprPtr> textPrimitives() {
       }));
   Out.push_back(definePrimitive(
       "char-downcase", Type::arrows({tChar()}, tChar()),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isChar())
           return nullptr;
         return Value::makeChar(static_cast<char>(

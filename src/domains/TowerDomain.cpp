@@ -53,31 +53,31 @@ std::vector<ExprPtr> towerPrimitives() {
 
   Out.push_back(definePrimitive(
       "tower-right", Type::arrows({tInt(), TT}, TT),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isInt())
           return nullptr;
         return moveHand(A[1], A[0]->asInt());
       }));
   Out.push_back(definePrimitive(
       "tower-left", Type::arrows({tInt(), TT}, TT),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isInt())
           return nullptr;
         return moveHand(A[1], -A[0]->asInt());
       }));
   Out.push_back(definePrimitive(
       "tower-place-h", Type::arrows({TT}, TT),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         return placeBlock(A[0], 3, 1);
       }));
   Out.push_back(definePrimitive(
       "tower-place-v", Type::arrows({TT}, TT),
-      [](EvalState &, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> A) -> ValuePtr {
         return placeBlock(A[0], 1, 3);
       }));
   Out.push_back(definePrimitive(
       "tower-for", Type::arrows({tInt(), Step, TT}, TT),
-      [](EvalState &S, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &S, std::span<const ValuePtr> A) -> ValuePtr {
         if (!A[0]->isInt() || !A[1]->isCallable())
           return nullptr;
         long N = A[0]->asInt();
@@ -93,7 +93,7 @@ std::vector<ExprPtr> towerPrimitives() {
       }));
   Out.push_back(definePrimitive(
       "tower-embed", Type::arrows({Step, TT}, TT),
-      [](EvalState &S, const std::vector<ValuePtr> &A) -> ValuePtr {
+      [](EvalState &S, std::span<const ValuePtr> A) -> ValuePtr {
         const TowerPlan *P = unwrapPlan(A[1]);
         if (!P || !A[0]->isCallable())
           return nullptr;

@@ -11,6 +11,7 @@
 
 #include "core/Enumeration.h"
 #include "core/Primitives.h"
+#include "core/ProgramParser.h"
 
 #include <gtest/gtest.h>
 
@@ -124,4 +125,44 @@ TEST(AllocationTest, WarmMemoAllocatesNothingPerHole) {
     EXPECT_LE(Warm.Allocations, Plain.Allocations) << Request->show();
     EXPECT_LE(Warm.Allocations, 64) << Request->show();
   }
+}
+
+namespace {
+
+/// Allocations of one runProgram of \p Source on \p Inputs, after a first
+/// run has warmed the arenas, and the result's rendering.
+std::pair<long, std::string> countRun(const char *Source,
+                                      const std::vector<ValuePtr> &Inputs) {
+  prims::functionalCore();
+  ExprPtr P = parseProgram(Source);
+  EXPECT_NE(P, nullptr) << Source;
+  runProgram(P, Inputs);
+  const long Before = Allocations;
+  ValuePtr Out = runProgram(P, Inputs);
+  const long Made = Allocations - Before;
+  return {Made, Out ? Out->show() : "<failed>"};
+}
+
+} // namespace
+
+TEST(AllocationTest, SaturatedCallAllocatesOnlyItsResult) {
+  // Only the sum: runProgram runs the λ's body without building its
+  // closure and binds $0 in a stack frame, `+` is called in place with no
+  // partial application or argument vector, and `1` is the registered
+  // value itself.
+  auto [Made, Shown] = countRun("(lambda (+ $0 1))", {Value::makeInt(41)});
+  EXPECT_EQ(Shown, "42");
+  EXPECT_LE(Made, 1);
+}
+
+TEST(AllocationTest, MapOverListAllocationsAreBounded) {
+  // The outer λ's heap frame (its body builds a closure), the inner
+  // closure, the output list and its buffer, and one int per element.
+  std::vector<ValuePtr> Elems;
+  for (long I = 0; I < 10; ++I)
+    Elems.push_back(Value::makeInt(I));
+  auto [Made, Shown] = countRun("(lambda (map (lambda (+ $0 1)) $0))",
+                                {Value::makeList(std::move(Elems))});
+  EXPECT_EQ(Shown, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]");
+  EXPECT_LE(Made, 14);
 }

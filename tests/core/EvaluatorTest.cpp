@@ -212,7 +212,7 @@ TEST_F(EvaluatorTest, EvaluatesWhileAnotherThreadRegisters) {
       long Offset = I;
       definePrimitive("evaluator_test_add" + std::to_string(I),
                       Type::arrow(tInt(), tInt()),
-                      [Offset](EvalState &, const std::vector<ValuePtr> &A)
+                      [Offset](EvalState &, std::span<const ValuePtr> A)
                           -> ValuePtr {
                         return A[0]->isInt()
                                    ? Value::makeInt(A[0]->asInt() + Offset)
@@ -248,4 +248,97 @@ TEST_F(EvaluatorTest, EvaluatesWhileAnotherThreadRegisters) {
   for (std::thread &T : Evaluators)
     T.join();
   EXPECT_EQ(Wrong.load(), 0);
+}
+
+TEST_F(EvaluatorTest, StepAndDepthAccountingMatchCurried) {
+  // Saturated builtins are called in place, closures that capture
+  // nothing bind their argument on the stack and runProgram skips a λ
+  // program's closure, yet every program must use exactly the steps and
+  // depth of plain curried evaluation. Each row's result, least step
+  // budget and least MaxDepth were recorded with the curried evaluator
+  // (each application evaluated and applied one argument at a time, every
+  // environment on the heap). runProgram sets the budgets; the depths go
+  // through evaluate and applyValue.
+  auto Ints = [](std::vector<long> Xs) {
+    std::vector<ValuePtr> Elems;
+    for (long X : Xs)
+      Elems.push_back(Value::makeInt(X));
+    return Value::makeList(std::move(Elems));
+  };
+  auto Int = [](long X) { return Value::makeInt(X); };
+  struct Case {
+    const char *Source;
+    std::vector<ValuePtr> Inputs;
+    const char *Shown;
+    long Steps;
+    int Depth;
+  };
+  const std::vector<Case> Cases = {
+      // Saturated, curried through a closure, under- and over-applied.
+      {"(+ 1 (* 2 3))", {}, "7", 13, 4},
+      {"(lambda (+ $0 1))", {Int(41)}, "42", 9, 4},
+      {"(lambda (lambda (- $1 $0)))", {Int(10), Int(3)}, "7", 11, 4},
+      {"(lambda (+ (length $0) (index 1 $0)))", {Ints({3, 4, 5})}, "7", 18,
+       5},
+      {"(lambda (car (cons (+ 1) nil) $0))", {Int(41)}, "42", 18, 7},
+      {"(lambda (if (> $0 1) + - $0 1))", {Int(5)}, "6", 17, 7},
+      // map, fold and zip given partials, closures and bare builtins.
+      {"(lambda (map (+ 1) $0))", {Ints({1, 2, 3})}, "[2, 3, 4]", 15, 5},
+      {"(lambda (map (lambda (* $0 $0)) $0))", {Ints({1, 2, 3})},
+       "[1, 4, 9]", 33, 7},
+      {"(lambda (map car (map (lambda (cons $0 nil)) $0)))", {Ints({4, 5})},
+       "[4, 5]", 33, 8},
+      {"(lambda (map (lambda (fold + $0 $1)) $0))", {Ints({1, 2})},
+       "[4, 5]", 39, 8},
+      {"(lambda (fold + 0 $0))", {Ints({1, 2, 3, 4})}, "10", 20, 5},
+      {"(lambda (fold (lambda (lambda (cons $1 $0))) nil $0))",
+       {Ints({1, 2, 3})}, "[1, 2, 3]", 42, 7},
+      {"(lambda (fold (lambda (+ $0)) 1 $0))", {Ints({1, 2, 3})}, "7", 30,
+       6},
+      {"(lambda (zip + $0 $0))", {Ints({1, 2, 3})}, "[2, 4, 6]", 18, 5},
+      {"(lambda (zip (lambda (lambda (* $1 $0))) $0 (cdr $0)))",
+       {Ints({2, 3, 4})}, "[6, 12]", 35, 7},
+      {"(lambda (zip (lambda (- $0)) $0 (map (+ 1) $0)))", {Ints({1, 5})},
+       "[-1, -1]", 35, 6},
+      // fix recursion.
+      {"(lambda (fix (lambda (lambda (if (is-nil $0) 0 (+ 1 ($1 (cdr "
+       "$0)))))) $0))",
+       {Ints({7, 8, 9})}, "3", 81, 22},
+      {"(lambda (fix (lambda (lambda (if (is-nil $0) nil (cons (+ (car $0) "
+       "(car $0)) ($1 (cdr $0)))))) $0))",
+       {Ints({1, 2, 3})}, "[2, 4, 6]", 117, 22},
+      // if taking either branch.
+      {"(lambda (if (is-nil $0) 0 (car $0)))", {Ints({})}, "0", 8, 4},
+      {"(lambda (if (is-nil $0) 0 (car $0)))", {Ints({5})}, "5", 11, 4},
+      // Inventions.
+      {"(lambda (#(lambda (+ $0 1)) $0))", {Int(41)}, "42", 14, 6},
+      {"(lambda (#(lambda (lambda (+ $0 $1))) $0 1))", {Int(41)}, "42", 18,
+       6},
+      {"(lambda (map #(lambda (* $0 2)) (filter (lambda (> $0 1)) $0)))",
+       {Ints({0, 1, 2, 3})}, "[4, 6]", 64, 8},
+  };
+  // runProgram with an explicit depth limit.
+  auto RunWithDepth = [](ExprPtr P, const std::vector<ValuePtr> &Inputs,
+                         int MaxDepth) -> ValuePtr {
+    EvalState State(50000, MaxDepth);
+    ValuePtr V = evaluate(P, nullptr, State);
+    for (const ValuePtr &In : Inputs) {
+      if (!V || State.failed())
+        return nullptr;
+      V = applyValue(V, In, State);
+    }
+    return State.failed() ? nullptr : V;
+  };
+  for (const Case &C : Cases) {
+    ExprPtr P = parseProgram(C.Source);
+    ASSERT_NE(P, nullptr) << C.Source;
+    ValuePtr Out = runProgram(P, C.Inputs, C.Steps);
+    ASSERT_NE(Out, nullptr) << C.Source;
+    EXPECT_EQ(Out->show(), C.Shown) << C.Source;
+    EXPECT_EQ(runProgram(P, C.Inputs, C.Steps - 1), nullptr) << C.Source;
+    ValuePtr Deep = RunWithDepth(P, C.Inputs, C.Depth);
+    ASSERT_NE(Deep, nullptr) << C.Source;
+    EXPECT_EQ(Deep->show(), C.Shown) << C.Source;
+    EXPECT_EQ(RunWithDepth(P, C.Inputs, C.Depth - 1), nullptr) << C.Source;
+  }
 }

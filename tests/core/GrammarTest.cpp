@@ -109,7 +109,7 @@ TEST_F(GrammarTest, MemoizedCandidatesMatchPlain) {
   auto Pair = [](TypePtr A, TypePtr B) {
     return Type::constructor("pair", {A, B});
   };
-  auto NeverRun = [](EvalState &, const std::vector<ValuePtr> &) {
+  auto NeverRun = [](EvalState &, std::span<const ValuePtr>) {
     return ValuePtr();
   };
   ExprPtr Dup = definePrimitive("grammar_test_dup",

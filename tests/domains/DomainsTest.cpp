@@ -17,6 +17,7 @@
 #include "domains/TextDomain.h"
 #include "domains/TowerDomain.h"
 
+#include "core/Enumeration.h"
 #include "core/Primitives.h"
 #include "core/ProgramParser.h"
 
@@ -185,6 +186,53 @@ TEST(LogoDomain, RendererIsDeterministicAndNonTrivial) {
   EXPECT_EQ(Cells, renderTurtle(runProgram(Square, {initialTurtle()})));
   EXPECT_EQ(ll(D, "square", Square->show()), 0.0);
   EXPECT_TRUE(std::isinf(ll(D, "triangle", Square->show())));
+}
+
+TEST(LogoDomain, RasterAgreesWithRenderedCells) {
+  // LogoTask scores a program by comparing rasterizeTurtle's bitset with
+  // its target's; the corpus, the featurizer and dreams read renderTurtle's
+  // cell list. Both must mark the same cells, and every task must score a
+  // program 0 exactly when its rendering equals the target cells: on every
+  // corpus figure and on every program of one enumeration window.
+  DomainSpec D = makeLogoDomain();
+  std::vector<TaskPtr> Tasks = D.TrainTasks;
+  Tasks.insert(Tasks.end(), D.TestTasks.begin(), D.TestTasks.end());
+  long Checked = 0;
+  std::string FirstMismatch;
+  auto Check = [&](ExprPtr P) {
+    ValuePtr Out = runProgram(P, {initialTurtle()});
+    const std::vector<int> Cells = renderTurtle(Out);
+    const TurtleRaster Raster = rasterizeTurtle(Out);
+    bool Same = Raster.count() == Cells.size();
+    for (int C : Cells)
+      Same = Same && Raster.test(C);
+    for (const TaskPtr &T : Tasks) {
+      const auto &Logo = static_cast<const LogoTask &>(*T);
+      const bool Match = Out && Cells == Logo.targetCells();
+      Same = Same && (T->logLikelihood(P) == 0.0) == Match;
+    }
+    ++Checked;
+    if (!Same && FirstMismatch.empty())
+      FirstMismatch = P->show();
+  };
+
+  const std::vector<LogoFigure> Figures = logoCorpusFigures();
+  ASSERT_EQ(Figures.size(), Tasks.size());
+  for (const LogoFigure &Fig : Figures) {
+    ExprPtr P = parseProgram(Fig.Source);
+    ASSERT_NE(P, nullptr) << Fig.Name;
+    Check(P);
+    EXPECT_EQ(ll(D, Fig.Name, Fig.Source), 0.0) << Fig.Name;
+  }
+  long Nodes = 1000000;
+  enumerateWindow(Grammar::uniform(D.BasePrimitives),
+                  Type::arrow(tTurtle(), tTurtle()), 0, 13, Nodes,
+                  [&](ExprPtr P, double) {
+                    Check(P);
+                    return true;
+                  });
+  EXPECT_GT(Checked, 1000);
+  EXPECT_EQ(FirstMismatch, "");
 }
 
 TEST(TowerDomain, CorpusShape) {

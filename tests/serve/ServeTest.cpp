@@ -955,7 +955,7 @@ private:
 Grammar holdingListGrammar() {
   static const ExprPtr Hold = definePrimitive(
       "test_hold", Type::arrow(tInt(), tInt()),
-      [](EvalState &, const std::vector<ValuePtr> &Args) -> ValuePtr {
+      [](EvalState &, std::span<const ValuePtr> Args) -> ValuePtr {
         HeldGate::pass();
         return Args[0];
       });
